@@ -2,7 +2,7 @@
 """Build and run the mapping-system benchmark.
 
 One run:
-    python3 perfbench/run.py --workload direct --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload direct --seed 1 --seconds 20 --trace 0
 
 builds the benchmark (release, offline) into $CARGO_TARGET_DIR (default
 `.bench_build` at the repository root), runs one workload and prints its
@@ -11,13 +11,14 @@ stderr. The exit code is non-zero when the build fails, a correctness
 check fails or the run overstays its time limit.
 
 Steadiness mode:
-    python3 perfbench/run.py --steady 10 [--workload all] [--seed 1] [--seconds 10] [--trace 0]
+    python3 perfbench/run.py --steady 10 [--workload all] [--seed 1] [--seconds 20] [--trace 0]
 
 runs each workload N times back to back with seeds seed, seed+1, ...
 and prints, per metric, the median, the quartiles and their spread
 (interquartile range over median) against the bound in BENCHMARK.json.
 Run it twice (for example with --seed 1 and --seed 101) to check that
-two sets of runs agree within the bounds.
+two sets of runs agree within the bounds. --seconds defaults to
+BENCHMARK.json's run_seconds.
 """
 
 import argparse
@@ -58,7 +59,12 @@ def build():
     return binary if os.path.isfile(binary) else None
 
 
-def run_once(binary, workload, seed, seconds, trace, extra=()):
+def load_benchmark():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return json.load(f)
+
+
+def run_once(binary, workload, seed, seconds, trace):
     """Runs one workload; returns (exit code, result line or None)."""
     tmp = os.path.join(ROOT, ".bench_tmp", f"{workload}-{os.getpid()}")
     spans = os.path.join(ROOT, ".bench_tmp", "spans")
@@ -68,7 +74,6 @@ def run_once(binary, workload, seed, seconds, trace, extra=()):
            "--seconds", str(seconds), "--trace", str(trace), "--tmp-dir", tmp]
     if trace:
         cmd += ["--trace-out", os.path.join(spans, f"{workload}.jsonl")]
-    cmd += list(extra)
     proc = subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE,
                             stderr=sys.stderr, text=True)
     try:
@@ -84,9 +89,7 @@ def run_once(binary, workload, seed, seconds, trace, extra=()):
     return proc.returncode, (lines[-1] if lines else None)
 
 
-def steady(binary, args):
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        bench = json.load(f)
+def steady(binary, args, bench):
     defs = bench["per_layer" if args.trace else "end_to_end"]
     bounds = {d["name"]: d.get("bound") for d in defs}
     names = WORKLOADS if args.workload in (None, "all") else [args.workload]
@@ -107,7 +110,7 @@ def steady(binary, args):
             spread = (q3 - q1) / med if med else float("inf")
             bound = bounds[name]
             flag = ""
-            if bound is not None and name != "setup_s":
+            if bound is not None:
                 flag = "ok" if spread < bound / 3 else ("wide" if spread <= bound else "FAIL")
             btxt = f"{bound:.2f}" if bound is not None else "-"
             print(f"{name:36} {med:12.5g} {q1:12.5g} {q3:12.5g} {spread:8.3f} {btxt:>6} {flag}")
@@ -122,22 +125,23 @@ def main():
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--workload", choices=WORKLOADS + ["all"])
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=10)
+    p.add_argument("--seconds", type=float)
     p.add_argument("--trace", type=int, choices=[0, 1], default=0)
     p.add_argument("--steady", type=int, default=0,
                    help="run each workload this many times and print spreads")
-    p.add_argument("--tiny", action="store_true", help="small inputs (smoke test)")
     p.add_argument("--verbose", action="store_true", help="steadiness mode: print every value")
     args = p.parse_args()
     if not args.steady and args.workload in (None, "all"):
         p.error("--workload must name one workload")
+    bench = load_benchmark()
+    if args.seconds is None:
+        args.seconds = bench["run_seconds"]
     binary = build()
     if binary is None:
         return 1
     if args.steady:
-        return steady(binary, args)
-    extra = ["--tiny"] if args.tiny else []
-    code, line = run_once(binary, args.workload, args.seed, args.seconds, args.trace, extra)
+        return steady(binary, args, bench)
+    code, line = run_once(binary, args.workload, args.seed, args.seconds, args.trace)
     if line is not None:
         print(line)
     return code if code != 0 else (0 if line is not None else 1)

@@ -1,10 +1,12 @@
 //! Closed-loop workloads: one caller issues map requests back to back
 //! through a warm scratch.
 //!
-//! * `direct` calls `map_tasks_with` on machine-sized requests, cycling
-//!   Greedy/GreedyWh/GreedyMc/GreedyMmc. Its traced run re-runs every
-//!   request through the same phase-1 and phase-2 calls one by one,
-//!   timing each, and checks the result is bit-identical.
+//! * `direct` serves machine-sized requests that arrive as message
+//!   lists: it builds each request's task graph, then calls
+//!   `map_tasks_with`, cycling Greedy/GreedyWh/GreedyMc/GreedyMmc. Its
+//!   traced run re-runs every request through the same graph build and
+//!   the same phase-1 and phase-2 calls one by one, timing each, and
+//!   checks the result is bit-identical.
 //! * `multilevel` calls `map_multilevel_with` (the entry point
 //!   `MapStrategy::Multilevel` dispatches to) on graphs 10–100× the
 //!   allocation, with GreedyWh and GreedyMc. Its traced run times
@@ -17,7 +19,7 @@ use umpa_core::{
     map_tasks_with, multilevel_map_into, validate_mapping, wh_refine_scratch, MapperKind,
     MapperScratch, PipelineConfig,
 };
-use umpa_graph::TaskGraph;
+use umpa_graph::{TaskGraph, TaskGraphScratch};
 use umpa_partition::{fix_balance, recursive_bisection};
 use umpa_topology::{Allocation, Machine};
 
@@ -36,28 +38,79 @@ pub enum Engine {
     Multilevel,
 }
 
+/// A direct request as the caller hands it over: the application's
+/// messages and task weights.
+pub struct Request {
+    messages: Vec<(u32, u32, f64)>,
+    weights: Vec<f64>,
+}
+
+impl Request {
+    fn of(tasks: &TaskGraph) -> Self {
+        Self {
+            messages: tasks.messages().collect(),
+            weights: (0..tasks.num_tasks() as u32)
+                .map(|t| tasks.task_weight(t))
+                .collect(),
+        }
+    }
+}
+
+/// Builds request task graphs (directed, reversed and symmetric CSR
+/// views) into reused buffers.
+pub struct GraphBuild {
+    graph: TaskGraph,
+    scratch: TaskGraphScratch,
+}
+
+impl GraphBuild {
+    fn new() -> Self {
+        Self {
+            graph: TaskGraph::default(),
+            scratch: TaskGraphScratch::new(),
+        }
+    }
+
+    fn build(&mut self, req: &Request) -> &TaskGraph {
+        self.graph.rebuild_from_messages(
+            req.weights.len(),
+            req.messages.iter().copied(),
+            Some(&req.weights),
+            &mut self.scratch,
+        );
+        &self.graph
+    }
+}
+
 /// Everything a closed loop needs, built before timing starts.
 pub struct Setup {
     /// Machines, caches warm.
     pub machines: Vec<Machine>,
     /// Request inputs.
     pub pool: Vec<Fixture>,
+    /// The direct requests, one per fixture (empty for multilevel).
+    pub requests: Vec<Request>,
     /// One cycle of requests: (fixture, mapper), fixtures interleaved.
     pub cycle: Vec<(usize, MapperKind)>,
     /// Warm scratch.
     pub scratch: MapperScratch,
+    /// Warm graph-build buffers.
+    pub build: GraphBuild,
 }
 
-/// Builds machines, fixtures and a warm scratch (every fixture mapped
-/// once with every mapper).
+/// Builds machines, fixtures and a warm scratch.
 pub fn setup(engine: Engine, opts: &Opts) -> Setup {
     let machines = fixtures::machines(opts.tiny);
     for m in &machines {
         fixtures::warm(m);
     }
     let pool = match engine {
-        Engine::Direct => fixtures::direct_pool(&machines, opts.tiny),
-        Engine::Multilevel => fixtures::multilevel_pool(&machines, opts.tiny),
+        Engine::Direct => fixtures::direct_pool(&machines, opts.tiny, opts.seed),
+        Engine::Multilevel => fixtures::multilevel_pool(&machines, opts.tiny, opts.seed),
+    };
+    let requests = match engine {
+        Engine::Direct => pool.iter().map(|f| Request::of(&f.tasks)).collect(),
+        Engine::Multilevel => Vec::new(),
     };
     let most = pool.iter().map(|f| f.kinds.len()).max().unwrap_or(0);
     let cycle: Vec<(usize, MapperKind)> = (0..most)
@@ -67,45 +120,51 @@ pub fn setup(engine: Engine, opts: &Opts) -> Setup {
                 .filter_map(move |(fi, f)| f.kinds.get(k).map(|&kind| (fi, kind)))
         })
         .collect();
-    let mut scratch = MapperScratch::new();
-    let cfg = PipelineConfig::default();
-    for &(fi, kind) in &cycle {
-        std::hint::black_box(map_once(
-            engine,
-            &pool[fi],
-            &machines,
-            kind,
-            &cfg,
-            &mut scratch,
-        ));
-    }
-    Setup {
+    let mut st = Setup {
         machines,
         pool,
+        requests,
         cycle,
-        scratch,
+        scratch: MapperScratch::new(),
+        build: GraphBuild::new(),
+    };
+    // Every shape × mapper once: the numberings of a shape share its
+    // allocation, hence the route rows and scratch sizes it warms.
+    let cfg = PipelineConfig::default();
+    for k in 0..st.cycle.len() {
+        let (fi, kind) = st.cycle[k];
+        if st.pool[fi].copy == 0 {
+            std::hint::black_box(map_once(engine, &mut st, fi, kind, &cfg));
+        }
     }
+    st
 }
 
+/// One untraced request for fixture `fi`: a direct request builds its
+/// task graph and maps it, a multilevel one maps the fixture's graph.
 fn map_once(
     engine: Engine,
-    f: &Fixture,
-    machines: &[Machine],
+    st: &mut Setup,
+    fi: usize,
     kind: MapperKind,
     cfg: &PipelineConfig,
-    scratch: &mut MapperScratch,
 ) -> Vec<u32> {
-    let m = &machines[f.machine];
+    let f = &st.pool[fi];
+    let m = &st.machines[f.machine];
     match engine {
-        Engine::Direct => map_tasks_with(&f.tasks, m, &f.alloc, kind, cfg, scratch).fine_mapping,
+        Engine::Direct => {
+            let tasks = st.build.build(&st.requests[fi]);
+            map_tasks_with(tasks, m, &f.alloc, kind, cfg, &mut st.scratch).fine_mapping
+        }
         Engine::Multilevel => {
-            map_multilevel_with(&f.tasks, m, &f.alloc, kind, cfg, scratch).fine_mapping
+            map_multilevel_with(&f.tasks, m, &f.alloc, kind, cfg, &mut st.scratch).fine_mapping
         }
     }
 }
 
-/// Runs the closed loop for `opts.seconds` (and at least one full
-/// cycle of fixture × mapper) and fills `report`.
+/// Runs the closed loop for whole cycles of fixture × mapper, at least
+/// `opts.seconds` long, and fills `report`. Whole cycles request every
+/// pair equally often, so the latency quantiles weigh them alike.
 pub fn run(engine: Engine, opts: &Opts, report: &mut Report) {
     let mut st = opts.timed_setup(report, || setup(engine, opts));
     if opts.trace {
@@ -119,16 +178,15 @@ fn untraced(engine: Engine, opts: &Opts, st: &mut Setup, report: &mut Report) {
     let cfg = PipelineConfig::default();
     let cycle = st.cycle.len();
     let mut first: Vec<Option<Vec<u32>>> = vec![None; cycle];
-    let mut lat = vec![Dist::new(); cycle];
+    let mut lat = Dist::new();
     let start = Instant::now();
     let mut i = 0usize;
-    while i < cycle || start.elapsed().as_secs_f64() < opts.seconds {
+    while !i.is_multiple_of(cycle) || i == 0 || start.elapsed().as_secs_f64() < opts.seconds {
         let (fi, kind) = st.cycle[i % cycle];
-        let f = &st.pool[fi];
         let t = Instant::now();
-        let mapping = map_once(engine, f, &st.machines, kind, &cfg, &mut st.scratch);
-        lat[i % cycle].push(t.elapsed().as_secs_f64() * 1e3);
-        check_mapping(report, f, &mapping, i);
+        let mapping = map_once(engine, st, fi, kind, &cfg);
+        lat.push(t.elapsed().as_secs_f64() * 1e3);
+        check_mapping(report, &st.pool[fi], &mapping, i);
         let slot = &mut first[i % cycle];
         match slot {
             None => *slot = Some(mapping),
@@ -139,20 +197,14 @@ fn untraced(engine: Engine, opts: &Opts, st: &mut Setup, report: &mut Report) {
         i += 1;
     }
     let (wh, mc) = quality(st, &first);
-    // Each input × mapper pair is timed several times per run and
-    // stands for its median, so a preempted call moves nothing; the
-    // pairs are requested equally often, so their medians' quantiles
-    // are the request latency quantiles.
-    let mut typical = Dist::new();
-    for d in &mut lat {
-        typical.push(d.p50());
-    }
-    let (p50, p99) = (typical.p50(), typical.p99());
+    // Quantiles over every call: p99 falls among the many calls of the
+    // slowest shapes, not on one input's few.
+    let (p50, p99) = (lat.p50(), lat.p99());
     report.set("map_p50_ms", p50);
     report.set("map_p99_ms", p99);
     report.set("reply_p50_ms", p50);
     report.set("reply_p99_ms", p99);
-    report.set("maps_per_s", typical.len() as f64 / (typical.sum() / 1e3));
+    report.set("maps_per_s", lat.len() as f64 / (lat.sum() / 1e3));
     report.set("wh_vs_def", wh);
     report.set("mc_vs_def", mc);
 }
@@ -169,7 +221,7 @@ fn quality(st: &Setup, mappings: &[Option<Vec<u32>>]) -> (f64, f64) {
     let mut def = Vec::new();
     for f in &st.pool {
         let m = &st.machines[f.machine];
-        def.push(evaluate(&f.tasks, m, &def_mapping(&f.tasks, &f.alloc)));
+        def.push(evaluate(&f.natural, m, &def_mapping(&f.natural, &f.alloc)));
     }
     let (mut wh, mut mc) = (Vec::new(), Vec::new());
     for (i, mapping) in mappings.iter().enumerate() {
@@ -189,6 +241,7 @@ fn traced(engine: Engine, opts: &Opts, st: &mut Setup, report: &mut Report) {
     let cfg = PipelineConfig::default();
     let mut tracer = Tracer::new();
     let mut traced_scratch = MapperScratch::new();
+    let mut traced_build = GraphBuild::new();
     // Sums over requests: untraced call time, traced path time, ns.
     let (mut e2e_ns, mut traced_total_ns) = (0.0, 0.0);
     let (mut greedy_probes, mut greedy_rows) = (0.0, 0.0);
@@ -197,24 +250,31 @@ fn traced(engine: Engine, opts: &Opts, st: &mut Setup, report: &mut Report) {
     let cycle = st.cycle.len();
     let start = Instant::now();
     let mut i = 0usize;
-    while i < cycle || start.elapsed().as_secs_f64() < opts.seconds {
+    while !i.is_multiple_of(cycle) || i == 0 || start.elapsed().as_secs_f64() < opts.seconds {
         let (fi, kind) = st.cycle[i % cycle];
-        let f = &st.pool[fi];
-        let machine = &st.machines[f.machine];
         // Alternate which path runs first, so neither gets the other's
         // warm caches every time.
-        let run_plain = |scratch: &mut MapperScratch| {
+        let run_plain = |st: &mut Setup| {
             let t = Instant::now();
-            let out = map_once(engine, f, &st.machines, kind, &cfg, scratch);
+            let out = map_once(engine, st, fi, kind, &cfg);
             (out, t.elapsed().as_nanos() as f64)
         };
-        let mut run_traced = |tracer: &mut Tracer, scratch: &mut MapperScratch| {
+        let mut run_traced = |st: &Setup, tracer: &mut Tracer, scratch: &mut MapperScratch| {
+            let f = &st.pool[fi];
+            let machine = &st.machines[f.machine];
             tracer.begin_request(i as u32);
             let t = Instant::now();
             let out = match engine {
-                Engine::Direct => {
-                    traced_direct(tracer, &f.tasks, machine, &f.alloc, kind, &cfg, scratch)
-                }
+                Engine::Direct => traced_direct(
+                    tracer,
+                    &st.requests[fi],
+                    &mut traced_build,
+                    machine,
+                    &f.alloc,
+                    kind,
+                    &cfg,
+                    scratch,
+                ),
                 Engine::Multilevel => tracer.span("core.multilevel", |_| {
                     let mut out = Vec::new();
                     let stats = multilevel_map_into(
@@ -228,16 +288,16 @@ fn traced(engine: Engine, opts: &Opts, st: &mut Setup, report: &mut Report) {
             (out, t.elapsed().as_nanos() as f64)
         };
         let ((plain, plain_ns), (traced, traced_ns)) = if i.is_multiple_of(2) {
-            let p = run_plain(&mut st.scratch);
-            (p, run_traced(&mut tracer, &mut traced_scratch))
+            let p = run_plain(st);
+            (p, run_traced(st, &mut tracer, &mut traced_scratch))
         } else {
-            let t = run_traced(&mut tracer, &mut traced_scratch);
-            (run_plain(&mut st.scratch), t)
+            let t = run_traced(st, &mut tracer, &mut traced_scratch);
+            (run_plain(st), t)
         };
         report.check(plain == traced, || {
             format!("request {i}: traced path differs from the library call")
         });
-        check_mapping(report, f, &traced, i);
+        check_mapping(report, &st.pool[fi], &traced, i);
         if engine == Engine::Direct {
             let g = traced_scratch.greedy.stats();
             greedy_probes += g.probes as f64;
@@ -304,11 +364,15 @@ fn traced(engine: Engine, opts: &Opts, st: &mut Setup, report: &mut Report) {
     opts.write_spans(&tracer);
 }
 
-/// The two-phase pipeline, one public call per span, in the order
-/// `map_tasks_with` runs them; compose is re-done here.
+/// A direct request, one public call per span: the task graph build
+/// (its symmetric view is what phase 1 partitions), then the two-phase
+/// pipeline in the order `map_tasks_with` runs it; compose is re-done
+/// here.
+#[allow(clippy::too_many_arguments)]
 fn traced_direct(
     tracer: &mut Tracer,
-    fine: &TaskGraph,
+    req: &Request,
+    build: &mut GraphBuild,
     machine: &Machine,
     alloc: &Allocation,
     kind: MapperKind,
@@ -318,7 +382,8 @@ fn traced_direct(
     tracer.span("core.pipeline", |t| {
         let n_groups = alloc.num_nodes();
         let targets: Vec<f64> = (0..n_groups).map(|s| f64::from(alloc.procs(s))).collect();
-        let g = t.span("graph.symmetric", |_| fine.symmetric());
+        let fine = t.span("graph.symmetric", move |_| build.build(req));
+        let g = fine.symmetric();
         let mut group = t.span("partition.bisect", |_| {
             recursive_bisection(g, &targets, &cfg.ml)
         });

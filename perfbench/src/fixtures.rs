@@ -1,9 +1,12 @@
 //! Seeded inputs: machines, allocations and task graphs.
 //!
-//! The mix of machines, allocations, graph structures, sizes and
-//! mappers is fixed. The run seed times the open loops' arrivals,
-//! relabels their power-law requests and picks the links that fail, so
-//! two seeds exercise the same shapes of work on different inputs.
+//! The mix of machines, allocations, graph structures and mappers is
+//! fixed. The run seed numbers the closed loops' tasks, times the open
+//! loops' arrivals, renumbers their power-law requests and picks the
+//! links that fail, so two seeds exercise the same shapes of work on
+//! different inputs.
+
+use std::sync::Arc;
 
 use umpa_core::MapperKind;
 use umpa_graph::TaskGraph;
@@ -15,8 +18,8 @@ use umpa_topology::{
 };
 
 /// Seed of the fixed part of every workload: allocation placements,
-/// closed-loop inputs, the open loops' churn events and graph
-/// structures.
+/// graph structures and matrix partitions, the open loops' churn
+/// events.
 pub const FIXED_SEED: u64 = 11;
 
 /// Mixes a sub-stream id into the run seed.
@@ -70,10 +73,60 @@ pub struct Fixture {
     pub machine: usize,
     /// The allocated nodes.
     pub alloc: Allocation,
-    /// The application's task graph.
+    /// The application's task graph, its tasks numbered by the run seed.
     pub tasks: TaskGraph,
+    /// The same graph numbered as its generator numbers it; the DEF
+    /// mapping places tasks in this order.
+    pub natural: Arc<TaskGraph>,
     /// Mappers this input is requested with.
     pub kinds: &'static [MapperKind],
+    /// Which numbering of its shape this is; set-up warms numbering 0.
+    pub copy: usize,
+}
+
+/// Adds one fixture per entry of `labels`: the graph renumbered by that
+/// seed, or as generated for `None`.
+fn push_shape(
+    pool: &mut Vec<Fixture>,
+    machine: usize,
+    alloc: Allocation,
+    natural: TaskGraph,
+    kinds: &'static [MapperKind],
+    labels: &[Option<u64>],
+) {
+    let natural = Arc::new(natural);
+    for (copy, label) in labels.iter().enumerate() {
+        pool.push(Fixture {
+            machine,
+            alloc: alloc.clone(),
+            tasks: match label {
+                Some(seed) => relabeled(&natural, *seed),
+                None => (*natural).clone(),
+            },
+            natural: Arc::clone(&natural),
+            kinds,
+            copy,
+        });
+    }
+}
+
+/// `copies` seed-chosen numberings of the shape of sub-stream `stream`.
+fn numberings(seed: u64, stream: u64, copies: usize) -> Vec<Option<u64>> {
+    (0..copies as u64)
+        .map(|c| Some(sub_seed(sub_seed(seed, stream), c)))
+        .collect()
+}
+
+/// Numberings of each closed-loop shape per run. A request's cost moves
+/// by up to a quarter with the numbering of its tasks, so a run maps
+/// several numberings of every shape, and its quantiles average over
+/// them instead of riding on one.
+fn copies(tiny: bool) -> usize {
+    if tiny {
+        1
+    } else {
+        4
+    }
 }
 
 /// Mappers the direct workload cycles through.
@@ -91,12 +144,13 @@ const ML_WH_MC: &[MapperKind] = &[MapperKind::GreedyWh, MapperKind::GreedyMc];
 
 /// Machine-sized requests: row-partitioned SpMV on a 5-point stencil
 /// (one task per processor) and power-law graphs of up to 1.6 k tasks,
-/// on sparse 16–64-node allocations of every machine.
+/// on sparse 16–64-node allocations of every machine, each shape in
+/// four numberings of its tasks chosen by `seed`.
 ///
-/// The inputs are fixed. A closed loop this short cannot average out
-/// what a seed would change: another matrix partition or another
-/// labeling of the same power-law graph alone moves map time by 20–25 %.
-pub fn direct_pool(machines: &[Machine], tiny: bool) -> Vec<Fixture> {
+/// Shapes and allocations are fixed: placing the allocations by seed
+/// made the slowest requests, and with them `map_p99_ms`, swing by a
+/// third from seed to seed.
+pub fn direct_pool(machines: &[Machine], tiny: bool, seed: u64) -> Vec<Fixture> {
     // (allocated nodes, power-law tasks, fill) per size class.
     let (spmv_nodes, plaw): (&[usize], &[(usize, usize, f64)]) = if tiny {
         (&[4], &[(6, 40, 0.8)])
@@ -117,41 +171,36 @@ pub fn direct_pool(machines: &[Machine], tiny: bool) -> Vec<Fixture> {
         for &nodes in spmv_nodes {
             stream += 1;
             let s = sub_seed(FIXED_SEED, stream);
-            let spec = AllocSpec::sparse(nodes, s);
-            let alloc = Allocation::generate(machine, &spec);
+            let alloc = Allocation::generate(machine, &AllocSpec::sparse(nodes, s));
             let parts = alloc.total_procs() as usize;
             // About eight matrix rows per task.
             let side = ((8 * parts) as f64).sqrt().ceil() as usize;
             let a = stencil2d(side, side, Stencil2D::FivePoint);
             let part = PartitionerKind::Metis.partition_matrix(&a, parts, s);
-            let tasks = spmv_task_graph(&a, &part, parts);
-            pool.push(Fixture {
-                machine: mi,
-                alloc,
-                tasks,
-                kinds: DIRECT_KINDS,
-            });
+            let natural = spmv_task_graph(&a, &part, parts);
+            let labels = numberings(seed, stream, copies(tiny));
+            push_shape(&mut pool, mi, alloc, natural, DIRECT_KINDS, &labels);
         }
         for &(nodes, n, fill) in plaw {
             stream += 1;
             let s = sub_seed(FIXED_SEED, stream);
             let alloc = Allocation::generate(machine, &AllocSpec::sparse(nodes, s));
-            let tasks = power_law_tasks(n, 3, s, weight(&alloc, fill));
-            pool.push(Fixture {
-                machine: mi,
-                alloc,
-                tasks,
-                kinds: DIRECT_KINDS,
-            });
+            let natural = power_law_tasks(n, 3, s, weight(&alloc, fill));
+            let labels = numberings(seed, stream, copies(tiny));
+            push_shape(&mut pool, mi, alloc, natural, DIRECT_KINDS, &labels);
         }
     }
     pool
 }
 
 /// Graphs 10–100× the allocation's processor count (3-D halo stencils
-/// and power-law graphs) at half fill, for the multilevel engine.
-/// Fixed, as [`direct_pool`]'s are.
-pub fn multilevel_pool(machines: &[Machine], tiny: bool) -> Vec<Fixture> {
+/// and power-law graphs) at half fill, for the multilevel engine. As in
+/// [`direct_pool`], shapes and allocations are fixed and `seed` chooses
+/// four numberings of each, except for the one shape also requested
+/// with GreedyMc: that request's congestion refinement costs 0.2–0.55 s
+/// depending on the numbering, so it alone would move `map_p99_ms` by
+/// half; it keeps its generated numbering.
+pub fn multilevel_pool(machines: &[Machine], tiny: bool, seed: u64) -> Vec<Fixture> {
     /// Allocated nodes, graph shape, mappers.
     enum Shape {
         Stencil(usize, (usize, usize, usize), &'static [MapperKind]),
@@ -178,22 +227,23 @@ pub fn multilevel_pool(machines: &[Machine], tiny: bool) -> Vec<Fixture> {
     let mut pool = Vec::new();
     for (mi, (machine, row)) in machines.iter().zip(&shapes).enumerate() {
         for (j, shape) in row.iter().enumerate() {
-            let s = sub_seed(FIXED_SEED, 100 + 2 * mi as u64 + j as u64);
+            let stream = 100 + 2 * mi as u64 + j as u64;
+            let s = sub_seed(FIXED_SEED, stream);
             let (nodes, kinds) = match shape {
                 Stencil(n, _, k) | PowerLaw(n, _, k) => (*n, *k),
             };
             let alloc = Allocation::generate(machine, &AllocSpec::sparse(nodes, s));
             let weight = weight(&alloc, 0.5);
-            let tasks = match shape {
+            let natural = match shape {
                 Stencil(_, (x, y, z), _) => stencil3d_tasks(*x, *y, *z, 8.0, 2.0, weight),
                 PowerLaw(_, n, _) => power_law_tasks(*n, 3, s, weight),
             };
-            pool.push(Fixture {
-                machine: mi,
-                alloc,
-                tasks,
-                kinds,
-            });
+            let labels = if kinds.contains(&MapperKind::GreedyMc) {
+                vec![None]
+            } else {
+                numberings(seed, stream, copies(tiny))
+            };
+            push_shape(&mut pool, mi, alloc, natural, kinds, &labels);
         }
     }
     pool

@@ -75,10 +75,9 @@ pub struct Opts {
     pub seconds: f64,
     /// Traced run (per-layer metrics) instead of end-to-end.
     pub trace: bool,
-    /// Small machines and inputs, for tests.
+    /// Small machines and inputs, for tests; set up once instead of
+    /// three times.
     pub tiny: bool,
-    /// Set-up repetitions; `setup_s` is their median.
-    pub setup_reps: usize,
     /// Scratch directory for the service journal.
     pub tmp_dir: PathBuf,
     /// Where the traced run writes its spans.
@@ -94,7 +93,6 @@ impl Opts {
             seconds,
             trace: false,
             tiny: false,
-            setup_reps: 3,
             tmp_dir: std::env::temp_dir(),
             trace_out: None,
         }
@@ -109,13 +107,13 @@ impl Opts {
         }
     }
 
-    /// Runs `setup` `setup_reps` times, dropping each result before the
-    /// next, records the median wall time as `setup_s` and returns the
-    /// last result.
+    /// Runs `setup` three times (once when tiny), dropping each result
+    /// before the next, records the median wall time as `setup_s` and
+    /// returns the last result.
     pub fn timed_setup<T>(&self, report: &mut Report, mut setup: impl FnMut() -> T) -> T {
         let mut times = Vec::new();
         let mut last = None;
-        for _ in 0..self.setup_reps.max(1) {
+        for _ in 0..if self.tiny { 1 } else { 3 } {
             drop(last.take());
             let t = std::time::Instant::now();
             last = Some(setup());

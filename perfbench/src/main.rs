@@ -1,6 +1,5 @@
-//! Command line: `perfbench --workload <name> --seed <n> --seconds <s>
-//! --trace <0|1> [--tiny] [--setup-reps <n>] [--tmp-dir <dir>]
-//! [--trace-out <file>]`.
+//! Command line: `perfbench --workload <name> [--seed <n>] --seconds <s>
+//! [--trace <0|1>] [--tmp-dir <dir>] [--trace-out <file>]`.
 //!
 //! Prints progress on stderr and, as the last line of stdout, one JSON
 //! object: `correct`, `attempted`, `failed` and every metric of the
@@ -15,25 +14,19 @@ use perfbench::{run, Opts, Workload};
 fn usage(msg: &str) -> ExitCode {
     eprintln!("perfbench: {msg}");
     eprintln!(
-        "usage: perfbench --workload <direct|multilevel|service|link-failure> --seed <n> \
-         --seconds <s> --trace <0|1> [--tiny] [--setup-reps <n>] [--tmp-dir <dir>] \
-         [--trace-out <file>]"
+        "usage: perfbench --workload <direct|multilevel|service|link-failure> [--seed <n>] \
+         --seconds <s> [--trace <0|1>] [--tmp-dir <dir>] [--trace-out <file>]"
     );
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = Opts::new(Workload::Direct, 1, 10.0);
+    let mut opts = Opts::new(Workload::Direct, 1, 0.0);
     let mut workload = None;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
-        if flag == "--tiny" {
-            opts.tiny = true;
-            i += 1;
-            continue;
-        }
         let Some(value) = args.get(i + 1) else {
             return usage(&format!("{flag} needs a value"));
         };
@@ -54,10 +47,6 @@ fn main() -> ExitCode {
                 }
                 _ => false,
             },
-            "--setup-reps" => value
-                .parse()
-                .map(|v| opts.setup_reps = v)
-                .is_ok_and(|_| opts.setup_reps >= 1),
             "--tmp-dir" => {
                 opts.tmp_dir = PathBuf::from(value);
                 true
@@ -76,6 +65,9 @@ fn main() -> ExitCode {
     let Some(workload) = workload else {
         return usage("--workload is required");
     };
+    if opts.seconds == 0.0 {
+        return usage("--seconds is required");
+    }
     opts.workload = workload;
     eprintln!(
         "perfbench: workload {} seed {} seconds {} trace {} parallel feature {} cpus {}",

@@ -36,13 +36,17 @@ use crate::trace::Tracer;
 use crate::Opts;
 
 /// Arrival rates (requests plus churn, per second) of the `service`
-/// ladder: below, near and above one worker's capacity. Frozen
-/// constants — a faster mapper meets the same load.
-pub const SERVICE_RATES: [f64; 3] = [80.0, 200.0, 900.0];
-/// Share of the run each rate gets; the reported middle rate gets most.
-pub const SERVICE_SHARES: [f64; 3] = [0.2, 0.6, 0.2];
-/// The ladder step whose reply latency is reported end to end.
-pub const MID_RATE: usize = 1;
+/// ladder: well below, near and above one worker's capacity (about
+/// 400 per second at seed). Frozen constants — a faster mapper meets
+/// the same load.
+pub const SERVICE_RATES: [f64; 3] = [60.0, 250.0, 900.0];
+/// Share of the run each rate gets; the reported rate gets most.
+pub const SERVICE_SHARES: [f64; 3] = [0.7, 0.15, 0.15];
+/// The ladder step whose reply latency is reported end to end: the
+/// lowest rate, where the worker is busy about 15 % of the time. Nearer
+/// capacity, queueing multiplies the machine's run-to-run speed swings
+/// into the reply latency, and the figure stops repeating.
+pub const REPORTED_STEP: usize = 0;
 /// Share of `service` arrivals that are churn events.
 pub const CHURN_FRACTION: f64 = 0.2;
 /// Task-count range of `service` requests.
@@ -60,14 +64,14 @@ pub const LINK_RESTORE_S: f64 = 4.0;
 /// Deadline of `link-failure` requests: long enough that the stall
 /// shows as latency, not as misses.
 pub const LINK_DEADLINE_MS: f64 = 10_000.0;
+/// How often the generator polls for replies it is waiting on. Reply
+/// latency comes from the service's own timestamps, so polling late
+/// costs nothing.
+const POLL_GAP: Duration = Duration::from_micros(200);
 /// Distinct request graphs per run (requests cycle through them).
 const GRAPH_POOL: usize = 256;
 /// Replies whose quality is evaluated against DEF.
 const QUALITY_SAMPLES: usize = 512;
-/// Reply latency is summarised per window of consecutive requests and
-/// reported as the median over windows, so one long write-lock hold or
-/// preemption moves one window, not the run.
-pub const WINDOWS: usize = 10;
 
 /// What is due at one point of the schedule.
 #[derive(Clone, Debug, PartialEq)]
@@ -107,10 +111,17 @@ pub struct Schedule {
     pub steps: usize,
 }
 
-/// The `service` schedule: one `load_sequence` stream (so its churn
-/// stays live end to end) cut into equal-duration steps, step `k`'s
-/// exponential gaps scaled to mean `1 / SERVICE_RATES[k]`, lasting
-/// `SERVICE_SHARES[k]` of the run.
+/// The `service` schedule: one `load_sequence` stream of Poisson
+/// arrivals cut into equal-duration steps, step `k`'s exponential gaps
+/// scaled to mean `1 / SERVICE_RATES[k]`, lasting `SERVICE_SHARES[k]`
+/// of the run.
+///
+/// Every fifth arrival is churn, from one fixed event sequence, and the
+/// requests in between cycle through the graph pool in order. So the
+/// k-th request always meets the same allocation, whatever the seed:
+/// the seed moves arrival times and renumbers the power-law graphs, not
+/// which allocation a request is mapped on, which alone would move the
+/// reply quality by a tenth.
 pub fn service_schedule(
     machine: &Machine,
     alloc: &Allocation,
@@ -127,56 +138,41 @@ pub fn service_schedule(
     let spec = LoadSpec {
         events: total,
         mean_gap_ns: UNIT_GAP_NS as u64,
-        churn_fraction: CHURN_FRACTION,
+        churn_fraction: 0.0,
         tasks: REQUEST_TASKS,
-        churn: ChurnSpec {
-            max_link_failures: 0,
-            ..ChurnSpec::new(0, 0)
-        },
+        churn: ChurnSpec::new(0, 0),
         seed,
     };
-    // The churn events themselves are part of the fixed mix (they set
-    // the allocation's trajectory and the supervisor's work); the seed
-    // decides when they arrive.
-    let mut stream = load_sequence(machine, alloc, &spec);
-    let slots = stream
-        .iter()
-        .filter(|e| matches!(e, LoadEvent::Churn { .. }))
-        .count();
+    let churn_every = (1.0 / CHURN_FRACTION).round() as usize;
     let churn = ChurnSpec {
-        events: slots,
-        seed: fixtures::FIXED_SEED,
-        ..spec.churn.clone()
+        max_link_failures: 0,
+        ..ChurnSpec::new(total / churn_every, fixtures::FIXED_SEED)
     };
-    let mut fixed = churn_sequence(machine, alloc, &churn).into_iter();
-    for ev in &mut stream {
-        if let LoadEvent::Churn { event, .. } = ev {
-            *event = fixed.next().expect("one fixed event per churn slot");
-        }
-    }
+    let mut events = churn_sequence(machine, alloc, &churn).into_iter();
     let mut arrivals = Vec::with_capacity(total);
     let mut graphs = Vec::new();
     let mut due = 0.0f64;
     let mut step = 0usize;
     let mut left = counts[0];
-    for ev in stream {
+    for (k, ev) in load_sequence(machine, alloc, &spec).into_iter().enumerate() {
         while left == 0 {
             step += 1;
             left = counts[step];
         }
         left -= 1;
         due += ev.gap_ns() as f64 * (1e9 / SERVICE_RATES[step]) / UNIT_GAP_NS;
-        let what = match ev {
-            LoadEvent::Request { seed, .. } => {
+        let what = match (ev, (k + 1) % churn_every == 0) {
+            (_, true) => What::Churn {
+                event: events.next().expect("one fixed event per churn slot"),
+                probe: false,
+            },
+            (LoadEvent::Request { seed, .. }, false) => {
                 if graphs.len() < GRAPH_POOL {
                     graphs.push(seed);
                 }
                 What::Request { graph: 0 }
             }
-            LoadEvent::Churn { event, .. } => What::Churn {
-                event,
-                probe: false,
-            },
+            (LoadEvent::Churn { .. }, false) => unreachable!("no churn was asked for"),
         };
         arrivals.push(Arrival {
             due_ns: due as u64,
@@ -349,8 +345,6 @@ struct Pending {
     late_ns: u64,
     /// Allocation epoch at submission.
     epoch: usize,
-    /// Due time, ns after the run starts.
-    due_ns: u64,
     /// The hard failure this request probes: its index and how late
     /// the failure call itself started, ns.
     probe: Option<(usize, u64)>,
@@ -361,8 +355,8 @@ struct Pending {
 /// Measurements of one open-loop run.
 #[derive(Default)]
 struct Tally {
-    /// Per ladder step: (due time, ms from due to reply).
-    reply: Vec<Vec<(u64, f64)>>,
+    /// Per ladder step: ms from due to reply.
+    reply: Vec<Dist>,
     /// The ladder step whose requests give the map-time metrics.
     map_step: usize,
     /// Map time from the requests due at hard failures.
@@ -416,21 +410,6 @@ fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
-/// Quantile `q` of the latencies in `samples`.
-fn quantile(samples: &[(u64, f64)], q: f64) -> f64 {
-    let mut d = Dist::new();
-    samples.iter().for_each(|&(_, x)| d.push(x));
-    d.quantile(q)
-}
-
-/// Median over [`WINDOWS`] windows of consecutive (by due time)
-/// requests of each window's quantile `q`.
-fn windowed(samples: &mut [(u64, f64)], q: f64) -> f64 {
-    samples.sort_by_key(|&(due, _)| due);
-    let per = samples.len().div_ceil(WINDOWS).max(1);
-    median(samples.chunks(per).map(|w| quantile(w, q)).collect())
-}
-
 /// The generator loop: submits and applies every arrival when due,
 /// then drains the replies.
 fn drive(
@@ -442,18 +421,23 @@ fn drive(
     let svc = &st.svc;
     let steps = st.schedule.steps;
     let mut tally = Tally {
-        reply: vec![Vec::new(); steps],
-        map_step: if mode == Mode::Service { MID_RATE } else { 0 },
+        reply: vec![Dist::new(); steps],
+        map_step: if mode == Mode::Service {
+            REPORTED_STEP
+        } else {
+            0
+        },
         map_probes: mode == Mode::LinkFailure,
         shed: vec![0; steps],
         misses: vec![0; steps],
         ..Tally::default()
     };
     // Quality is sampled on the stencil requests (their structure is
-    // fixed, so only the allocation under churn varies) below the
-    // overload rate, where the ladder's top rung serves nearly all.
+    // fixed, so only the allocation under churn varies) at the reported
+    // rate, where the ladder's top rung serves all of them.
+    let map_step = tally.map_step;
     let sampled = |a: &Arrival| match a.what {
-        What::Request { graph } => graph % 2 == 0 && (steps == 1 || a.step + 1 < steps),
+        What::Request { graph } => graph % 2 == 0 && a.step == map_step,
         What::Churn { .. } => false,
     };
     let eligible = st.schedule.arrivals.iter().filter(|a| sampled(a)).count();
@@ -477,11 +461,10 @@ fn drive(
                 break;
             }
             poll(&mut pending, &mut tally, &allocs, st, report);
-            if a.due_ns - now > 2_000_000 {
-                std::thread::sleep(Duration::from_micros(500));
-            } else {
-                std::thread::yield_now();
-            }
+            // Sleep until due, never spin: on a 2-CPU machine a spinning
+            // generator takes the CPU the worker and the kernel need.
+            let now = start.elapsed().as_nanos() as u64;
+            std::thread::sleep(Duration::from_nanos(a.due_ns.saturating_sub(now)));
         }
         let late_ns = (start.elapsed().as_nanos() as u64).saturating_sub(a.due_ns);
         if a.step == tally.map_step {
@@ -511,7 +494,6 @@ fn drive(
                         step: a.step,
                         late_ns,
                         epoch,
-                        due_ns: a.due_ns,
                         probe,
                         sample: sampled(a) && {
                             n_sampled += 1;
@@ -577,14 +559,14 @@ fn drive(
                 // is served, so its rung never depends on their backlog.
                 while pending.iter().any(|p| p.probe.is_some()) {
                     poll(&mut pending, &mut tally, &allocs, st, report);
-                    std::thread::yield_now();
+                    std::thread::sleep(POLL_GAP);
                 }
             }
         }
     }
     while !pending.is_empty() {
         poll(&mut pending, &mut tally, &allocs, st, report);
-        std::thread::yield_now();
+        std::thread::sleep(POLL_GAP);
     }
     (tally, allocs, steps)
 }
@@ -677,7 +659,7 @@ fn poll(
             format!("reply for graph {} is not a valid mapping", p.graph)
         });
         let from_due = ms(p.late_ns + reply.total_ns);
-        tally.reply[p.step].push((p.due_ns, from_due));
+        tally.reply[p.step].push(from_due);
         // Map time is taken at the reported rate; under link failures it
         // is that of the requests due at each failure, which map on the
         // freshly masked machine (the requests between failures are too
@@ -756,8 +738,8 @@ fn finish(
     report.set("mc_vs_def", geomean(&mc));
     match mode {
         Mode::Service => {
-            report.set("reply_p50_ms", windowed(&mut tally.reply[MID_RATE], 0.5));
-            report.set("reply_p99_ms", windowed(&mut tally.reply[MID_RATE], 0.99));
+            report.set("reply_p50_ms", tally.reply[REPORTED_STEP].p50());
+            report.set("reply_p99_ms", tally.reply[REPORTED_STEP].p99());
         }
         // What a user sees of a hard failure: the requests due at the
         // moment a link fails.
@@ -789,7 +771,7 @@ fn finish(
 
     if mode == Mode::Service {
         let max_rate = (0..steps)
-            .filter(|&k| tally.shed[k] == 0 && quantile(&tally.reply[k], 0.99) <= DEADLINE_MS)
+            .filter(|&k| tally.shed[k] == 0 && tally.reply[k].p99() <= DEADLINE_MS)
             .map(|k| SERVICE_RATES[k])
             .fold(0.0, f64::max);
         report.set("max_rate_rps", max_rate);

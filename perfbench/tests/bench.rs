@@ -39,7 +39,6 @@ fn tiny(workload: Workload, trace: bool) -> Opts {
     let mut opts = Opts::new(workload, 3, 0.3);
     opts.tiny = true;
     opts.trace = trace;
-    opts.setup_reps = 1;
     opts.tmp_dir = scratch_dir(workload.name());
     opts
 }
@@ -84,7 +83,7 @@ fn every_workload_runs_tiny_and_is_correct() {
 #[test]
 fn corrupted_mapping_is_caught() {
     let machines = fixtures::machines(true);
-    let pool = fixtures::direct_pool(&machines, true);
+    let pool = fixtures::direct_pool(&machines, true, 1);
     let f: &Fixture = &pool[0];
     let mapping = umpa_core::map_tasks(
         &f.tasks,
@@ -169,8 +168,42 @@ fn open_loop_schedule_is_fixed_by_the_seed() {
     assert!(a.arrivals.windows(2).all(|w| w[0].due_ns <= w[1].due_ns));
     assert_eq!(a.arrivals.last().map(|x| x.step), Some(a.steps - 1));
 
+    // The seed moves arrival times, not which arrivals are churn.
+    let churn_at = |s: &serve::Schedule| -> Vec<bool> {
+        s.arrivals
+            .iter()
+            .map(|x| matches!(x.what, serve::What::Churn { .. }))
+            .collect()
+    };
+    assert_eq!(churn_at(&a), churn_at(&c));
+
     let l1 = link_schedule(&machine, 11, 4.0);
     let l2 = link_schedule(&machine, 11, 4.0);
     assert_eq!(l1.arrivals, l2.arrivals);
     assert_eq!(l1.graphs, l2.graphs);
+}
+
+#[test]
+fn closed_loop_seed_renumbers_fixed_shapes() {
+    let machines = fixtures::machines(true);
+    for (a, b) in [
+        (
+            fixtures::direct_pool(&machines, true, 1),
+            fixtures::direct_pool(&machines, true, 2),
+        ),
+        (
+            fixtures::multilevel_pool(&machines, true, 1),
+            fixtures::multilevel_pool(&machines, true, 2),
+        ),
+    ] {
+        assert_eq!(a.len(), b.len());
+        let mut renumbered = 0;
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.alloc.nodes(), y.alloc.nodes());
+            assert_eq!(x.natural.num_tasks(), y.natural.num_tasks());
+            assert!(x.natural.messages().eq(y.natural.messages()));
+            renumbered += usize::from(!x.tasks.messages().eq(y.tasks.messages()));
+        }
+        assert!(renumbered > 0);
+    }
 }
