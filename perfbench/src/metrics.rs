@@ -28,7 +28,6 @@ pub const END_TO_END: &[MetricDef] = &[
     m("wh_vs_def", "ratio"),
     m("mc_vs_def", "ratio"),
     m("reply_p50_ms", "ms"),
-    m("reply_p99_ms", "ms"),
 ];
 
 /// Per-layer self times and work counters from the traced run, plus
@@ -87,6 +86,7 @@ pub const PER_LAYER: &[MetricDef] = &[
     m("live_wh_vs_fresh", "ratio"),
     m("recover_ms", "ms"),
     m("link_fail_to_serve_ms", "ms"),
+    m("reply_p99_ms", "ms"),
     m("bench.generator_late_ms.p99", "ms"),
     m("bench.trace_overhead", "ratio"),
 ];
