@@ -28,6 +28,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -95,15 +96,19 @@ def steady(binary, args, bench):
     names = WORKLOADS if args.workload in (None, "all") else [args.workload]
     for w in names:
         values = {d["name"]: [] for d in defs}
+        took = []
         for k in range(args.steady):
+            t0 = time.monotonic()
             code, line = run_once(binary, w, args.seed + k, args.seconds, args.trace)
+            took.append(time.monotonic() - t0)
             if code != 0 or line is None:
                 print(f"{w}: run {k} failed (exit {code})")
                 return 1
             res = json.loads(line)
             for name in values:
                 values[name].append(res["metrics"][name]["value"])
-        print(f"== {w}: {args.steady} runs, seeds {args.seed}..{args.seed + args.steady - 1}")
+        print(f"== {w}: {args.steady} runs, seeds {args.seed}..{args.seed + args.steady - 1}, "
+              f"{statistics.mean(took):.1f} s per run (longest {max(took):.1f} s)")
         print(f"{'metric':36} {'median':>12} {'q1':>12} {'q3':>12} {'spread':>8} {'bound':>6}")
         for name, xs in values.items():
             q1, med, q3 = statistics.quantiles(xs, n=4)

