@@ -478,7 +478,6 @@ fn main() {
                 max_passes: 4,
                 ..WhRefineConfig::default()
             }),
-            cong: None,
         };
         greedy_map_into(
             &tg,

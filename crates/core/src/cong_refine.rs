@@ -56,7 +56,7 @@
 //!
 //! Mappings are **bit-identical** to the pre-rewrite engine (same probe
 //! order, same accept rule, same float accumulation order) — asserted
-//! against the frozen copy in [`crate::cong_reference`] by
+//! against the frozen copy in `tests/reference/cong.rs` by
 //! `tests/cong_differential.rs` across the backend × preset matrix,
 //! route cache on and off.
 //!
@@ -453,37 +453,6 @@ pub fn congestion_refine_scratch(
     cfg: &CongRefineConfig,
     scratch: &mut CongScratch,
 ) -> (f64, f64) {
-    congestion_refine_filtered(tg, machine, alloc, mapping, cfg, scratch, |_| true)
-}
-
-/// Frontier-restricted form of [`congestion_refine_scratch`] for
-/// incremental remap: only tasks for which `in_frontier` returns true
-/// may be relocated. The outer loop still works on the globally most
-/// congested link; when that link carries no movable frontier task the
-/// run stops — repair effort stays proportional to the damage
-/// neighborhood rather than chasing congestion the churn did not
-/// cause. Returns the final `(max, avg)` congestion.
-pub fn congestion_refine_frontier_scratch(
-    tg: &TaskGraph,
-    machine: &Machine,
-    alloc: &Allocation,
-    mapping: &mut [u32],
-    cfg: &CongRefineConfig,
-    scratch: &mut CongScratch,
-    in_frontier: impl Fn(u32) -> bool,
-) -> (f64, f64) {
-    congestion_refine_filtered(tg, machine, alloc, mapping, cfg, scratch, in_frontier)
-}
-
-fn congestion_refine_filtered(
-    tg: &TaskGraph,
-    machine: &Machine,
-    alloc: &Allocation,
-    mapping: &mut [u32],
-    cfg: &CongRefineConfig,
-    scratch: &mut CongScratch,
-    in_frontier: impl Fn(u32) -> bool,
-) -> (f64, f64) {
     let mut state = CongState::new(tg, machine, alloc, mapping, cfg.kind, scratch);
     let mut moves = 0u32;
     'outer: while moves < cfg.max_moves {
@@ -503,9 +472,6 @@ fn congestion_refine_filtered(
         );
         for i in 0..state.tasks.len() {
             let tmc = state.tasks[i];
-            if !in_frontier(tmc) {
-                continue;
-            }
             if state.try_improve_task(tmc, cfg.delta) {
                 moves += 1;
                 continue 'outer;

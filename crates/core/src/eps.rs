@@ -9,8 +9,8 @@
 //! module fails CI. If a new tolerance is genuinely needed, define and
 //! document it here and reference it by name.
 //!
-//! The values themselves are frozen: `cong_reference` (the bit-exact
-//! frozen model of the congestion refiner) reads the same constants, so
+//! The values themselves are frozen: the congestion refiner's frozen
+//! reference (`tests/reference/cong.rs`) reads the same constants, so
 //! changing one here changes both sides of the differential harness in
 //! lockstep — deliberately. A change that should *not* apply to the
 //! reference is a semantic change and must fork the constant.
@@ -27,8 +27,8 @@ pub const CAPACITY_EPS: f64 = 1e-9;
 /// to bandwidth; a move is an improvement only if it beats the current
 /// maximum by more than this, and residual traffic below this is
 /// clamped to exactly zero so emptied links leave the heap. Shared by
-/// `cong_refine` and the frozen `cong_reference` so the differential
-/// harness compares like with like.
+/// `cong_refine` and its frozen reference in `tests/reference/cong.rs`
+/// so the differential harness compares like with like.
 pub const CONG_EPS: f64 = 1e-12;
 
 /// Minimum weighted-hop gain for the WH refiner to accept a move or

@@ -34,9 +34,9 @@
 //! winning candidate level is level 0 for most placements once the
 //! mapping has grown, the BFS itself is skipped whenever a seed router
 //! is feasible. Every shortcut is decision-identical to the frozen
-//! [`crate::greedy_reference`] engine — `tests/greedy_differential.rs`
-//! asserts bit-identical mappings and WH across backends, oracle
-//! on/off, and warm/cold scratch.
+//! reference engine in `tests/reference/greedy.rs` —
+//! `tests/greedy_differential.rs` asserts bit-identical mappings and WH
+//! across backends, oracle on/off, and warm/cold scratch.
 //!
 //! All per-run buffers live in a reusable [`GreedyScratch`]; a warm
 //! scratch makes repeated runs allocation-free (DESIGN.md §8). With the
@@ -76,8 +76,7 @@ impl Default for GreedyConfig {
 }
 // tidy-end-cold-region
 
-/// Counters from the most recent [`greedy_map_into`] /
-/// [`greedy_map_with`] call, accumulated across its `NBFS` candidate
+/// Counters from the most recent [`greedy_map_into`] call, accumulated across its `NBFS` candidate
 /// runs: how much candidate scoring the batch gain kernel did, and how
 /// much of its distance traffic the compact slot panel absorbed.
 #[derive(Clone, Copy, Debug, Default)]
@@ -167,13 +166,6 @@ pub fn weighted_hops(tg: &TaskGraph, machine: &Machine, mapping: &[u32]) -> f64 
         .sum()
 }
 
-/// Total hops of a mapping (unit message costs).
-pub fn total_hops(tg: &TaskGraph, machine: &Machine, mapping: &[u32]) -> f64 {
-    tg.messages()
-        .map(|(s, t, _)| f64::from(machine.hops(mapping[s as usize], mapping[t as usize])))
-        .sum()
-}
-
 /// Runs Algorithm 1 for every `NBFS` in the config and returns the
 /// mapping with the lowest WH.
 ///
@@ -260,12 +252,8 @@ pub fn greedy_map_into(
 
 /// Runs Algorithm 1 with a fixed number of far seeds (default
 /// heterogeneity pre-pass threshold).
-pub fn greedy_map_with(
-    tg: &TaskGraph,
-    machine: &Machine,
-    alloc: &Allocation,
-    nbfs: u32,
-) -> Vec<u32> {
+#[cfg(test)]
+fn greedy_map_with(tg: &TaskGraph, machine: &Machine, alloc: &Allocation, nbfs: u32) -> Vec<u32> {
     let mut scratch = GreedyScratch::new();
     prepare(machine, alloc, &mut scratch);
     run_greedy(tg, machine, alloc, nbfs, 0.5, &mut scratch);

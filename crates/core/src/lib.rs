@@ -34,23 +34,20 @@
 #![warn(missing_docs)]
 
 /// Whether this build of the engine was compiled with the `parallel`
-/// feature (thread-pooled `map_many`, NBFS candidates, portfolio).
+/// feature (thread-pooled `map_many`, NBFS candidates).
 /// Exposed so downstream tools (e.g. the perf tracker) report the
 /// engine's actual mode rather than their own feature flags.
 pub const PARALLEL_ENABLED: bool = cfg!(feature = "parallel");
 
 pub mod baselines;
-#[doc(hidden)]
-pub mod cong_reference;
 pub mod cong_refine;
 pub mod eps;
 pub(crate) mod gain;
 pub mod greedy;
-#[doc(hidden)]
-pub mod greedy_reference;
 pub mod mapping;
 pub mod metrics;
 pub mod multilevel;
+mod phase2;
 pub mod pipeline;
 pub mod remap;
 pub mod scratch;
@@ -58,8 +55,8 @@ pub mod wh_refine;
 
 pub use baselines::{def_mapping, smap_mapping, tmap_mapping};
 pub use cong_refine::{
-    congestion_refine, congestion_refine_frontier_scratch, congestion_refine_scratch,
-    CongRefineConfig, CongRunStats, CongScratch, CongestionKind,
+    congestion_refine, congestion_refine_scratch, CongRefineConfig, CongRunStats, CongScratch,
+    CongestionKind,
 };
 pub use eps::{CONG_EPS, DRIFT_EPS, GAIN_EPS};
 pub use greedy::{greedy_map, greedy_map_into, GreedyConfig, GreedyRunStats, GreedyScratch};
@@ -67,9 +64,8 @@ pub use mapping::{fits, is_valid_mapping, validate_mapping, MappingError, CAPACI
 pub use metrics::{evaluate, MetricsReport};
 pub use multilevel::{multilevel_map_into, MultilevelConfig, MultilevelScratch, MultilevelStats};
 pub use pipeline::{
-    map_many, map_many_seq, map_multilevel, map_multilevel_with, map_portfolio,
-    map_portfolio_strategy, map_tasks, map_tasks_with, MapRequest, MapStrategy, MapperKind,
-    MappingOutcome, PipelineConfig,
+    map_many, map_many_seq, map_multilevel, map_multilevel_with, map_tasks, map_tasks_with,
+    MapRequest, MapStrategy, MapperKind, MappingOutcome, PipelineConfig,
 };
 pub use remap::{
     apply_events, remap_incremental, ChurnEvent, RemapConfig, RemapDrift, RemapOutcome,
@@ -88,9 +84,8 @@ pub mod prelude {
     pub use crate::metrics::{evaluate, MetricsReport};
     pub use crate::multilevel::{MultilevelConfig, MultilevelStats};
     pub use crate::pipeline::{
-        map_many, map_many_seq, map_multilevel, map_multilevel_with, map_portfolio,
-        map_portfolio_strategy, map_tasks, map_tasks_with, MapRequest, MapStrategy, MapperKind,
-        MappingOutcome, PipelineConfig,
+        map_many, map_many_seq, map_multilevel, map_multilevel_with, map_tasks, map_tasks_with,
+        MapRequest, MapStrategy, MapperKind, MappingOutcome, PipelineConfig,
     };
     pub use crate::remap::{
         apply_events, remap_incremental, ChurnEvent, RemapConfig, RemapDrift, RemapOutcome,

@@ -118,23 +118,6 @@ pub fn is_valid_mapping(tg: &TaskGraph, alloc: &Allocation, mapping: &[u32]) -> 
     validate_mapping(tg, alloc, mapping).is_ok()
 }
 
-/// Remaining capacity per allocation slot under `mapping` (tasks may be
-/// partially placed: unmapped entries are `u32::MAX`).
-pub fn free_capacity(tg: &TaskGraph, alloc: &Allocation, mapping: &[u32]) -> Vec<f64> {
-    let mut free: Vec<f64> = (0..alloc.num_nodes())
-        .map(|s| f64::from(alloc.procs(s)))
-        .collect();
-    for (t, &node) in mapping.iter().enumerate() {
-        if node == u32::MAX {
-            continue;
-        }
-        if let Some(slot) = alloc.slot_of(node) {
-            free[slot as usize] -= tg.task_weight(t as u32);
-        }
-    }
-    free
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,14 +190,5 @@ mod tests {
             validate_mapping(&tg, &alloc, &[0, 1]),
             Err(MappingError::LengthMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn free_capacity_tracks_partial_mappings() {
-        let (_, alloc, tg) = setup();
-        let mapping = vec![alloc.node(0), u32::MAX, alloc.node(0), u32::MAX];
-        let free = free_capacity(&tg, &alloc, &mapping);
-        assert_eq!(free[0], 0.0);
-        assert_eq!(free[1], 2.0);
     }
 }

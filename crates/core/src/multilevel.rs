@@ -11,10 +11,9 @@
 //! 1. **Coarsen** the task graph by heavy-edge matching into a
 //!    hierarchy of quotient graphs until it is a small multiple of the
 //!    allocation size. Matching is *capacity-aware*: a pair is merged
-//!    only while the combined weight stays under
-//!    [`MultilevelConfig::max_vertex_frac`] of the largest allocated
-//!    node capacity, so every coarse vertex still fits a node and the
-//!    coarsest graph remains mappable.
+//!    only while the combined weight stays under `MAX_VERTEX_FRAC` of
+//!    the largest allocated node capacity, so every coarse vertex still
+//!    fits a node and the coarsest graph remains mappable.
 //! 2. **Map** the coarsest graph with the existing engine: Algorithm 1
 //!    greedy growth plus the kind's full-budget refinement (Algorithm 2
 //!    for `UWH`, Algorithm 3 for `UMC`/`UMMC`). Coarsening has already
@@ -22,10 +21,9 @@
 //! 3. **Uncoarsen** level by level: project the mapping through the
 //!    matching (`mapping_fine[v] = mapping_coarse[map[v]]` — weights
 //!    are exact sums, so feasibility is preserved verbatim) and run
-//!    *bounded* refinement passes at each level
-//!    ([`MultilevelConfig::refine_passes`], skipped above
-//!    [`MultilevelConfig::refine_max_vertices`]) using the PR-3
-//!    incremental-gain fast path.
+//!    *bounded* refinement passes at each level (`REFINE_PASSES`,
+//!    skipped above `REFINE_MAX_VERTICES`) using the incremental-gain
+//!    fast path.
 //!
 //! Everything steady-state lives in a [`MultilevelScratch`] that
 //! follows the [`MapperScratch`] discipline: the hierarchy's per-level
@@ -38,16 +36,37 @@ use umpa_graph::{TaskGraph, TaskGraphScratch};
 use umpa_partition::coarsen::heavy_edge_matching;
 use umpa_topology::{Allocation, Machine};
 
-use crate::cong_refine::congestion_refine_scratch;
-use crate::greedy::greedy_map_into;
+use crate::cong_refine::CongRefineConfig;
+use crate::phase2::{greedy_then_refine, refine, Refinements};
 use crate::pipeline::{MapperKind, PipelineConfig};
 use crate::scratch::MapperScratch;
-use crate::wh_refine::{wh_refine_scratch, WhRefineConfig};
+use crate::wh_refine::WhRefineConfig;
 
 /// Coarsening stalls when a matching round shrinks the graph by less
 /// than 5 % — the remaining structure (stars, isolated vertices,
 /// capacity-blocked pairs) no longer pays for another level.
 const STALL_FRACTION: f64 = 0.95;
+
+/// Matched-pair weight cap as a fraction of the largest allocated node
+/// capacity. Below 1.0 leaves packing slack for the coarsest greedy
+/// placement; 0.5 keeps at least two coarse vertices per node's worth
+/// of weight. Merging turns the coarsest placement into a bin-packing
+/// problem; on nearly full allocations the slack clamp in
+/// [`multilevel_map_into`] makes coarse vertices finer still.
+const MAX_VERTEX_FRAC: f64 = 0.5;
+
+/// Refinement budget per uncoarsening level: WH refinement runs at most
+/// this many passes, and congestion refinement accepts at most
+/// `REFINE_PASSES × |V_level|` moves (one "pass" moving every vertex
+/// once). The coarsest level runs the kind's full budget instead.
+const REFINE_PASSES: u32 = 2;
+
+/// Levels with more vertices than this skip per-level refinement — the
+/// per-level budget that keeps million-task runs fast.
+const REFINE_MAX_VERTICES: usize = 1 << 16;
+
+/// Heavy-edge matching seed (per-level seeds derive from it).
+const MATCHING_SEED: u64 = 0x5EED;
 
 /// Configuration of the multilevel engine (defaults tuned for the
 /// million-task acceptance run on the Hopper preset).
@@ -64,25 +83,6 @@ pub struct MultilevelConfig {
     /// …floored at this many vertices (small graphs skip coarsening
     /// entirely and are mapped directly).
     pub coarsen_min: usize,
-    /// Matched-pair weight cap as a fraction of the largest allocated
-    /// node capacity. Below 1.0 leaves packing slack for the coarsest
-    /// greedy placement; 0.5 keeps at least two coarse vertices per
-    /// node's worth of weight. Merging turns the coarsest placement
-    /// into a bin-packing problem, so on instances whose total task
-    /// weight nearly equals the allocation's capacity, lower this
-    /// further (coarse vertices get finer and packing slack grows).
-    pub max_vertex_frac: f64,
-    /// Refinement budget per uncoarsening level: WH refinement runs at
-    /// most this many passes, and congestion refinement accepts at
-    /// most `refine_passes × |V_level|` moves (one "pass" moving every
-    /// vertex once). `0` makes uncoarsening projection-only. The
-    /// coarsest level runs the kind's full budget instead.
-    pub refine_passes: u32,
-    /// Skip per-level refinement on levels with more vertices than
-    /// this — the per-level budget that keeps million-task runs fast.
-    pub refine_max_vertices: usize,
-    /// Heavy-edge matching seed (per-level seeds derive from it).
-    pub seed: u64,
 }
 
 impl Default for MultilevelConfig {
@@ -90,10 +90,6 @@ impl Default for MultilevelConfig {
         Self {
             coarsen_factor: 8.0,
             coarsen_min: 64,
-            max_vertex_frac: 0.5,
-            refine_passes: 2,
-            refine_max_vertices: 1 << 16,
-            seed: 0x5EED,
         }
     }
 }
@@ -230,8 +226,8 @@ pub fn multilevel_map_into(
         );
     }
     // --- Coarsening ----------------------------------------------------
-    // Merged-weight cap. Beyond the configured fraction of the largest
-    // node, the cap is clamped to `slack / |Va|`: if every coarse
+    // Merged-weight cap. Beyond `MAX_VERTEX_FRAC` of the largest node,
+    // the cap is clamped to `slack / |Va|`: if every coarse
     // vertex weighs at most that, a placement failure (every slot's
     // free capacity below the vertex weight) would need the total free
     // capacity to drop under the allocation's slack — impossible. This
@@ -242,8 +238,7 @@ pub fn multilevel_map_into(
     let max_cap = alloc.procs_all().iter().copied().max().unwrap_or(0);
     let total_weight: f64 = (0..n as u32).map(|t| fine.task_weight(t)).sum();
     let slack = f64::from(alloc.total_procs()) - total_weight;
-    let cap =
-        (mlcfg.max_vertex_frac * f64::from(max_cap)).min(slack / alloc.num_nodes().max(1) as f64);
+    let cap = (MAX_VERTEX_FRAC * f64::from(max_cap)).min(slack / alloc.num_nodes().max(1) as f64);
     let target =
         ((mlcfg.coarsen_factor * alloc.num_nodes() as f64).ceil() as usize).max(mlcfg.coarsen_min);
     let mut active = 0usize;
@@ -269,7 +264,7 @@ pub fn multilevel_map_into(
         let coarse_n = match_level(
             prev_tg,
             cap,
-            mlcfg.seed.wrapping_add(active as u64),
+            MATCHING_SEED.wrapping_add(active as u64),
             &mut ml.order,
             &mut ml.mate,
             &mut level.map,
@@ -308,77 +303,28 @@ pub fn multilevel_map_into(
     if active == 0 {
         // Nothing to coarsen: the graph is machine-sized (or refuses to
         // shrink) — map it directly with the engine.
-        greedy_map_into(fine, machine, alloc, &cfg.greedy, greedy, out);
-        match kind {
-            MapperKind::GreedyWh => {
-                wh_refine_scratch(fine, machine, alloc, out, &cfg.wh, wh);
-            }
-            MapperKind::GreedyMc => {
-                congestion_refine_scratch(fine, machine, alloc, out, &cfg.cong_volume, cong);
-            }
-            MapperKind::GreedyMmc => {
-                congestion_refine_scratch(&ml.cnt0, machine, alloc, out, &cfg.cong_messages, cong);
-            }
-            _ => {}
-        }
+        greedy_then_refine(
+            kind, fine, &ml.cnt0, machine, alloc, cfg, greedy, wh, cong, out,
+        );
         return stats;
     }
-    {
-        let (_, tail) = ml.levels.split_at_mut(active - 1);
-        let top = &mut tail[0];
-        greedy_map_into(
-            &top.tg,
-            machine,
-            alloc,
-            &cfg.greedy,
-            greedy,
-            &mut top.mapping,
-        );
-        match kind {
-            MapperKind::GreedyWh => {
-                wh_refine_scratch(&top.tg, machine, alloc, &mut top.mapping, &cfg.wh, wh);
-            }
-            MapperKind::GreedyMc => {
-                congestion_refine_scratch(
-                    &top.tg,
-                    machine,
-                    alloc,
-                    &mut top.mapping,
-                    &cfg.cong_volume,
-                    cong,
-                );
-            }
-            MapperKind::GreedyMmc => {
-                congestion_refine_scratch(
-                    &top.cnt,
-                    machine,
-                    alloc,
-                    &mut top.mapping,
-                    &cfg.cong_messages,
-                    cong,
-                );
-            }
-            _ => {}
-        }
-    }
+    let top = &mut ml.levels[active - 1];
+    greedy_then_refine(
+        kind,
+        &top.tg,
+        &top.cnt,
+        machine,
+        alloc,
+        cfg,
+        greedy,
+        wh,
+        cong,
+        &mut top.mapping,
+    );
     // --- Uncoarsening: project, then bounded refinement per level ------
     let wh_cfg = WhRefineConfig {
-        max_passes: mlcfg.refine_passes,
+        max_passes: REFINE_PASSES,
         ..cfg.wh
-    };
-    // Algorithm 3 has no pass notion (it terminates when the most
-    // congested link yields no swap), so its per-level budget caps
-    // *accepted moves* at `refine_passes × |V_level|` — one "pass"
-    // moving every vertex once — under the configured ceiling.
-    let cong_budget = |base: &crate::cong_refine::CongRefineConfig, n_level: usize| {
-        crate::cong_refine::CongRefineConfig {
-            max_moves: base.max_moves.min(
-                mlcfg
-                    .refine_passes
-                    .saturating_mul(n_level.min(u32::MAX as usize) as u32),
-            ),
-            ..*base
-        }
     };
     for i in (0..active).rev() {
         let (built, rest) = ml.levels.split_at_mut(i);
@@ -394,35 +340,34 @@ pub fn multilevel_map_into(
         finer_mapping.clear();
         finer_mapping.extend(level.map.iter().map(|&c| level.mapping[c as usize]));
         let n_level = finer_tg.num_tasks();
-        if n_level > mlcfg.refine_max_vertices || mlcfg.refine_passes == 0 {
+        if n_level > REFINE_MAX_VERTICES {
             continue;
         }
-        match kind {
-            MapperKind::GreedyWh => {
-                wh_refine_scratch(finer_tg, machine, alloc, finer_mapping, &wh_cfg, wh);
-            }
-            MapperKind::GreedyMc => {
-                congestion_refine_scratch(
-                    finer_tg,
-                    machine,
-                    alloc,
-                    finer_mapping,
-                    &cong_budget(&cfg.cong_volume, n_level),
-                    cong,
-                );
-            }
-            MapperKind::GreedyMmc => {
-                congestion_refine_scratch(
-                    finer_cnt,
-                    machine,
-                    alloc,
-                    finer_mapping,
-                    &cong_budget(&cfg.cong_messages, n_level),
-                    cong,
-                );
-            }
-            _ => {}
-        }
+        // Algorithm 3 has no pass notion (it terminates when the most
+        // congested link yields no swap), so its per-level budget caps
+        // *accepted moves* at `REFINE_PASSES × |V_level|` under the
+        // configured ceiling.
+        let moves = REFINE_PASSES * n_level as u32;
+        let cong_budget = |base: &CongRefineConfig| CongRefineConfig {
+            max_moves: base.max_moves.min(moves),
+            ..*base
+        };
+        let budgets = Refinements {
+            wh: wh_cfg,
+            cong_volume: cong_budget(&cfg.cong_volume),
+            cong_messages: cong_budget(&cfg.cong_messages),
+        };
+        refine(
+            kind,
+            finer_tg,
+            finer_cnt,
+            machine,
+            alloc,
+            finer_mapping,
+            &budgets,
+            wh,
+            cong,
+        );
     }
     stats
 }
@@ -447,7 +392,6 @@ mod tests {
             multilevel: MultilevelConfig {
                 coarsen_min: 8,
                 coarsen_factor: 1.5,
-                ..MultilevelConfig::default()
             },
             ..PipelineConfig::default()
         }

@@ -27,12 +27,16 @@ use umpa_partition::{fix_balance, recursive_bisection, MlConfig};
 use umpa_topology::{Allocation, Machine};
 
 use crate::baselines::{def_groups, def_mapping, smap_mapping, tmap_mapping};
-use crate::cong_refine::{congestion_refine_scratch, CongRefineConfig};
-use crate::greedy::{greedy_map_into, GreedyConfig};
+use crate::cong_refine::CongRefineConfig;
+use crate::greedy::GreedyConfig;
 use crate::metrics::evaluate;
 use crate::multilevel::{multilevel_map_into, MultilevelConfig};
+use crate::phase2::greedy_then_refine;
 use crate::scratch::MapperScratch;
 use crate::wh_refine::{wh_refine_scratch, WhRefineConfig};
+
+/// Seed of the `TMAP` and `SMAP` baselines' randomized bisections.
+const BASELINE_SEED: u64 = 1;
 
 /// The seven mapping algorithms of Figure 2, in the paper's order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -65,25 +69,6 @@ impl MapperKind {
             MapperKind::GreedyMc,
             MapperKind::GreedyMmc,
         ]
-    }
-
-    /// One step down the quality/cost ladder, or `None` from the floor.
-    ///
-    /// The ladder a deadline-bound serving layer (e.g. `umpa-service`)
-    /// walks when a request's time budget is tight or its queue is
-    /// deep: congestion refinement (`UMC`/`UMMC`) → WH refinement
-    /// (`UWH`) → greedy only (`UG`) → the instant `DEF` projection.
-    /// Each step strictly cheapens phase 2; `DEF` additionally skips
-    /// the phase-1 partitioning, so the floor costs microseconds. The
-    /// `TMAP`/`SMAP` baselines have no cheap intermediate form and
-    /// degrade straight to `DEF`.
-    pub fn degrade(self) -> Option<MapperKind> {
-        match self {
-            MapperKind::GreedyMc | MapperKind::GreedyMmc => Some(MapperKind::GreedyWh),
-            MapperKind::GreedyWh => Some(MapperKind::Greedy),
-            MapperKind::Greedy | MapperKind::Tmap | MapperKind::Smap => Some(MapperKind::Def),
-            MapperKind::Def => None,
-        }
     }
 
     /// Paper display name.
@@ -121,8 +106,6 @@ pub struct PipelineConfig {
     /// swaps can lower WH further but may increase the total internode
     /// volume, and cost more time). Applies to `GreedyWh` only.
     pub fine_wh_refine: bool,
-    /// Master seed.
-    pub seed: u64,
 }
 
 impl Default for PipelineConfig {
@@ -135,7 +118,6 @@ impl Default for PipelineConfig {
             cong_messages: CongRefineConfig::messages(),
             multilevel: MultilevelConfig::default(),
             fine_wh_refine: false,
-            seed: 1,
         }
     }
 }
@@ -253,7 +235,7 @@ pub fn map_tasks_with(
     match kind {
         MapperKind::Def => unreachable!(),
         MapperKind::Tmap => {
-            let candidate = tmap_mapping(&coarse_vol, machine, alloc, cfg.seed);
+            let candidate = tmap_mapping(&coarse_vol, machine, alloc, BASELINE_SEED);
             // The paper's rule: compare MC against DEF; fall back if not
             // strictly better.
             let fine_candidate = compose(&group_of, &candidate);
@@ -275,73 +257,29 @@ pub fn map_tasks_with(
             }
         }
         MapperKind::Smap => {
-            let m = smap_mapping(&coarse_vol, machine, alloc, cfg.seed);
+            let m = smap_mapping(&coarse_vol, machine, alloc, BASELINE_SEED);
             scratch.coarse.clear();
             scratch.coarse.extend_from_slice(&m);
         }
-        MapperKind::Greedy => {
-            greedy_map_into(
+        MapperKind::Greedy
+        | MapperKind::GreedyWh
+        | MapperKind::GreedyMc
+        | MapperKind::GreedyMmc => {
+            // `UMMC` refines on the message-count quotient; no other
+            // kind reads it.
+            let coarse_cnt = (kind == MapperKind::GreedyMmc)
+                .then(|| fine.group_quotient(&group_of, n_groups, true));
+            greedy_then_refine(
+                kind,
                 &coarse_vol,
+                coarse_cnt.as_ref().unwrap_or(&coarse_vol),
                 machine,
                 alloc,
-                &cfg.greedy,
+                cfg,
                 &mut scratch.greedy,
-                &mut scratch.coarse,
-            );
-        }
-        MapperKind::GreedyWh => {
-            greedy_map_into(
-                &coarse_vol,
-                machine,
-                alloc,
-                &cfg.greedy,
-                &mut scratch.greedy,
-                &mut scratch.coarse,
-            );
-            wh_refine_scratch(
-                &coarse_vol,
-                machine,
-                alloc,
-                &mut scratch.coarse,
-                &cfg.wh,
                 &mut scratch.wh,
-            );
-        }
-        MapperKind::GreedyMc => {
-            greedy_map_into(
-                &coarse_vol,
-                machine,
-                alloc,
-                &cfg.greedy,
-                &mut scratch.greedy,
-                &mut scratch.coarse,
-            );
-            congestion_refine_scratch(
-                &coarse_vol,
-                machine,
-                alloc,
-                &mut scratch.coarse,
-                &cfg.cong_volume,
                 &mut scratch.cong,
-            );
-        }
-        MapperKind::GreedyMmc => {
-            greedy_map_into(
-                &coarse_vol,
-                machine,
-                alloc,
-                &cfg.greedy,
-                &mut scratch.greedy,
                 &mut scratch.coarse,
-            );
-            let coarse_cnt = fine.group_quotient(&group_of, n_groups, true);
-            congestion_refine_scratch(
-                &coarse_cnt,
-                machine,
-                alloc,
-                &mut scratch.coarse,
-                &cfg.cong_messages,
-                &mut scratch.cong,
             );
         }
     };
@@ -489,59 +427,6 @@ pub fn map_many_seq(requests: &[MapRequest<'_>]) -> Vec<MappingOutcome> {
         .collect()
 }
 
-/// Runs the full seven-mapper portfolio on one problem, in Figure 2's
-/// order. With the `parallel` feature the mappers run concurrently
-/// (one scratch each); outputs stay in portfolio order either way.
-pub fn map_portfolio(
-    fine: &TaskGraph,
-    machine: &Machine,
-    alloc: &Allocation,
-    cfg: &PipelineConfig,
-) -> Vec<(MapperKind, MappingOutcome)> {
-    map_portfolio_strategy(fine, machine, alloc, cfg, MapStrategy::Direct)
-}
-
-/// [`map_portfolio`] with an explicit [`MapStrategy`]: under
-/// [`MapStrategy::Multilevel`] the greedy family runs the multilevel
-/// engine while the baselines keep their direct pipeline (they do not
-/// decompose over a hierarchy).
-pub fn map_portfolio_strategy(
-    fine: &TaskGraph,
-    machine: &Machine,
-    alloc: &Allocation,
-    cfg: &PipelineConfig,
-    strategy: MapStrategy,
-) -> Vec<(MapperKind, MappingOutcome)> {
-    let kinds = MapperKind::all();
-    let run = |kind: MapperKind, scratch: &mut MapperScratch| {
-        let request = MapRequest {
-            tasks: fine,
-            machine,
-            alloc,
-            kind,
-            strategy,
-            cfg,
-        };
-        run_request(&request, scratch)
-    };
-    #[cfg(feature = "parallel")]
-    {
-        use rayon::prelude::*;
-        kinds
-            .par_iter()
-            .map(|&kind| (kind, run(kind, &mut MapperScratch::new())))
-            .collect()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let mut scratch = MapperScratch::new();
-        kinds
-            .iter()
-            .map(|&kind| (kind, run(kind, &mut scratch)))
-            .collect()
-    }
-}
-
 /// Composes the fine mapping out of grouping and coarse placement.
 fn compose(group_of: &[u32], coarse_mapping: &[u32]) -> Vec<u32> {
     group_of
@@ -666,21 +551,6 @@ mod tests {
             "fine refinement raised WH: {wh_coarse} -> {wh_fine}"
         );
         validate_mapping(&tg, &alloc, &fine.fine_mapping).unwrap();
-    }
-
-    #[test]
-    fn degradation_ladder_reaches_def_from_every_kind() {
-        for kind in MapperKind::all() {
-            let mut k = kind;
-            let mut steps = 0;
-            while let Some(next) = k.degrade() {
-                k = next;
-                steps += 1;
-                assert!(steps <= 4, "ladder from {} does not terminate", kind.name());
-            }
-            assert_eq!(k, MapperKind::Def, "ladder floor from {}", kind.name());
-        }
-        assert_eq!(MapperKind::Def.degrade(), None);
     }
 
     #[test]

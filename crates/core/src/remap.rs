@@ -17,10 +17,9 @@
 //!    neighbors, early-exiting BFS over the (failure-masked) router
 //!    graph, minimum weighted-hop increase wins — heaviest tasks
 //!    first so they still fit;
-//! 4. a budget-bounded refinement pass polishes only the *frontier*:
-//!    the displaced tasks plus their `frontier_hops`-ring in the task
-//!    graph ([`wh_refine_frontier_scratch`], then optionally
-//!    [`congestion_refine_frontier_scratch`]).
+//! 4. a budget-bounded WH refinement pass polishes only the
+//!    *frontier*: the displaced tasks plus their `frontier_hops`-ring in
+//!    the task graph ([`wh_refine_frontier_scratch`]).
 //!
 //! Repair cost therefore scales with the damage neighborhood, not the
 //! job size, and the warm path through a [`MapperScratch`] is
@@ -33,13 +32,11 @@
 //! of panicking; the mapping keeps `u32::MAX` for those entries so a
 //! later repair (after capacity returns) can finish the job.
 
-use umpa_ds::EpochMarker;
 use umpa_graph::{Bfs, TaskGraph};
 use umpa_topology::{Allocation, Machine};
 
 pub use umpa_topology::ChurnEvent;
 
-use crate::cong_refine::{congestion_refine_frontier_scratch, CongRefineConfig};
 use crate::gain::HopDist;
 use crate::greedy::weighted_hops;
 use crate::mapping::{fits, CAPACITY_EPS};
@@ -55,12 +52,6 @@ pub struct RemapConfig {
     /// Frontier WH refinement; `max_passes` is the repair budget.
     /// `None` skips the WH polish.
     pub wh: Option<WhRefineConfig>,
-    /// Frontier congestion polish; `max_moves` is the move budget.
-    /// `None` (the default) skips it: congestion state setup routes
-    /// the *whole* task graph, so enabling this costs as much as a
-    /// full congestion pass regardless of frontier size — opt in
-    /// after a churn burst, not on every repair.
-    pub cong: Option<CongRefineConfig>,
 }
 
 impl Default for RemapConfig {
@@ -71,19 +62,17 @@ impl Default for RemapConfig {
                 max_passes: 2,
                 ..WhRefineConfig::default()
             }),
-            cong: None,
         }
     }
 }
 
 impl RemapConfig {
-    /// Repair-only configuration: re-place displaced tasks, skip both
-    /// refinement polishes (the cheapest repair).
+    /// Repair-only configuration: re-place displaced tasks, skip the
+    /// refinement polish (the cheapest repair).
     pub fn placement_only() -> Self {
         Self {
             frontier_hops: 0,
             wh: None,
-            cong: None,
         }
     }
 }
@@ -204,7 +193,6 @@ pub struct RemapScratch {
     order: Vec<u32>,
     unplaced: Vec<u32>,
     frontier: Vec<u32>,
-    in_frontier: EpochMarker,
     free: Vec<f64>,
     sources: Vec<u32>,
     bfs_tasks: Bfs,
@@ -253,9 +241,7 @@ pub fn remap_incremental(
     assert_eq!(mapping.len(), tg.num_tasks(), "mapping/task-count mismatch");
     apply_events(machine, alloc, events);
     let machine = &*machine;
-    let MapperScratch {
-        remap, wh, cong, ..
-    } = scratch;
+    let MapperScratch { remap, wh, .. } = scratch;
     let n = tg.num_tasks();
 
     // Displaced set: churned off the allocation, plus anything already
@@ -348,8 +334,6 @@ pub fn remap_incremental(
     // Refinement frontier: the displaced tasks plus `frontier_hops`
     // rings of their task-graph neighborhood (BFS levels).
     remap.frontier.clear();
-    remap.in_frontier.ensure_len(n);
-    remap.in_frontier.reset();
     if !remap.displaced.is_empty() {
         remap.bfs_tasks.ensure(n);
         remap.bfs_tasks.start(remap.displaced.iter().copied());
@@ -357,34 +341,17 @@ pub fn remap_incremental(
             if ev.level > cfg.frontier_hops {
                 break;
             }
-            remap.in_frontier.mark(ev.vertex as usize);
             remap.frontier.push(ev.vertex);
         }
     }
 
     // Budgeted polish confined to the frontier.
-    let mut wh_after = None;
-    if !remap.frontier.is_empty() {
-        if let Some(wh_cfg) = &cfg.wh {
-            wh_after = Some(wh_refine_frontier_scratch(
-                tg,
-                machine,
-                alloc,
-                mapping,
-                &remap.frontier,
-                wh_cfg,
-                wh,
-            ));
+    let wh_after = match &cfg.wh {
+        Some(wh_cfg) if !remap.frontier.is_empty() => {
+            wh_refine_frontier_scratch(tg, machine, alloc, mapping, &remap.frontier, wh_cfg, wh)
         }
-        if let Some(cong_cfg) = &cfg.cong {
-            let in_frontier = &remap.in_frontier;
-            congestion_refine_frontier_scratch(tg, machine, alloc, mapping, cong_cfg, cong, |t| {
-                in_frontier.is_marked(t as usize)
-            });
-            wh_after = None; // congestion swaps change WH
-        }
-    }
-    let wh_after = wh_after.unwrap_or_else(|| weighted_hops(tg, machine, mapping));
+        _ => weighted_hops(tg, machine, mapping),
+    };
     // Allocation-free feasibility invariants (validate_mapping builds a
     // load vector, which would break the warm zero-alloc contract in
     // debug builds): everything placed on the allocation, no slot

@@ -68,8 +68,8 @@ impl EpochMarker {
     /// `u32::MAX` wraparound path is reachable without four billion
     /// `reset` calls. Existing marks at the old epoch are invalidated
     /// unless the new epoch equals it.
-    #[doc(hidden)]
-    pub fn force_epoch(&mut self, epoch: u32) {
+    #[cfg(test)]
+    fn force_epoch(&mut self, epoch: u32) {
         assert!(epoch >= 1, "epoch 0 would alias freshly zeroed stamps");
         self.epoch = epoch;
     }

@@ -14,10 +14,9 @@
 //! `O(log n)` change-key addressed by a dense integer id. That structure
 //! is [`IndexedMaxHeap`]. The crate also provides a fixed-capacity bitset
 //! ([`FixedBitSet`]), an epoch-stamped visit marker ([`EpochMarker`]) that
-//! lets BFS workspaces be reused without `O(n)` clears, flat slot→task
-//! buckets with O(1) moves ([`SlotBuckets`]) backing the refinement
-//! algorithms' residency tracking, and a [`UnionFind`] used by
-//! matching/component code.
+//! lets BFS workspaces be reused without `O(n)` clears, and flat
+//! slot→task buckets with O(1) moves ([`SlotBuckets`]) backing the
+//! refinement algorithms' residency tracking.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,10 +25,8 @@ pub mod bitset;
 pub mod epoch;
 pub mod heap;
 pub mod slots;
-pub mod unionfind;
 
 pub use bitset::FixedBitSet;
 pub use epoch::EpochMarker;
 pub use heap::IndexedMaxHeap;
 pub use slots::SlotBuckets;
-pub use unionfind::UnionFind;

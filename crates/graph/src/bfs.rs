@@ -115,23 +115,9 @@ impl Bfs {
         self.visited.is_marked(v as usize)
     }
 
-    /// Runs the traversal to completion, returning the last event —
-    /// i.e. one of the vertices farthest from the source set (the
-    /// deterministic last one in level order). `None` if no sources.
-    pub fn run_to_farthest(&mut self, g: &Graph) -> Option<BfsEvent> {
-        let mut last = None;
-        while let Some(ev) = self.next(g) {
-            last = Some(ev);
-        }
-        last
-    }
-
     /// Collects every `(vertex, level)` reachable from `sources`.
-    pub fn levels_from(
-        &mut self,
-        g: &Graph,
-        sources: impl IntoIterator<Item = u32>,
-    ) -> Vec<BfsEvent> {
+    #[cfg(test)]
+    fn levels_from(&mut self, g: &Graph, sources: impl IntoIterator<Item = u32>) -> Vec<BfsEvent> {
         self.start(sources);
         let mut out = Vec::new();
         while let Some(ev) = self.next(g) {
@@ -139,17 +125,6 @@ impl Bfs {
         }
         out
     }
-}
-
-/// Convenience: single-source BFS distances (`u32::MAX` = unreachable).
-pub fn bfs_distances(g: &Graph, source: u32) -> Vec<u32> {
-    let mut dist = vec![u32::MAX; g.num_vertices()];
-    let mut bfs = Bfs::new(g.num_vertices());
-    bfs.start([source]);
-    while let Some(ev) = bfs.next(g) {
-        dist[ev.vertex as usize] = ev.level;
-    }
-    dist
 }
 
 #[cfg(test)]
@@ -188,10 +163,10 @@ mod tests {
 
     #[test]
     fn farthest_vertex_on_path() {
+        // Level order ends at a vertex farthest from the sources.
         let g = path4();
         let mut bfs = Bfs::new(5);
-        bfs.start([0]);
-        let far = bfs.run_to_farthest(&g).unwrap();
+        let far = *bfs.levels_from(&g, [0]).last().unwrap();
         assert_eq!((far.vertex, far.level), (3, 3));
     }
 
@@ -279,10 +254,14 @@ mod tests {
 
     #[test]
     fn distances_helper_matches_levels() {
+        // Levels from an interior source are hop distances; the
+        // isolated vertex is never reached.
         let g = path4();
-        let d = bfs_distances(&g, 1);
-        assert_eq!(d[0], 1);
-        assert_eq!(d[3], 2);
-        assert_eq!(d[4], u32::MAX);
+        let mut bfs = Bfs::new(5);
+        let evs = bfs.levels_from(&g, [1]);
+        let level_of = |v: u32| evs.iter().find(|e| e.vertex == v).map(|e| e.level);
+        assert_eq!(level_of(0), Some(1));
+        assert_eq!(level_of(3), Some(2));
+        assert_eq!(level_of(4), None);
     }
 }

@@ -98,12 +98,6 @@ impl Graph {
         &self.vwgt
     }
 
-    /// Replaces all vertex weights (must match vertex count).
-    pub fn set_vertex_weights(&mut self, vwgt: Vec<f64>) {
-        assert_eq!(vwgt.len(), self.num_vertices());
-        self.vwgt = vwgt;
-    }
-
     /// Sum of all vertex weights.
     pub fn total_vertex_weight(&self) -> f64 {
         self.vwgt.iter().sum()

@@ -13,21 +13,16 @@
 //!   cached send/receive volumes (for the `t_MSRV` seed rule);
 //! * [`Bfs`] — a multi-source, level-tracking BFS with an `O(1)`-reset
 //!   workspace, reused across the thousands of traversals the mapping
-//!   algorithms issue;
-//! * [`components`] — connected components, used when `Gt` is
-//!   disconnected (Algorithm 1 falls back to the heaviest task of an
-//!   untouched component).
+//!   algorithms run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bfs;
-pub mod components;
 pub mod csr;
 pub mod taskgraph;
 
 pub use bfs::{Bfs, BfsEvent};
-pub use components::connected_components;
 pub use csr::{Graph, GraphBuilder};
 pub use taskgraph::{TaskGraph, TaskGraphScratch};
 

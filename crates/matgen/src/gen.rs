@@ -316,7 +316,7 @@ pub fn block_coupled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use umpa_graph::connected_components;
+    use umpa_graph::Bfs;
 
     #[test]
     fn stencil2d_five_point_shape() {
@@ -348,8 +348,22 @@ mod tests {
             assert!(p.contains(c, r));
         }
         // With this density the giant component should dominate.
-        let comps = connected_components(&p.to_graph());
-        let max = comps.sizes().into_iter().max().unwrap();
+        let g = p.to_graph();
+        let mut bfs = Bfs::new(g.num_vertices());
+        let mut seen = vec![false; g.num_vertices()];
+        let mut max = 0;
+        for s in 0..g.num_vertices() as u32 {
+            if seen[s as usize] {
+                continue;
+            }
+            bfs.start([s]);
+            let mut size = 0;
+            while let Some(ev) = bfs.next(&g) {
+                seen[ev.vertex as usize] = true;
+                size += 1;
+            }
+            max = max.max(size);
+        }
         assert!(max > 450, "giant component too small: {max}");
     }
 

@@ -17,7 +17,7 @@
 //! the tasks, so callers make the graph **capacity-respecting** by
 //! passing a fraction of the target allocation's processor count (the
 //! fill factor also drives how deep the multilevel engine can coarsen —
-//! see `MultilevelConfig::max_vertex_frac`):
+//! see the merge cap in `umpa_core::multilevel`):
 //!
 //! ```
 //! use umpa_matgen::taskgen::{stencil3d_tasks, total_weight_for};

@@ -1,9 +1,7 @@
-//! Service configuration: admission, deadlines, retry, supervision and
-//! durability policies.
+//! Service configuration: admission, deadlines, supervision and
+//! durability, plus the fixed retry policy.
 
 use std::path::PathBuf;
-
-use umpa_core::{MapperKind, PipelineConfig, RemapConfig};
 
 use crate::journal::CrashSwitch;
 
@@ -43,67 +41,39 @@ impl DurabilityConfig {
     }
 }
 
-/// Bounded-backoff policy for transient `Infeasible` repairs: how
-/// often (and how long) the service keeps retrying displaced work
-/// before surfacing a typed [`ServiceError::RepairExhausted`]
-/// (see [`crate::ServiceError`]).
-#[derive(Clone, Debug)]
-pub struct RetryPolicy {
-    /// Give up (typed error, never a panic) after this many attempts.
-    /// Capacity-restoring events (`NodesAdded`) still re-arm the
-    /// repair afterwards.
-    pub max_attempts: u32,
-    /// Backoff before the first timed retry, nanoseconds.
-    pub base_backoff_ns: u64,
-    /// Backoff cap; attempts double the delay up to here.
-    pub max_backoff_ns: u64,
+/// Repair attempts before an infeasible repair surfaces a typed
+/// [`ServiceError::RepairExhausted`](crate::ServiceError::RepairExhausted)
+/// (never a panic). Capacity-restoring events (`NodesAdded`) still
+/// re-arm the repair afterwards.
+pub const RETRY_MAX_ATTEMPTS: u32 = 8;
+
+/// Backoff before the first timed retry: 1 ms.
+const RETRY_BASE_BACKOFF_NS: u64 = 1_000_000;
+
+/// Backoff cap: 100 ms.
+const RETRY_MAX_BACKOFF_NS: u64 = 100_000_000;
+
+/// Backoff before retry attempt `attempt` (1-based), doubling from the
+/// base and saturating at the cap.
+pub(crate) fn retry_backoff_ns(attempt: u32) -> u64 {
+    let shift = attempt.saturating_sub(1).min(32);
+    RETRY_BASE_BACKOFF_NS
+        .saturating_mul(1u64 << shift)
+        .min(RETRY_MAX_BACKOFF_NS)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 8,
-            base_backoff_ns: 1_000_000,  // 1 ms
-            max_backoff_ns: 100_000_000, // 100 ms
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before attempt `attempt` (1-based), doubling from the
-    /// base and saturating at the cap.
-    pub fn backoff_ns(&self, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1).min(32);
-        self.base_backoff_ns
-            .saturating_mul(1u64 << shift)
-            .min(self.max_backoff_ns)
-    }
-}
-
-/// Churn-drift supervisor policy: when to compare the live (repaired)
-/// mapping against a from-scratch baseline, and how hard to push it
-/// back under the drift bound.
+/// Churn-drift supervisor policy: how often to compare the live
+/// (repaired) mapping against a from-scratch baseline.
 #[derive(Clone, Debug)]
 pub struct SupervisorPolicy {
     /// Repairs between drift checks (`K`). The check itself may cost a
     /// from-scratch baseline re-map, so it is rationed.
     pub check_every: u32,
-    /// Tolerated live-vs-baseline WH drift (`0.15` = 15 %); above it
-    /// the supervisor polishes, and adopts the baseline outright if
-    /// polish alone cannot close the gap.
-    pub max_drift: f64,
-    /// Follow the WH polish with a congestion polish (Algorithm 3,
-    /// volume variant).
-    pub cong_polish: bool,
 }
 
 impl Default for SupervisorPolicy {
     fn default() -> Self {
-        Self {
-            check_every: 16,
-            max_drift: 0.15,
-            cong_polish: true,
-        }
+        Self { check_every: 16 }
     }
 }
 
@@ -121,22 +91,10 @@ pub struct ServiceConfig {
     /// Deadline for requests that do not carry their own, nanoseconds
     /// (admission to response).
     pub default_deadline_ns: u64,
-    /// Top rung of the degradation ladder — the mapper a request gets
-    /// when its budget allows (requests may override per-job).
-    pub mapper: MapperKind,
     /// Queue depth at which the ladder sheds one extra rung even when
     /// the time budget would allow more (overload degrades quality,
     /// not latency).
     pub pressure_depth: usize,
-    /// Multiplier on the rung cost estimate when checking it against
-    /// the remaining budget (headroom for estimate error).
-    pub safety_factor: f64,
-    /// Two-phase pipeline settings used by every rung.
-    pub pipeline: PipelineConfig,
-    /// Incremental-repair settings for churn events.
-    pub remap: RemapConfig,
-    /// Infeasible-repair retry policy.
-    pub retry: RetryPolicy,
     /// Drift-supervisor policy.
     pub supervisor: SupervisorPolicy,
     /// Crash-safe durability (write-ahead journal + snapshots);
@@ -150,12 +108,7 @@ impl Default for ServiceConfig {
             workers: 2,
             queue_capacity: 64,
             default_deadline_ns: 50_000_000, // 50 ms
-            mapper: MapperKind::GreedyMc,
             pressure_depth: 32,
-            safety_factor: 2.0,
-            pipeline: PipelineConfig::default(),
-            remap: RemapConfig::default(),
-            retry: RetryPolicy::default(),
             supervisor: SupervisorPolicy::default(),
             durability: None,
         }
@@ -168,15 +121,11 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_saturates() {
-        let p = RetryPolicy {
-            max_attempts: 8,
-            base_backoff_ns: 1_000,
-            max_backoff_ns: 6_000,
-        };
-        assert_eq!(p.backoff_ns(1), 1_000);
-        assert_eq!(p.backoff_ns(2), 2_000);
-        assert_eq!(p.backoff_ns(3), 4_000);
-        assert_eq!(p.backoff_ns(4), 6_000); // capped
-        assert_eq!(p.backoff_ns(64), 6_000); // shift clamped, no overflow
+        assert_eq!(retry_backoff_ns(1), 1_000_000);
+        assert_eq!(retry_backoff_ns(2), 2_000_000);
+        assert_eq!(retry_backoff_ns(3), 4_000_000);
+        assert_eq!(retry_backoff_ns(7), 64_000_000);
+        assert_eq!(retry_backoff_ns(8), 100_000_000); // capped
+        assert_eq!(retry_backoff_ns(64), 100_000_000); // shift clamped, no overflow
     }
 }

@@ -1,13 +1,12 @@
 //! The deadline degradation ladder.
 //!
 //! Each request carries a time budget (deadline minus time already
-//! spent queued). The ladder picks the best mapper the budget can
-//! afford, stepping down `cong_refine → wh_refine → greedy-only →
-//! projection` (i.e. `GreedyMc → GreedyWh → Greedy → Def` through
-//! [`MapperKind::degrade`]) when the budget is tight or the queue is
-//! deep — so overload degrades *quality*, never latency. Rung costs
-//! are learned online: an EWMA of observed service times per rung,
-//! seeded with conservative priors so the first requests under a tight
+//! spent queued). The ladder picks the best rung the budget can afford,
+//! walking `Full → Refined → GreedyOnly → Projection` (the `UMC → UWH →
+//! UG → DEF` mappers) when the budget is tight or the queue is deep —
+//! so overload degrades *quality*, never latency. Rung costs are
+//! learned online: an EWMA of observed service times per rung, seeded
+//! with conservative priors so the first requests under a tight
 //! deadline degrade rather than gamble.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,14 +15,18 @@ use umpa_core::MapperKind;
 
 use crate::config::ServiceConfig;
 
+/// Multiplier on a rung's cost estimate when checking it against the
+/// remaining budget (headroom for estimate error).
+const SAFETY_FACTOR: f64 = 2.0;
+
 /// Which rung of the degradation ladder served a request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LadderRung {
-    /// Greedy + WH refinement + congestion refinement (top quality).
+    /// Greedy + congestion refinement (`UMC`, top quality).
     Full,
-    /// Greedy + WH refinement.
+    /// Greedy + WH refinement (`UWH`).
     Refined,
-    /// Greedy placement only.
+    /// Greedy placement only (`UG`).
     GreedyOnly,
     /// Rank projection (`DEF`) — the always-affordable floor.
     Projection,
@@ -43,14 +46,19 @@ impl LadderRung {
         }
     }
 
-    /// The rung a mapper kind belongs to.
-    pub fn of(kind: MapperKind) -> Self {
-        match kind {
-            MapperKind::GreedyMc | MapperKind::GreedyMmc => LadderRung::Full,
-            MapperKind::GreedyWh => LadderRung::Refined,
-            MapperKind::Greedy | MapperKind::Tmap | MapperKind::Smap => LadderRung::GreedyOnly,
-            MapperKind::Def => LadderRung::Projection,
+    /// The mapper this rung runs.
+    pub(crate) fn kind(self) -> MapperKind {
+        match self {
+            LadderRung::Full => MapperKind::GreedyMc,
+            LadderRung::Refined => MapperKind::GreedyWh,
+            LadderRung::GreedyOnly => MapperKind::Greedy,
+            LadderRung::Projection => MapperKind::Def,
         }
+    }
+
+    /// One rung down, or `None` from the floor.
+    fn down(self) -> Option<Self> {
+        Self::all().get(self.index() + 1).copied()
     }
 
     /// Stable snake_case label (bench metric suffixes).
@@ -108,31 +116,28 @@ impl CostModel {
     }
 }
 
-/// Picks the mapper that serves a request: start from the requested
-/// kind, shed one rung under queue pressure, then keep degrading while
-/// the (safety-padded) cost estimate exceeds the remaining budget.
-/// `Def` always serves — the ladder never rejects.
-pub(crate) fn select_kind(
-    requested: MapperKind,
+/// Picks the rung that serves a request: start from the top, shed one
+/// rung under queue pressure, then keep stepping down while the
+/// (safety-padded) cost estimate exceeds the remaining budget.
+/// `Projection` always serves — the ladder never rejects.
+pub(crate) fn select_rung(
     budget_ns: u64,
     queue_depth: usize,
     cfg: &ServiceConfig,
     costs: &CostModel,
-) -> MapperKind {
-    let mut kind = requested;
+) -> LadderRung {
+    let mut rung = LadderRung::Full;
     if queue_depth >= cfg.pressure_depth.max(1) {
-        if let Some(down) = kind.degrade() {
-            kind = down;
-        }
+        rung = LadderRung::Refined;
     }
     loop {
-        let padded = (costs.estimate_ns(LadderRung::of(kind)) as f64 * cfg.safety_factor) as u64;
+        let padded = (costs.estimate_ns(rung) as f64 * SAFETY_FACTOR) as u64;
         if padded <= budget_ns {
-            return kind;
+            return rung;
         }
-        match kind.degrade() {
-            Some(down) => kind = down,
-            None => return kind,
+        match rung.down() {
+            Some(down) => rung = down,
+            None => return rung,
         }
     }
 }
@@ -144,7 +149,6 @@ mod tests {
     fn cfg() -> ServiceConfig {
         ServiceConfig {
             pressure_depth: 8,
-            safety_factor: 2.0,
             ..ServiceConfig::default()
         }
     }
@@ -152,28 +156,41 @@ mod tests {
     #[test]
     fn generous_budget_keeps_the_requested_kind() {
         let costs = CostModel::seeded();
-        let k = select_kind(MapperKind::GreedyMc, u64::MAX, 0, &cfg(), &costs);
-        assert_eq!(k, MapperKind::GreedyMc);
+        let rung = select_rung(u64::MAX, 0, &cfg(), &costs);
+        assert_eq!(rung, LadderRung::Full);
+        assert_eq!(rung.kind(), MapperKind::GreedyMc);
     }
 
     #[test]
     fn tight_budget_walks_down_to_projection() {
         let costs = CostModel::seeded();
-        let k = select_kind(MapperKind::GreedyMc, 1_000, 0, &cfg(), &costs);
-        assert_eq!(k, MapperKind::Def);
+        let rung = select_rung(1_000, 0, &cfg(), &costs);
+        assert_eq!(rung, LadderRung::Projection);
         // A budget affording greedy (600 µs seed × 2 safety) but not WH.
-        let k = select_kind(MapperKind::GreedyMc, 1_400_000, 0, &cfg(), &costs);
-        assert_eq!(k, MapperKind::Greedy);
+        let rung = select_rung(1_400_000, 0, &cfg(), &costs);
+        assert_eq!(rung, LadderRung::GreedyOnly);
     }
 
     #[test]
     fn queue_pressure_sheds_one_extra_rung() {
         let costs = CostModel::seeded();
-        let k = select_kind(MapperKind::GreedyMc, u64::MAX, 8, &cfg(), &costs);
-        assert_eq!(k, MapperKind::GreedyWh);
-        // Projection cannot degrade further.
-        let k = select_kind(MapperKind::Def, u64::MAX, 8, &cfg(), &costs);
-        assert_eq!(k, MapperKind::Def);
+        let rung = select_rung(u64::MAX, 8, &cfg(), &costs);
+        assert_eq!(rung, LadderRung::Refined);
+    }
+
+    #[test]
+    fn walk_reaches_projection_from_every_rung() {
+        for rung in LadderRung::all() {
+            let mut r = rung;
+            let mut steps = 0;
+            while let Some(next) = r.down() {
+                assert_eq!(next.index(), r.index() + 1, "walk skips a rung");
+                r = next;
+                steps += 1;
+            }
+            assert_eq!(r, LadderRung::Projection, "floor from {}", rung.label());
+            assert_eq!(steps, LadderRung::COUNT - 1 - rung.index());
+        }
     }
 
     #[test]
@@ -187,8 +204,8 @@ mod tests {
         assert!(after < before / 4, "estimate should converge down: {after}");
         // A cheap observed Full rung now fits a budget it did not fit
         // cold.
-        let k = select_kind(MapperKind::GreedyMc, 1_000_000, 0, &cfg(), &costs);
-        assert_eq!(k, MapperKind::GreedyMc);
+        let rung = select_rung(1_000_000, 0, &cfg(), &costs);
+        assert_eq!(rung, LadderRung::Full);
     }
 
     #[test]
@@ -224,15 +241,15 @@ mod tests {
             prev > u64::MAX / 2,
             "estimate should approach the observations"
         );
-        let k = select_kind(MapperKind::Def, 1_000, 0, &cfg(), &costs);
-        assert_eq!(k, MapperKind::Def);
+        let rung = select_rung(1_000, 0, &cfg(), &costs);
+        assert_eq!(rung, LadderRung::Projection);
     }
 
     #[test]
     fn ladder_serves_the_floor_when_every_rung_exceeds_the_budget() {
         // Learn expensive costs into every rung, then ask with a budget
-        // none of them fits: the walk must bottom out at Def — the
-        // ladder never rejects — instead of looping or panicking.
+        // none of them fits: the walk must bottom out at Projection —
+        // the ladder never rejects — instead of looping or panicking.
         let costs = CostModel::seeded();
         for rung in LadderRung::all() {
             for _ in 0..64 {
@@ -240,8 +257,8 @@ mod tests {
             }
         }
         for budget in [0, 1, 1_000_000] {
-            let k = select_kind(MapperKind::GreedyMc, budget, 0, &cfg(), &costs);
-            assert_eq!(k, MapperKind::Def, "budget {budget}");
+            let rung = select_rung(budget, 0, &cfg(), &costs);
+            assert_eq!(rung, LadderRung::Projection, "budget {budget}");
         }
     }
 
@@ -252,7 +269,7 @@ mod tests {
             seen[r.index()] = true;
         }
         assert!(seen.iter().all(|&s| s));
-        assert_eq!(LadderRung::of(MapperKind::GreedyMmc), LadderRung::Full);
+        assert_eq!(LadderRung::Projection.kind(), MapperKind::Def);
         assert_eq!(LadderRung::Projection.label(), "projection");
     }
 }

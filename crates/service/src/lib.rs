@@ -60,7 +60,7 @@ mod supervisor;
 mod worker;
 
 pub use clock::{ManualClock, ServiceClock};
-pub use config::{DurabilityConfig, RetryPolicy, ServiceConfig, SupervisorPolicy};
+pub use config::{DurabilityConfig, ServiceConfig, SupervisorPolicy};
 pub use journal::{CrashPoint, CrashSwitch, JournalError};
 pub use ladder::LadderRung;
 pub use recovery::{RecoveryError, RecoveryReport, SnapshotSource};
@@ -71,7 +71,7 @@ pub use stats::StatsSnapshot;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::clock::{ManualClock, ServiceClock};
-    pub use crate::config::{DurabilityConfig, RetryPolicy, ServiceConfig, SupervisorPolicy};
+    pub use crate::config::{DurabilityConfig, ServiceConfig, SupervisorPolicy};
     pub use crate::journal::{CrashPoint, CrashSwitch, JournalError};
     pub use crate::ladder::LadderRung;
     pub use crate::recovery::{RecoveryError, RecoveryReport, SnapshotSource};

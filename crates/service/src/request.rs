@@ -1,7 +1,7 @@
 //! Request/response types: admission results, tickets, typed errors.
 
 use std::fmt;
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 
 use umpa_core::MapperKind;
@@ -15,28 +15,18 @@ use crate::ladder::LadderRung;
 pub struct MapJob {
     /// The task graph to map (shared, the service never mutates it).
     pub tasks: Arc<TaskGraph>,
-    /// Requested mapper (top ladder rung); `None` uses the service
-    /// default. The ladder may serve a lower rung.
-    pub kind: Option<MapperKind>,
     /// Admission-to-response deadline, nanoseconds; `None` uses the
     /// service default.
     pub deadline_ns: Option<u64>,
 }
 
 impl MapJob {
-    /// A job with service-default mapper and deadline.
+    /// A job with the service-default deadline.
     pub fn new(tasks: Arc<TaskGraph>) -> Self {
         Self {
             tasks,
-            kind: None,
             deadline_ns: None,
         }
-    }
-
-    /// Sets the requested mapper.
-    pub fn with_kind(mut self, kind: MapperKind) -> Self {
-        self.kind = Some(kind);
-        self
     }
 
     /// Sets the deadline.
@@ -61,11 +51,6 @@ pub enum Submit<T> {
 }
 
 impl<T> Submit<T> {
-    /// Whether the submission was admitted.
-    pub fn is_accepted(&self) -> bool {
-        matches!(self, Submit::Accepted(_))
-    }
-
     /// The ticket, if admitted.
     pub fn accepted(self) -> Option<T> {
         match self {
@@ -153,9 +138,15 @@ impl MapTicket {
         }
     }
 
-    /// Non-blocking poll; `None` while the request is still in flight.
+    /// Non-blocking poll; `None` while the request is still in flight,
+    /// [`ServiceError::Disconnected`] once the service dropped it
+    /// without a reply (as [`MapTicket::wait`] reports it).
     pub fn try_wait(&self) -> Option<Result<MapReply, ServiceError>> {
-        self.rx.try_recv().ok()
+        match self.rx.try_recv() {
+            Ok(reply) => Some(reply),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(Err(ServiceError::Disconnected)),
+        }
     }
 }
 

@@ -19,16 +19,16 @@ use std::thread::JoinHandle;
 
 use umpa_core::greedy::weighted_hops;
 use umpa_core::{
-    apply_events, map_tasks_with, remap_incremental, ChurnEvent, MapperScratch, RemapDrift,
-    RemapOutcome,
+    apply_events, map_tasks_with, remap_incremental, ChurnEvent, MapperScratch, PipelineConfig,
+    RemapConfig, RemapDrift, RemapOutcome,
 };
 use umpa_graph::TaskGraph;
 use umpa_topology::{Allocation, Machine};
 
 use crate::clock::ServiceClock;
-use crate::config::ServiceConfig;
+use crate::config::{retry_backoff_ns, ServiceConfig, RETRY_MAX_ATTEMPTS};
 use crate::journal::{Durability, JournalRecord};
-use crate::ladder::CostModel;
+use crate::ladder::{CostModel, LadderRung};
 use crate::recovery;
 use crate::request::{Envelope, MapJob, MapTicket, RepairReport, ServiceError, Submit};
 use crate::stats::{ServiceStats, StatsSnapshot};
@@ -66,6 +66,11 @@ pub(crate) struct SharedState {
 /// Shared between the handle and the workers.
 pub(crate) struct ServiceInner {
     pub cfg: ServiceConfig,
+    /// Two-phase pipeline settings every rung and the supervisor use
+    /// (the paper defaults, built once at start).
+    pub pipeline: PipelineConfig,
+    /// Incremental-repair settings for churn events.
+    pub remap: RemapConfig,
     pub clock: ServiceClock,
     pub state: RwLock<SharedState>,
     /// Current admission-queue depth.
@@ -186,7 +191,7 @@ impl ServiceInner {
             alloc,
             &mut job.mapping,
             events,
-            &self.cfg.remap,
+            &self.remap,
             &mut job.scratch,
         );
         self.settle_repair(machine, alloc, job, outcome, &mut report);
@@ -207,9 +212,7 @@ impl ServiceInner {
             let job = st.job.as_mut()?;
             let due = match &job.pending {
                 Some(p) if force => Some(*p),
-                Some(p) if p.attempts < self.cfg.retry.max_attempts && p.next_due_ns <= now => {
-                    Some(*p)
-                }
+                Some(p) if p.attempts < RETRY_MAX_ATTEMPTS && p.next_due_ns <= now => Some(*p),
                 _ => None,
             };
             due?;
@@ -231,7 +234,7 @@ impl ServiceInner {
             alloc,
             &mut job.mapping,
             &[],
-            &self.cfg.remap,
+            &self.remap,
             &mut job.scratch,
         );
         self.settle_repair(machine, alloc, job, outcome, &mut report);
@@ -285,7 +288,7 @@ impl ServiceInner {
                 } = job;
                 let polish = supervisor.after_repair(
                     &self.cfg.supervisor,
-                    &self.cfg.pipeline,
+                    &self.pipeline,
                     tasks,
                     machine,
                     alloc,
@@ -304,7 +307,7 @@ impl ServiceInner {
                     next_due_ns: 0,
                 });
                 pending.attempts += 1;
-                if pending.attempts >= self.cfg.retry.max_attempts {
+                if pending.attempts >= RETRY_MAX_ATTEMPTS {
                     // Typed give-up: timed retries stop, but any later
                     // capacity-restoring event still re-attempts.
                     self.stats.retry_exhausted.fetch_add(1, Ordering::AcqRel);
@@ -317,7 +320,7 @@ impl ServiceInner {
                     let due = self
                         .clock
                         .now_ns()
-                        .saturating_add(self.cfg.retry.backoff_ns(pending.attempts));
+                        .saturating_add(retry_backoff_ns(pending.attempts));
                     pending.next_due_ns = due;
                     self.pending_due_ns.store(due, Ordering::Release);
                 }
@@ -336,8 +339,8 @@ impl ServiceInner {
             &tasks,
             &st.machine,
             &st.alloc,
-            self.cfg.mapper,
-            &self.cfg.pipeline,
+            LadderRung::Full.kind(),
+            &self.pipeline,
             &mut scratch,
         );
         let wh = weighted_hops(&tasks, &st.machine, &outcome.fine_mapping);
@@ -382,7 +385,7 @@ impl ServiceInner {
         } = job;
         let polish = supervisor.after_repair(
             &self.cfg.supervisor,
-            &self.cfg.pipeline,
+            &self.pipeline,
             tasks,
             machine,
             alloc,
@@ -455,6 +458,8 @@ impl MappingService {
     ) -> Arc<ServiceInner> {
         Arc::new(ServiceInner {
             cfg,
+            pipeline: PipelineConfig::default(),
+            remap: RemapConfig::default(),
             clock,
             state: RwLock::new(SharedState {
                 machine,
@@ -485,7 +490,8 @@ impl MappingService {
     }
 
     /// Installs (or replaces) the resident job: maps it from scratch
-    /// with the service's top-rung mapper and returns the initial WH.
+    /// with the ladder's top-rung mapper (`UMC`) and returns the
+    /// initial WH.
     /// Subsequent churn repairs and the drift supervisor operate on
     /// this job's live mapping.
     pub fn install_job(&self, tasks: Arc<TaskGraph>) -> f64 {

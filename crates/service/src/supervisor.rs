@@ -9,9 +9,9 @@
 //! baseline — refreshed only when the fault state or allocation
 //! actually changed, detected via
 //! [`FaultSnapshot`](umpa_topology::FaultSnapshot) equality — and when
-//! drift exceeds `max_drift` it polishes the live mapping in place
-//! (full WH refinement, optionally a congestion polish). If polish
-//! alone cannot close the gap it adopts the baseline mapping outright,
+//! drift exceeds `MAX_DRIFT` it polishes the live mapping in place
+//! (full WH refinement, then a congestion polish). If polish alone
+//! cannot close the gap it adopts the baseline mapping outright,
 //! restoring the bound by construction.
 
 use umpa_core::greedy::weighted_hops;
@@ -22,6 +22,9 @@ use umpa_graph::TaskGraph;
 use umpa_topology::{Allocation, FaultSnapshot, Machine};
 
 use crate::config::SupervisorPolicy;
+
+/// Tolerated live-vs-baseline WH drift (15 %).
+const MAX_DRIFT: f64 = 0.15;
 
 /// Cached from-scratch reference mapping for the current machine
 /// state.
@@ -139,7 +142,7 @@ impl Supervisor {
             return PolishOutcome::default();
         };
 
-        let bound = base.wh * (1.0 + policy.max_drift);
+        let bound = base.wh * (1.0 + MAX_DRIFT);
         if weighted_hops(tasks, machine, mapping) <= bound {
             return PolishOutcome {
                 checked: true,
@@ -156,16 +159,14 @@ impl Supervisor {
             &pipeline.wh,
             &mut scratch.wh,
         );
-        if policy.cong_polish {
-            congestion_refine_scratch(
-                tasks,
-                machine,
-                alloc,
-                mapping,
-                &pipeline.cong_volume,
-                &mut scratch.cong,
-            );
-        }
+        congestion_refine_scratch(
+            tasks,
+            machine,
+            alloc,
+            mapping,
+            &pipeline.cong_volume,
+            &mut scratch.cong,
+        );
         if weighted_hops(tasks, machine, mapping) <= bound {
             return PolishOutcome {
                 checked: true,

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use umpa_core::{map_tasks_with, MapperScratch};
 
-use crate::ladder::{select_kind, LadderRung};
+use crate::ladder::select_rung;
 use crate::request::{Envelope, MapReply, ServiceError};
 use crate::service::ServiceInner;
 
@@ -75,10 +75,9 @@ fn serve(inner: &ServiceInner, env: Envelope, scratch: &mut MapperScratch) {
             let queue_ns = picked_ns.saturating_sub(submitted_ns);
             let deadline_ns = job.deadline_ns.unwrap_or(inner.cfg.default_deadline_ns);
             let budget_ns = deadline_ns.saturating_sub(queue_ns);
-            let requested = job.kind.unwrap_or(inner.cfg.mapper);
             let depth = inner.depth.load(Ordering::Acquire);
-            let kind = select_kind(requested, budget_ns, depth, &inner.cfg, &inner.costs);
-            let rung = LadderRung::of(kind);
+            let rung = select_rung(budget_ns, depth, &inner.cfg, &inner.costs);
+            let kind = rung.kind();
             let tasks = job.tasks;
             let computed = catch_unwind(AssertUnwindSafe(|| {
                 let st = inner.read_state();
@@ -87,7 +86,7 @@ fn serve(inner: &ServiceInner, env: Envelope, scratch: &mut MapperScratch) {
                     &st.machine,
                     &st.alloc,
                     kind,
-                    &inner.cfg.pipeline,
+                    &inner.pipeline,
                     scratch,
                 )
                 .fine_mapping

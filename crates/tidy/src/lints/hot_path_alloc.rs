@@ -21,6 +21,7 @@ const WARM_MODULES: &[&str] = &[
     "crates/core/src/remap.rs",
     "crates/core/src/gain.rs",
     "crates/core/src/multilevel.rs",
+    "crates/core/src/phase2.rs",
 ];
 
 /// Allocating constructs. `Vec::resize`/`reserve`/`extend` are absent

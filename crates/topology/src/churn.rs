@@ -74,15 +74,6 @@ impl ChurnEvent {
             }
         }
     }
-
-    /// Whether applying this event can displace mapped tasks (node
-    /// departures can; link events and growth cannot).
-    pub fn displaces_tasks(&self) -> bool {
-        matches!(
-            self,
-            ChurnEvent::NodeFailed { .. } | ChurnEvent::NodesRemoved { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +118,5 @@ mod tests {
         };
         assert_eq!(ev.apply(&mut m, &mut a), 0);
         assert!((m.link_factor(0) - 0.5).abs() < 1e-12);
-        assert!(!ev.displaces_tasks());
-        assert!(ChurnEvent::NodeFailed { node: 0 }.displaces_tasks());
     }
 }

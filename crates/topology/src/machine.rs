@@ -153,11 +153,6 @@ pub struct FaultSnapshot {
 }
 
 impl FaultSnapshot {
-    /// Whether every link is at nominal bandwidth.
-    pub fn is_healthy(&self) -> bool {
-        self.degraded.is_empty()
-    }
-
     /// Appends a canonical little-endian binary encoding of the
     /// snapshot to `out`: `[count: u32][(link: u32, factor bits: u64)…]`.
     /// `hard_failed` is not stored — it is derivable (factor == 0.0)
@@ -781,14 +776,12 @@ mod tests {
     fn fault_snapshot_tracks_degradations_and_clears() {
         let mut m = m222();
         assert_eq!(m.fault_snapshot(), FaultSnapshot::default());
-        assert!(m.fault_snapshot().is_healthy());
 
         m.degrade_link(3, 0.5);
         m.degrade_link(7, 0.0);
         let snap = m.fault_snapshot();
         assert_eq!(snap.degraded, vec![(3, 0.5), (7, 0.0)]);
         assert_eq!(snap.hard_failed, 1);
-        assert!(!snap.is_healthy());
         // Stable across reads: the snapshot is a pure function of the mask.
         assert_eq!(m.fault_snapshot(), snap);
 

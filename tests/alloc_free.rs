@@ -4,8 +4,13 @@
 //! [`MapperScratch`]'s buffers are warm, the phase-2 mapping engine —
 //! greedy growth, WH refinement, congestion refinement — performs
 //! **zero heap allocations**. Verified with a counting global
-//! allocator; this test lives alone in its binary so no other test's
-//! allocations pollute the counter.
+//! allocator that counts per thread: libtest's main thread and the
+//! sibling tests allocate concurrently, and none of that lands in a
+//! measured window. No measured path spawns threads — `greedy_map_into`
+//! evaluates its `NBFS` candidates sequentially in both feature
+//! configurations, and the refinement, multilevel and repair engines
+//! are single-threaded — so the calling thread's count is the engine's
+//! whole count.
 //!
 //! Phase 1 (the METIS-role partitioner, shared by all mappers and
 //! excluded from the paper's timings) builds coarse graphs and still
@@ -14,8 +19,7 @@
 //! zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use umpa::core::cong_refine::{congestion_refine_scratch, CongRefineConfig};
 use umpa::core::greedy::{greedy_map_into, GreedyConfig};
@@ -28,11 +32,22 @@ use umpa::topology::{AllocSpec, Allocation, Machine, MachineConfig};
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation calls made by this thread. `const`-initialised with
+    /// no destructor, so the allocator can touch it without allocating
+    /// or recursing.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: never panic inside the allocator, even while a
+    // thread is being torn down.
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -41,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -49,47 +64,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocation calls made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
+    ALLOC_CALLS.with(Cell::get)
 }
 
-/// The counter is process-global and libtest runs tests on worker
-/// threads: serialize every measuring test so one test's allocations
-/// never pollute another's window.
-static MEASURE: Mutex<()> = Mutex::new(());
-
-/// Counts `f`'s allocations over 5 runs, retrying on a nonzero count.
-///
-/// Even with the [`MEASURE`] serialization, libtest's *main* thread
-/// occasionally processes the previous test's result (formatting its
-/// name allocates) concurrently with the next test's measured window —
-/// a rare two-allocation blip that has nothing to do with the code
-/// under test. The engine is deterministic, so one clean attempt out
-/// of three proves the zero-allocation contract. Only blip-sized
-/// counts (≤ 4) are retried: a larger count is a real engine
-/// allocation — e.g. a buffer still growing past the warmup's
-/// high-water mark — and is reported immediately. Known bound: a
-/// *one-time* regression of ≤ 4 allocations landing past the warmup
-/// is indistinguishable from the libtest blip and can slip through;
-/// recurring (per-run) allocations always fail every attempt.
+/// Counts the calling thread's allocations over 5 runs of `f`.
 fn measure_steady_state(mut f: impl FnMut()) -> u64 {
-    let mut counted = u64::MAX;
-    for _ in 0..3 {
-        let before = allocs();
-        for _ in 0..5 {
-            f();
-        }
-        counted = allocs() - before;
-        if counted == 0 || counted > 4 {
-            break;
-        }
+    let before = allocs();
+    for _ in 0..5 {
+        f();
     }
-    counted
+    allocs() - before
 }
 
 #[test]
 fn warm_scratch_mapping_engine_is_allocation_free() {
-    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     // A 32-task graph on 8 nodes × 4 procs — the coarse problem the
     // phase-2 engine sees after grouping — on every topology backend:
     // the §8 perf contract is backend-generic. One scratch serves all
@@ -176,7 +166,6 @@ fn warm_scratch_mapping_engine_is_allocation_free() {
 
 #[test]
 fn warm_multilevel_run_is_allocation_free() {
-    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     // The DESIGN.md §12 contract: once the hierarchy and scratch are
     // warm, a full multilevel run — matching, per-level quotient graph
     // rebuilds, coarsest greedy map, per-level refinement, projection —
@@ -210,7 +199,6 @@ fn warm_multilevel_run_is_allocation_free() {
         multilevel: MultilevelConfig {
             coarsen_min: 8,
             coarsen_factor: 1.5,
-            ..MultilevelConfig::default()
         },
         ..PipelineConfig::default()
     };
@@ -254,7 +242,6 @@ fn warm_multilevel_run_is_allocation_free() {
 
 #[test]
 fn heavy_first_pre_pass_is_also_allocation_free() {
-    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     // Non-uniform node capacities with a low heavy threshold drive
     // every task through the Section III-A heavy-first pre-pass (and
     // its sort), the one greedy path the uniform test never reaches.
@@ -299,7 +286,6 @@ fn heavy_first_pre_pass_is_also_allocation_free() {
 
 #[test]
 fn warm_incremental_remap_is_allocation_free() {
-    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     // The DESIGN.md §14 contract: once the scratch is warm, repairing
     // node churn and *soft* link degradation allocates nothing — on
     // every topology backend. Hard link failures are excluded by
@@ -383,7 +369,6 @@ fn warm_incremental_remap_is_allocation_free() {
 
 #[test]
 fn warm_pipeline_allocates_strictly_less_than_cold() {
-    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let machine = MachineConfig::small(&[4, 4], 1, 4).build();
     let alloc = Allocation::generate(&machine, &AllocSpec::sparse(8, 2));
     let tg = TaskGraph::from_messages(

@@ -11,8 +11,8 @@
 //! * the rewritten engine with the **route cache off**
 //!   (`Machine::set_route_cache_threshold(0)` — the analytic fallback
 //!   CI keeps honest by running this test in both feature configs),
-//! * the **pre-rewrite engine**, preserved verbatim as
-//!   `umpa::core::cong_reference::congestion_refine_reference`.
+//! * the **pre-rewrite engine**, preserved verbatim in
+//!   `tests/reference/cong.rs` as `congestion_refine_reference`.
 //!
 //! All three must produce the same mapping vector and exactly equal
 //! `(MC, AC)` (plain `==` on the floats — the engines promise identical
@@ -22,7 +22,12 @@
 //! congestion kinds, with the distance oracle on and off, through one
 //! warm scratch shared across every case.
 
-use umpa::core::cong_reference::congestion_refine_reference;
+#[path = "reference/hop_dist.rs"]
+mod hop_dist;
+#[path = "reference/cong.rs"]
+mod reference;
+
+use reference::congestion_refine_reference;
 use umpa::core::cong_refine::{congestion_refine_scratch, CongRefineConfig, CongScratch};
 use umpa::graph::TaskGraph;
 use umpa::topology::{

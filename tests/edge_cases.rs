@@ -128,7 +128,6 @@ fn eager_ml_cfg() -> PipelineConfig {
         multilevel: MultilevelConfig {
             coarsen_min: 1,
             coarsen_factor: 0.5,
-            ..MultilevelConfig::default()
         },
         ..PipelineConfig::default()
     }

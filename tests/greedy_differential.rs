@@ -9,8 +9,8 @@
 //! early-stopping far-node search — promising **bit-identical
 //! mappings and WH** (same seed choices, same BFS candidate order,
 //! same tie-breaks, same float accumulation order). This test pins
-//! that promise against the pre-rewrite engine, preserved verbatim as
-//! `umpa::core::greedy_reference::greedy_map_into_reference`, across:
+//! that promise against the pre-rewrite engine, preserved verbatim in
+//! `tests/reference/greedy.rs` as `greedy_map_into_reference`, across:
 //!
 //! * the backend matrix — tori including extent-1 and extent-2
 //!   dimensions, a mesh, a fat-tree and a dragonfly;
@@ -25,8 +25,13 @@
 //! Mappings compare with `==` and WH with `to_bits` — the engines
 //! promise identical arithmetic, not merely close results.
 
+#[path = "reference/hop_dist.rs"]
+mod hop_dist;
+#[path = "reference/greedy.rs"]
+mod reference;
+
+use reference::{greedy_map_into_reference, GreedyReferenceScratch};
 use umpa::core::greedy::{greedy_map_into, GreedyConfig, GreedyScratch};
-use umpa::core::greedy_reference::{greedy_map_into_reference, GreedyReferenceScratch};
 use umpa::graph::TaskGraph;
 use umpa::topology::{
     AllocSpec, Allocation, DragonflyConfig, FatTreeConfig, Machine, MachineConfig,

@@ -7,8 +7,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use umpa::core::pipeline::{
-    map_many, map_many_seq, map_portfolio, map_tasks, MapRequest, MapStrategy, MapperKind,
-    PipelineConfig,
+    map_many, map_many_seq, map_tasks, MapRequest, MapStrategy, MapperKind, PipelineConfig,
 };
 use umpa::core::validate_mapping;
 use umpa::graph::TaskGraph;
@@ -125,25 +124,4 @@ fn map_many_handles_trivial_batches() {
         one[0].fine_mapping,
         map_tasks(&tg, &machine, &alloc, MapperKind::Greedy, &cfg).fine_mapping
     );
-}
-
-#[test]
-fn portfolio_matches_individual_runs() {
-    let machine = MachineConfig::small(&[4, 4], 1, 2).build();
-    let cfg = PipelineConfig::default();
-    let mut rng = ChaCha8Rng::seed_from_u64(0x70F);
-    let tg = random_task_graph(&mut rng, 12);
-    let alloc = Allocation::generate(&machine, &AllocSpec::sparse(6, 3));
-    let portfolio = map_portfolio(&tg, &machine, &alloc, &cfg);
-    assert_eq!(portfolio.len(), MapperKind::all().len());
-    for (i, kind) in MapperKind::all().into_iter().enumerate() {
-        assert_eq!(portfolio[i].0, kind);
-        let single = map_tasks(&tg, &machine, &alloc, kind, &cfg);
-        assert_eq!(
-            portfolio[i].1.fine_mapping,
-            single.fine_mapping,
-            "{}: portfolio mapping diverged",
-            kind.name()
-        );
-    }
 }

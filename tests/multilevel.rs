@@ -70,7 +70,6 @@ fn ml_cfg() -> PipelineConfig {
         multilevel: MultilevelConfig {
             coarsen_min: 8,
             coarsen_factor: 1.5,
-            ..MultilevelConfig::default()
         },
         ..PipelineConfig::default()
     }

@@ -1,6 +1,6 @@
 //! The **pre-rewrite** congestion-refinement engine, preserved as the
 //! differential-testing reference for the rewritten hot path in
-//! [`crate::cong_refine`].
+//! `umpa_core::cong_refine`.
 //!
 //! This is the route-caching PR's frozen copy of the engine as it stood
 //! before: every probe re-routes the affected edges twice (old and new
@@ -12,19 +12,19 @@
 //! `tests/cong_differential.rs` asserts across the backend × preset
 //! matrix, with the route cache on and off.
 //!
-//! Not part of the public API surface (`#[doc(hidden)]`); nothing in
-//! the serving paths calls it. The `commTasks` registry
-//! ([`LinkTaskSets`]) is shared with the live engine — its semantics
-//! are identical in both and it was not part of the rewrite.
+//! It lives in the test tree: only the differential test includes it.
+//! The `commTasks` registry ([`LinkTaskSets`]) is shared with the live
+//! engine — its semantics are identical in both and it was not part of
+//! the rewrite.
 
-use umpa_ds::{IndexedMaxHeap, SlotBuckets};
-use umpa_graph::{Bfs, TaskGraph};
-use umpa_topology::{Allocation, Machine};
+use umpa::core::cong_refine::{CongRefineConfig, CongestionKind};
+use umpa::core::eps::CONG_EPS;
+use umpa::core::mapping::fits;
+use umpa::ds::{IndexedMaxHeap, SlotBuckets};
+use umpa::graph::{Bfs, TaskGraph};
+use umpa::topology::{Allocation, Machine};
 
-use crate::cong_refine::{CongRefineConfig, CongestionKind};
-use crate::eps::CONG_EPS;
-use crate::gain::HopDist;
-use crate::mapping::fits;
+use crate::hop_dist::HopDist;
 
 /// The pre-rewrite `commTasks` registry, verbatim: a per-link task-id
 /// **multiset** (one occurrence per incident edge routed over the
@@ -110,7 +110,7 @@ impl LinkTaskSets {
 /// Runs the pre-rewrite congestion refinement (fresh internal buffers;
 /// the reference is a test oracle, not a serving path). Returns the
 /// final `(max, avg)` congestion like
-/// [`crate::cong_refine::congestion_refine`].
+/// `umpa_core::cong_refine::congestion_refine`.
 pub fn congestion_refine_reference(
     tg: &TaskGraph,
     machine: &Machine,

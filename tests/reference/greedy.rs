@@ -1,6 +1,6 @@
 //! The **pre-rewrite** greedy mapping engine, preserved as the
 //! differential-testing reference for the rewritten hot path in
-//! [`crate::greedy`].
+//! `umpa_core::greedy`.
 //!
 //! This is the gain-kernel PR's frozen copy of Algorithm 1 as it stood
 //! before: every candidate node re-scans the pivot task's neighbor list
@@ -13,16 +13,15 @@
 //! bits — which `tests/greedy_differential.rs` asserts across the
 //! backend × oracle × scratch matrix.
 //!
-//! Not part of the public API surface (`#[doc(hidden)]`); nothing in
-//! the serving paths calls it.
+//! It lives in the test tree: only the differential test includes it.
 
-use umpa_ds::IndexedMaxHeap;
-use umpa_graph::{Bfs, TaskGraph};
-use umpa_topology::{Allocation, Machine};
+use umpa::core::greedy::GreedyConfig;
+use umpa::core::mapping::fits;
+use umpa::ds::IndexedMaxHeap;
+use umpa::graph::{Bfs, TaskGraph};
+use umpa::topology::{Allocation, Machine};
 
-use crate::gain::HopDist;
-use crate::greedy::GreedyConfig;
-use crate::mapping::fits;
+use crate::hop_dist::HopDist;
 
 /// Reusable buffers of the reference engine (the pre-rewrite
 /// `GreedyScratch`, verbatim).

@@ -143,10 +143,8 @@ fn differential_every_event_feasible_or_cleanly_infeasible() {
 /// state from scratch: the mean WH ratio across the backend × seed
 /// matrix is within 15%, and no single case exceeds 25% (local repair
 /// can land in a placement-structure local optimum a full re-map
-/// escapes; the bound caps how bad that gets). WH-only repair against
-/// the WH-refined mapper: the congestion polish deliberately trades WH
-/// for MC, which would make a WH-vs-WH comparison apples-to-oranges
-/// (the release bench reports the congestion-side quality ratio).
+/// escapes; the bound caps how bad that gets). The repair is compared
+/// with the WH-refined mapper, so the comparison is WH against WH.
 /// Long streams are feasibility-tested above; quality is a per-repair
 /// contract.
 #[test]
@@ -158,7 +156,6 @@ fn differential_quality_gap_is_bounded() {
             max_passes: 4,
             ..Default::default()
         }),
-        cong: None,
     };
     let mut ratios = Vec::new();
     for (label, machine) in machines() {

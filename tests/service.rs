@@ -24,6 +24,7 @@ use umpa::core::{greedy_map_into, wh_refine_scratch, ChurnEvent, MapperKind, Map
 use umpa::graph::TaskGraph;
 use umpa::matgen::churn::{load_sequence, ChurnSpec, LoadEvent, LoadSpec};
 use umpa::service::clock::ServiceClock;
+use umpa::service::config::RETRY_MAX_ATTEMPTS;
 use umpa::service::{
     LadderRung, MapJob, MappingService, ServiceConfig, ServiceError, Submit, SupervisorPolicy,
 };
@@ -98,10 +99,7 @@ fn soak_500_events_sheds_survives_and_bounds_drift() {
         queue_capacity: 8,
         pressure_depth: 6,
         default_deadline_ns: 2_000_000_000, // 2 s: generous, so any miss means a stall
-        supervisor: SupervisorPolicy {
-            check_every: 8,
-            ..SupervisorPolicy::default()
-        },
+        supervisor: SupervisorPolicy { check_every: 8 },
         ..ServiceConfig::default()
     };
     let queue_capacity = cfg.queue_capacity;
@@ -281,7 +279,7 @@ fn infeasible_repair_retries_exhausts_typed_then_converges_on_capacity() {
         workers: 0, // retries driven explicitly, deterministic
         ..ServiceConfig::default()
     };
-    let max_attempts = cfg.retry.max_attempts;
+    let max_attempts = RETRY_MAX_ATTEMPTS;
     let service = MappingService::with_clock(machine, alloc, cfg, clock);
     // 14 unit tasks on 8 nodes × 2 procs = 16 slots: nearly full.
     service.install_job(Arc::new(task_graph(14, 5)));
@@ -432,4 +430,27 @@ fn poisoned_state_lock_is_absorbed_and_service_keeps_serving() {
         .wait()
         .expect("worker must still serve after poisoning");
     assert!(!reply.mapping.is_empty());
+}
+
+#[test]
+fn try_wait_reports_a_request_the_service_dropped() {
+    let (machine, alloc) = setup();
+    let cfg = ServiceConfig {
+        workers: 0, // nothing ever serves the request
+        ..ServiceConfig::default()
+    };
+    let service = MappingService::new(machine, alloc, cfg);
+    let ticket = service
+        .submit_map(MapJob::new(Arc::new(task_graph(16, 1))))
+        .accepted()
+        .expect("queue empty, must admit");
+    assert!(ticket.try_wait().is_none(), "queued request is in flight");
+
+    // Shutdown drops the queued request unanswered: a poller must see
+    // the same typed error `wait` returns, not "still in flight".
+    drop(service);
+    assert!(matches!(
+        ticket.try_wait(),
+        Some(Err(ServiceError::Disconnected))
+    ));
 }

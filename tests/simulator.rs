@@ -188,7 +188,6 @@ fn metrics_link_loads_agree_with_netsim_reconstruction() {
         multilevel: MultilevelConfig {
             coarsen_min: 8,
             coarsen_factor: 1.5,
-            ..MultilevelConfig::default()
         },
         ..PipelineConfig::default()
     };
