@@ -7,10 +7,15 @@
 //! reduction over them is deterministic regardless of thread timing —
 //! the property the mapping engine's lowest-WH-wins reductions rely on.
 //!
+//! A panic inside a worker reaches the caller with its original payload
+//! (`resume_unwind`), as with real rayon, so `#[should_panic(expected)]`
+//! tests see the same message on any core count.
+//!
 //! The API is call-compatible with real rayon for the patterns used
 //! here; swapping the real crate back in requires no source changes.
 
 use std::num::NonZeroUsize;
+use std::panic;
 use std::thread;
 
 /// Number of worker threads to fan out over for `n` items.
@@ -44,7 +49,10 @@ where
             .map(|part| s.spawn(move || part.iter().map(f).collect::<Vec<R>>()))
             .collect();
         for h in handles {
-            out.extend(h.join().expect("rayon shim worker panicked"));
+            out.extend(
+                h.join()
+                    .unwrap_or_else(|payload| panic::resume_unwind(payload)),
+            );
         }
     });
     out
@@ -221,7 +229,10 @@ where
                     .map(|part| s.spawn(move || f(part)))
                     .collect();
                 for h in handles {
-                    out.push(h.join().expect("rayon shim worker panicked"));
+                    out.push(
+                        h.join()
+                            .unwrap_or_else(|payload| panic::resume_unwind(payload)),
+                    );
                 }
             });
             out
@@ -288,6 +299,50 @@ mod tests {
             })
             .collect();
         assert_eq!(out[3][5], 305);
+    }
+
+    /// The message a worker panicked with, as seen by the caller.
+    fn caller_sees(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload =
+            std::panic::catch_unwind(f).expect_err("the worker panic must reach the caller");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload
+                .downcast::<&str>()
+                .map(|s| s.to_string())
+                .unwrap_or_default(),
+        }
+    }
+
+    #[test]
+    fn worker_panic_reaches_the_caller_with_its_payload() {
+        let v: Vec<u32> = (0..64).collect();
+        let msg = caller_sees(|| {
+            let _: Vec<u32> = v
+                .par_iter()
+                .map(|&x| {
+                    if x == 63 {
+                        panic!("item {x} is bad")
+                    } else {
+                        x
+                    }
+                })
+                .collect();
+        });
+        assert_eq!(msg, "item 63 is bad");
+        let msg = caller_sees(|| {
+            let _: Vec<u32> = v
+                .par_chunks(8)
+                .map(|c| {
+                    if c[0] == 56 {
+                        panic!("chunk at {} is bad", c[0])
+                    } else {
+                        c[0]
+                    }
+                })
+                .collect();
+        });
+        assert_eq!(msg, "chunk at 56 is bad");
     }
 
     #[test]
