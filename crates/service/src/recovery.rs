@@ -25,7 +25,7 @@ use std::io::Write;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use umpa_core::{ChurnEvent, MapperScratch};
+use umpa_core::MapperScratch;
 use umpa_topology::{Allocation, FaultSnapshot, Machine};
 
 use crate::clock::ServiceClock;
@@ -35,7 +35,9 @@ use crate::journal::{
     snapshot_old_path, snapshot_path, Cursor, Durability, JournalRecord, SnapshotRead,
     FORMAT_VERSION, HEADER_LEN, JOURNAL_MAGIC,
 };
-use crate::service::{MappingService, PendingRepair, ResidentJob, SharedState};
+use crate::service::{
+    first_invalid_event, MappingService, PendingRepair, ResidentJob, SharedState,
+};
 use crate::supervisor::Supervisor;
 
 /// Why recovery could not complete. Torn tails and corrupt snapshots
@@ -349,24 +351,6 @@ fn restore_job(job: SnapshotJob) -> ResidentJob {
 // Recovery driver
 // ---------------------------------------------------------------------------
 
-fn validate_events(
-    events: &[ChurnEvent],
-    num_physical_links: u32,
-    seq: u64,
-) -> Result<(), RecoveryError> {
-    for ev in events {
-        if let ChurnEvent::LinkDegraded { link, .. } = ev {
-            if *link >= num_physical_links {
-                return Err(RecoveryError::InvalidReplay {
-                    seq,
-                    context: "link id past this topology",
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 impl MappingService {
     /// Recovers a service from its durability directory
     /// (`cfg.durability`) on the wall clock. `machine` and `alloc`
@@ -509,7 +493,6 @@ impl MappingService {
         //    a checksum-valid but undecodable frame is a typed error,
         //    never a panic or a silent skip.
         let covers_seq = report.snapshot_seq;
-        let num_phys = machine.topology().num_physical_links() as u32;
         let mut last_seq = covers_seq;
         let mut replay = Vec::new();
         for (seq, payload) in &frames {
@@ -522,7 +505,12 @@ impl MappingService {
                 return Err(RecoveryError::CorruptRecord { seq: *seq });
             };
             if let JournalRecord::Churn(events) = &rec {
-                validate_events(events, num_phys, *seq)?;
+                if let Some((_, reason)) = first_invalid_event(&machine, events) {
+                    return Err(RecoveryError::InvalidReplay {
+                        seq: *seq,
+                        context: reason.reason(),
+                    });
+                }
             }
             replay.push(rec);
         }

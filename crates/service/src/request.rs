@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use umpa_core::MapperKind;
 use umpa_graph::TaskGraph;
+use umpa_topology::LinkEventError;
 
 use crate::ladder::LadderRung;
 
@@ -105,6 +106,14 @@ pub enum ServiceError {
         /// Retry attempts consumed.
         attempts: u32,
     },
+    /// A churn batch was refused whole, before any journal write or
+    /// mutation, because one of its events does not fit the machine.
+    InvalidEvent {
+        /// Position of the first refused event in the batch.
+        index: usize,
+        /// Why it was refused.
+        reason: LinkEventError,
+    },
 }
 
 impl fmt::Display for ServiceError {
@@ -116,6 +125,9 @@ impl fmt::Display for ServiceError {
                 f,
                 "repair still infeasible after {attempts} attempts ({unplaced} tasks unplaced)"
             ),
+            ServiceError::InvalidEvent { index, reason } => {
+                write!(f, "churn batch refused: event {index}: {reason}")
+            }
         }
     }
 }

@@ -23,7 +23,7 @@ use umpa_core::{
     RemapConfig, RemapDrift, RemapOutcome,
 };
 use umpa_graph::TaskGraph;
-use umpa_topology::{Allocation, Machine};
+use umpa_topology::{Allocation, LinkEventError, Machine};
 
 use crate::clock::ServiceClock;
 use crate::config::{retry_backoff_ns, ServiceConfig, RETRY_MAX_ATTEMPTS};
@@ -162,13 +162,21 @@ impl ServiceInner {
     /// Applies churn events and repairs the resident job. Always
     /// attempts the repair (even past the retry budget): new events
     /// may have restored capacity, which is exactly how an exhausted
-    /// repair converges.
+    /// repair converges. A batch with an event that does not fit the
+    /// machine is refused whole before the journal append:
+    /// `applied_events: 0` and [`ServiceError::InvalidEvent`].
     pub(crate) fn apply_churn(&self, events: &[ChurnEvent]) -> RepairReport {
+        let mut st = self.write_state();
+        if let Some((index, reason)) = first_invalid_event(&st.machine, events) {
+            return RepairReport {
+                error: Some(ServiceError::InvalidEvent { index, reason }),
+                ..RepairReport::default()
+            };
+        }
         let mut report = RepairReport {
             applied_events: events.len(),
             ..RepairReport::default()
         };
-        let mut st = self.write_state();
         self.journal_append(&JournalRecord::Churn(events.to_vec()));
         let SharedState {
             machine,
@@ -399,6 +407,22 @@ impl ServiceInner {
     }
 }
 
+/// The first event of `events` that fails
+/// [`Machine::check_link_event`], with its index — the link-event check
+/// live churn and recovery replay share.
+pub(crate) fn first_invalid_event(
+    machine: &Machine,
+    events: &[ChurnEvent],
+) -> Option<(usize, LinkEventError)> {
+    events.iter().enumerate().find_map(|(i, ev)| match ev {
+        ChurnEvent::LinkDegraded { link, factor } => machine
+            .check_link_event(*link, *factor)
+            .err()
+            .map(|e| (i, e)),
+        _ => None,
+    })
+}
+
 /// The always-on mapping service. Dropping (or [`shutdown`]) drains
 /// the admission queue, replies to every accepted request, and joins
 /// the workers.
@@ -569,7 +593,10 @@ impl MappingService {
     /// Applies churn to the shared machine/allocation and repairs the
     /// resident job (synchronously, on the caller's thread — churn is
     /// the infrastructure feed, not client admission). See
-    /// [`RepairReport`].
+    /// [`RepairReport`]. A batch holding a link event that fails
+    /// [`Machine::check_link_event`] is refused whole, before anything
+    /// is journaled or mutated: `applied_events: 0` and
+    /// [`ServiceError::InvalidEvent`] naming the first such event.
     pub fn apply_churn(&self, events: &[ChurnEvent]) -> RepairReport {
         self.inner.apply_churn(events)
     }

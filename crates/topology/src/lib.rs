@@ -59,8 +59,8 @@ pub use churn::ChurnEvent;
 pub use dragonfly::{Dragonfly, DragonflyConfig};
 pub use fat_tree::{FatTree, FatTreeConfig};
 pub use machine::{
-    FaultSnapshot, LinkMode, Machine, MachineConfig, MachineParams, DEFAULT_ORACLE_MAX_ROUTERS,
-    DEFAULT_ROUTE_CACHE_MAX_ROUTERS,
+    FaultSnapshot, LinkEventError, LinkMode, Machine, MachineConfig, MachineParams,
+    DEFAULT_ORACLE_MAX_ROUTERS, DEFAULT_ROUTE_CACHE_MAX_ROUTERS,
 };
 pub use oracle::DistanceOracle;
 pub use ordering::NodeOrdering;

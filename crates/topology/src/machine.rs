@@ -209,18 +209,45 @@ impl FaultSnapshot {
         ))
     }
 
-    /// Whether every degraded link id is a valid physical link of
+    /// Whether every entry passes [`Machine::check_link_event`] on
     /// `machine`. Decoded snapshots must pass this before
     /// [`Machine::apply_fault_snapshot`] — a snapshot taken on a
     /// different topology (or corrupted in storage) fails here instead
     /// of panicking inside `degrade_link`.
     pub fn is_valid_for(&self, machine: &Machine) -> bool {
-        let num_phys = machine.topology().num_physical_links() as u32;
-        self.degraded.iter().all(|&(link, factor)| {
-            link < num_phys && factor.is_finite() && (0.0..=1.0).contains(&factor)
-        })
+        self.degraded
+            .iter()
+            .all(|&(link, factor)| machine.check_link_event(link, factor).is_ok())
     }
 }
+
+/// Why a link event — a `LinkDegraded` churn event or a fault-snapshot
+/// entry — does not fit a machine ([`Machine::check_link_event`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LinkEventError {
+    /// The link id is not below the topology's physical link count.
+    LinkOutOfRange,
+    /// The bandwidth factor is NaN or outside `0.0..=1.0`.
+    FactorOutOfRange,
+}
+
+impl LinkEventError {
+    /// A short static description of the reason.
+    pub fn reason(self) -> &'static str {
+        match self {
+            LinkEventError::LinkOutOfRange => "link id past this topology",
+            LinkEventError::FactorOutOfRange => "bandwidth factor is NaN or outside 0.0..=1.0",
+        }
+    }
+}
+
+impl std::fmt::Display for LinkEventError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.reason())
+    }
+}
+
+impl std::error::Error for LinkEventError {}
 
 /// Per-physical-link health (the failure mask). Absent on a healthy
 /// machine so the fault-free fast paths stay branch-cheap.
@@ -406,16 +433,15 @@ impl Machine {
     /// When every link is back at factor `1.0` the mask is dropped
     /// entirely and the machine is indistinguishable from freshly
     /// built.
+    ///
+    /// Panics when the event fails [`check_link_event`]
+    /// (Self::check_link_event); callers holding untrusted events run
+    /// that check first.
     pub fn degrade_link(&mut self, link: u32, factor: f64) {
-        assert!(
-            (0.0..=1.0).contains(&factor),
-            "bandwidth factor {factor} outside 0.0..=1.0"
-        );
+        if let Err(e) = self.check_link_event(link, factor) {
+            panic!("link event (link {link}, factor {factor}) refused: {e}");
+        }
         let num_phys = self.topo.num_physical_links();
-        assert!(
-            (link as usize) < num_phys,
-            "physical link {link} out of range ({num_phys} links)"
-        );
         let (was_failed, now_failed, drop_mask) = {
             let faults = self.faults.get_or_insert_with(|| FaultState {
                 factor: vec![1.0; num_phys],
@@ -449,6 +475,21 @@ impl Machine {
         if was_failed != now_failed {
             self.rebuild_after_failure_change();
         }
+    }
+
+    /// The one check a link event must pass before it touches the
+    /// machine: `link` is a physical link of this topology and `factor`
+    /// lies in `0.0..=1.0` (NaN does not). Live churn, recovery replay,
+    /// fault snapshots and [`degrade_link`](Self::degrade_link) all run
+    /// it.
+    pub fn check_link_event(&self, link: u32, factor: f64) -> Result<(), LinkEventError> {
+        if link as usize >= self.topo.num_physical_links() {
+            return Err(LinkEventError::LinkOutOfRange);
+        }
+        if !(0.0..=1.0).contains(&factor) {
+            return Err(LinkEventError::FactorOutOfRange);
+        }
+        Ok(())
     }
 
     /// Restores physical link `link` to full health
@@ -1001,6 +1042,34 @@ mod tests {
         assert!(!foreign.is_valid_for(&fresh));
         assert!(!fresh.apply_fault_snapshot(&foreign));
         assert_eq!(fresh.fault_snapshot(), snap);
+    }
+
+    #[test]
+    fn link_event_check_refuses_foreign_links_and_bad_factors() {
+        let m = MachineConfig::small(&[4, 4], 1, 1).build();
+        let last = m.topology().num_physical_links() as u32 - 1;
+        for factor in [0.0, 0.5, 1.0, -0.0] {
+            assert_eq!(m.check_link_event(last, factor), Ok(()), "{factor}");
+        }
+        assert_eq!(
+            m.check_link_event(last + 1, 0.5),
+            Err(LinkEventError::LinkOutOfRange)
+        );
+        for factor in [1.5, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                m.check_link_event(0, factor),
+                Err(LinkEventError::FactorOutOfRange),
+                "{factor}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "refused: bandwidth factor")]
+    fn degrade_link_panics_on_a_refused_event() {
+        MachineConfig::small(&[4, 4], 1, 1)
+            .build()
+            .degrade_link(0, f64::NAN);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! * recovery never panics — corrupt input surfaces as truncation
 //!   (reported) or a typed `RecoveryError`.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -28,12 +29,14 @@ use umpa::core::ChurnEvent;
 use umpa::graph::TaskGraph;
 use umpa::matgen::churn::{churn_sequence, ChurnSpec};
 use umpa::matgen::corruption_points;
+use umpa::service::journal::Durability;
 use umpa::service::{
     CrashPoint, CrashSwitch, DurabilityConfig, MappingService, RecoveryError, ServiceConfig,
-    SnapshotSource,
+    ServiceError, SnapshotSource,
 };
 use umpa::topology::{
-    AllocSpec, Allocation, DragonflyConfig, FatTreeConfig, FaultSnapshot, Machine, MachineConfig,
+    AllocSpec, Allocation, DragonflyConfig, FatTreeConfig, FaultSnapshot, LinkEventError, Machine,
+    MachineConfig,
 };
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -449,6 +452,102 @@ fn clean_shutdown_recovers_full_history() {
         let expect = reference_digest(&machine, &alloc, &graph, &events, report.last_seq);
         assert_eq!(digest(&recovered), expect, "{name}");
         drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Link events that do not fit the machine: a link id past the
+/// topology, and factors above 1, below 0 and NaN.
+fn malformed_link_events() -> [(ChurnEvent, LinkEventError); 4] {
+    let ev = |link, factor| ChurnEvent::LinkDegraded { link, factor };
+    [
+        (ev(1_000_000, 0.5), LinkEventError::LinkOutOfRange),
+        (ev(1, 1.5), LinkEventError::FactorOutOfRange),
+        (ev(1, -0.5), LinkEventError::FactorOutOfRange),
+        (ev(1, f64::NAN), LinkEventError::FactorOutOfRange),
+    ]
+}
+
+/// A malformed link event is refused whole, with a typed error, before
+/// anything is journaled or mutated — alone or behind a valid event —
+/// so durable state survives it and recovery returns the job as it was
+/// before the event.
+#[test]
+fn malformed_link_events_are_refused_before_the_journal() {
+    let machine = MachineConfig::small(&[4, 4], 1, 2).build();
+    let alloc = Allocation::generate(&machine, &AllocSpec::sparse(8, 1));
+    let graph = Arc::new(task_graph(16, 1));
+    let valid = ChurnEvent::LinkDegraded {
+        link: 2,
+        factor: 0.5,
+    };
+    for (bad, reason) in malformed_link_events() {
+        let dir = fresh_dir("malformed");
+        let service =
+            MappingService::new(machine.clone(), alloc.clone(), durable_cfg(&dir, 64, None));
+        service.install_job(Arc::clone(&graph));
+        let before = digest(&service);
+        let appends = service.stats().journal_appends;
+        let journal_len = || {
+            std::fs::metadata(dir.join("journal.bin"))
+                .expect("journal exists")
+                .len()
+        };
+        let len = journal_len();
+        for (batch, index) in [
+            (vec![bad.clone()], 0),
+            (vec![valid.clone(), bad.clone()], 1),
+        ] {
+            let report = catch_unwind(AssertUnwindSafe(|| service.apply_churn(&batch)))
+                .unwrap_or_else(|_| panic!("{bad:?}: apply_churn panicked"));
+            assert_eq!(report.applied_events, 0, "{bad:?}");
+            assert_eq!(
+                report.error,
+                Some(ServiceError::InvalidEvent { index, reason }),
+                "{bad:?}"
+            );
+            assert_eq!(service.stats().journal_appends, appends, "{bad:?}");
+            assert_eq!(journal_len(), len, "{bad:?}: a frame was appended");
+            assert_eq!(digest(&service), before, "{bad:?}: state changed");
+        }
+        drop(service);
+        let (recovered, report) =
+            MappingService::recover(machine.clone(), alloc.clone(), durable_cfg(&dir, 64, None))
+                .unwrap_or_else(|e| panic!("{bad:?}: {e}"));
+        assert_eq!(report.last_seq, 1, "{bad:?}");
+        assert_eq!(digest(&recovered), before, "{bad:?}");
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A journal holding a malformed link event (written straight through
+/// the sink, since the service refuses such batches) fails recovery
+/// with a typed error, never a panic.
+#[test]
+fn replay_refuses_malformed_link_events_with_a_typed_error() {
+    let machine = MachineConfig::small(&[4, 4], 1, 2).build();
+    let alloc = Allocation::generate(&machine, &AllocSpec::sparse(8, 1));
+    for (bad, _) in malformed_link_events() {
+        let dir = fresh_dir("malformed-replay");
+        let cfg = durable_cfg(&dir, 64, None);
+        let mut sink =
+            Durability::create(cfg.durability.as_ref().expect("durable")).expect("create journal");
+        sink.append_churn(std::slice::from_ref(&bad))
+            .expect("append");
+        drop(sink);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            MappingService::recover(machine.clone(), alloc.clone(), cfg)
+        }))
+        .unwrap_or_else(|_| panic!("{bad:?}: recover panicked"));
+        match result {
+            Err(RecoveryError::InvalidReplay { seq: 1, .. })
+            | Err(RecoveryError::CorruptRecord { seq: 1 }) => {}
+            other => panic!(
+                "{bad:?}: expected a typed replay error, got {:?}",
+                other.map(|_| ())
+            ),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
