@@ -563,8 +563,11 @@ pub struct AppendInfo {
 /// The durability sink: an append-only journal plus the snapshot
 /// writer, both rooted in one directory
 /// (`journal.bin`, `snapshot.bin`, `snapshot.old.bin`,
-/// `snapshot.tmp`). All writes happen under the service's state write
-/// lock, so frame order is execution order.
+/// `snapshot.tmp`). Frames are appended under the service's state
+/// write lock, so frame order is execution order. A snapshot's payload
+/// is encoded under that lock; its file is written, synced and renamed
+/// after the lock is released, under the sink's own mutex, so no later
+/// frame lands before the snapshot is published.
 #[derive(Debug)]
 pub struct Durability {
     dir: PathBuf,

@@ -85,7 +85,9 @@ pub(crate) struct ServiceInner {
     /// durability is off — including during recovery replay, which
     /// must not re-journal the frames it replays. Only ever locked
     /// while the state write lock is held, so frame order is
-    /// execution order.
+    /// execution order; a snapshot write releases the state lock
+    /// after encoding and keeps this one until the file is published
+    /// ([`ServiceInner::maybe_snapshot`]).
     pub journal: Mutex<Option<Durability>>,
 }
 
@@ -123,9 +125,14 @@ impl ServiceInner {
 
     /// Writes a checksummed snapshot of the post-mutation state when
     /// the frame ration has elapsed. Called at the tail of every
-    /// journaled operation, still under the write lock, so the
-    /// snapshot is consistent with the journal watermark it records.
-    pub(crate) fn maybe_snapshot(&self, st: &SharedState) {
+    /// journaled operation with its state write guard, which it
+    /// releases: the payload is encoded under the guard, so it matches
+    /// the journal watermark it records, and the file I/O (tens of ms
+    /// when the rotate rename replaces the old fallback) runs after,
+    /// so map requests are not held behind it. The journal mutex stays
+    /// held until the snapshot is published, so no later frame is
+    /// appended before it.
+    pub(crate) fn maybe_snapshot(&self, st: RwLockWriteGuard<'_, SharedState>) {
         let mut guard = self.journal.lock().unwrap_or_else(|e| e.into_inner());
         let Some(journal) = guard.as_mut() else {
             return;
@@ -133,7 +140,8 @@ impl ServiceInner {
         if !journal.should_snapshot() {
             return;
         }
-        let payload = recovery::encode_snapshot_payload(st, journal.last_seq());
+        let payload = recovery::encode_snapshot_payload(&st, journal.last_seq());
+        drop(st);
         match journal.write_snapshot(&payload) {
             Ok(()) => {
                 self.stats.snapshots_written.fetch_add(1, Ordering::AcqRel);
@@ -186,7 +194,7 @@ impl ServiceInner {
         let Some(job) = job.as_mut() else {
             apply_events(machine, alloc, events);
             report.fully_placed = true;
-            self.maybe_snapshot(&st);
+            self.maybe_snapshot(st);
             return report;
         };
         let was_pending = job.pending.is_some();
@@ -203,7 +211,7 @@ impl ServiceInner {
             &mut job.scratch,
         );
         self.settle_repair(machine, alloc, job, outcome, &mut report);
-        self.maybe_snapshot(&st);
+        self.maybe_snapshot(st);
         report
     }
 
@@ -246,7 +254,7 @@ impl ServiceInner {
             &mut job.scratch,
         );
         self.settle_repair(machine, alloc, job, outcome, &mut report);
-        self.maybe_snapshot(&st);
+        self.maybe_snapshot(st);
         Some(report)
     }
 
@@ -361,7 +369,7 @@ impl ServiceInner {
             scratch,
         });
         self.pending_due_ns.store(u64::MAX, Ordering::Release);
-        self.maybe_snapshot(&st);
+        self.maybe_snapshot(st);
         wh
     }
 
@@ -402,7 +410,7 @@ impl ServiceInner {
             true,
         );
         self.note_polish(&polish, &mut report);
-        self.maybe_snapshot(&st);
+        self.maybe_snapshot(st);
         report
     }
 }
