@@ -50,11 +50,11 @@ fn bench_dispatch(opts: &BenchOpts, out: &mut Vec<Sample>) {
     use umpa_topology::Topology;
 
     trait DynRoute {
-        fn route(&self, a: u32, b: u32, mode: LinkMode, out: &mut Vec<u32>);
+        fn route(&self, a: u32, b: u32, out: &mut Vec<u32>);
     }
     impl DynRoute for Topology {
-        fn route(&self, a: u32, b: u32, mode: LinkMode, out: &mut Vec<u32>) {
-            self.route_links(a, b, mode, out);
+        fn route(&self, a: u32, b: u32, out: &mut Vec<u32>) {
+            self.route_links(a, b, out);
         }
     }
 
@@ -73,7 +73,7 @@ fn bench_dispatch(opts: &BenchOpts, out: &mut Vec<Sample>) {
             let mut total = 0usize;
             for &(x, y) in &pairs {
                 links.clear();
-                topo.route_links(x, y, LinkMode::Directed, &mut links);
+                topo.route_links(x, y, &mut links);
                 total += links.len();
             }
             total
@@ -82,7 +82,7 @@ fn bench_dispatch(opts: &BenchOpts, out: &mut Vec<Sample>) {
             let mut total = 0usize;
             for &(x, y) in &pairs {
                 links.clear();
-                dynamic.route(x, y, LinkMode::Directed, &mut links);
+                dynamic.route(x, y, &mut links);
                 total += links.len();
             }
             total

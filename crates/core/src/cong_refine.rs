@@ -68,7 +68,7 @@
 
 use umpa_ds::{EpochMarker, IndexedMaxHeap, SlotBuckets};
 use umpa_graph::{Bfs, TaskGraph};
-use umpa_topology::{Allocation, LinkMode, Machine, RouteCache, Topology};
+use umpa_topology::{Allocation, Machine, RouteCache, Topology};
 
 use crate::eps::CONG_EPS;
 use crate::gain::HopDist;
@@ -488,7 +488,6 @@ pub fn congestion_refine_scratch(
 struct RouteSource<'a> {
     cache: Option<&'a RouteCache>,
     topo: &'a Topology,
-    mode: LinkMode,
 }
 
 impl<'a> RouteSource<'a> {
@@ -507,7 +506,7 @@ impl<'a> RouteSource<'a> {
                 stats.route_cache_hits += 1;
                 out.extend_from_slice(c.route(self.topo, ra, rb));
             }
-            None => self.topo.route_links(ra, rb, self.mode, out),
+            None => self.topo.route_links(ra, rb, out),
         }
     }
 
@@ -537,7 +536,7 @@ impl<'a> RouteSource<'a> {
             }
             None => {
                 buf.clear();
-                self.topo.route_links(ra, rb, self.mode, buf);
+                self.topo.route_links(ra, rb, buf);
                 buf
             }
         }
@@ -670,7 +669,6 @@ impl<'a> CongState<'a> {
         let routes = RouteSource {
             cache: machine.route_cache(),
             topo: machine.topology(),
-            mode: machine.link_mode(),
         };
 
         // Edge table + task → incident-edge CSR (out ids, then in ids —

@@ -393,14 +393,12 @@ pub(crate) fn decode_events(cur: &mut Cursor<'_>) -> Option<Vec<ChurnEvent>> {
             EV_NODES_ADDED => ChurnEvent::NodesAdded {
                 nodes: take_node_list(cur)?,
             },
-            EV_LINK_DEGRADED => {
-                let link = cur.u32()?;
-                let factor = cur.f64_bits()?;
-                if !factor.is_finite() || !(0.0..=1.0).contains(&factor) {
-                    return None;
-                }
-                ChurnEvent::LinkDegraded { link, factor }
-            }
+            // Range checks belong to `Machine::check_link_event`, which
+            // recovery runs on every decoded event before replay.
+            EV_LINK_DEGRADED => ChurnEvent::LinkDegraded {
+                link: cur.u32()?,
+                factor: cur.f64_bits()?,
+            },
             _ => return None,
         };
         events.push(ev);

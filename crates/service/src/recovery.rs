@@ -301,9 +301,6 @@ fn decode_snapshot_payload(bytes: &[u8]) -> Option<SnapshotState> {
 /// nothing is mutated until every check passes, so a late failure can
 /// still fall back to the next snapshot in the chain).
 fn validate_snapshot(state: &SnapshotState, machine: &Machine) -> bool {
-    if !state.fault.is_valid_for(machine) {
-        return false;
-    }
     let num_nodes = machine.num_nodes();
     let mut seen = vec![false; num_nodes];
     for &n in &state.alloc_nodes {
@@ -508,7 +505,7 @@ impl MappingService {
                 if let Some((_, reason)) = first_invalid_event(&machine, events) {
                     return Err(RecoveryError::InvalidReplay {
                         seq: *seq,
-                        context: reason.reason(),
+                        context: reason,
                     });
                 }
             }

@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use umpa_core::MapperKind;
 use umpa_graph::TaskGraph;
-use umpa_topology::LinkEventError;
 
 use crate::ladder::LadderRung;
 
@@ -111,8 +110,8 @@ pub enum ServiceError {
     InvalidEvent {
         /// Position of the first refused event in the batch.
         index: usize,
-        /// Why it was refused.
-        reason: LinkEventError,
+        /// Why it was refused (static description).
+        reason: &'static str,
     },
 }
 

@@ -23,7 +23,7 @@ use umpa_core::{
     RemapConfig, RemapDrift, RemapOutcome,
 };
 use umpa_graph::TaskGraph;
-use umpa_topology::{Allocation, LinkEventError, Machine};
+use umpa_topology::{Allocation, Machine};
 
 use crate::clock::ServiceClock;
 use crate::config::{retry_backoff_ns, ServiceConfig, RETRY_MAX_ATTEMPTS};
@@ -421,7 +421,7 @@ impl ServiceInner {
 pub(crate) fn first_invalid_event(
     machine: &Machine,
     events: &[ChurnEvent],
-) -> Option<(usize, LinkEventError)> {
+) -> Option<(usize, &'static str)> {
     events.iter().enumerate().find_map(|(i, ev)| match ev {
         ChurnEvent::LinkDegraded { link, factor } => machine
             .check_link_event(*link, *factor)

@@ -19,11 +19,11 @@
 //! Link ids: the `g·a(a−1)/2` local links first (group-major, lower
 //! local pair index first), then the `g(g−1)/2` global links (lower
 //! group pair index first). Ids are unordered-pair-canonical by
-//! construction; directed channels are `2·l + dir` with `dir = 0` when
-//! traversing from the lower router id (local) or lower group id
-//! (global).
+//! construction, and each link is enumerated from its lower router id
+//! (local) or lower group id (global), so its forward
+//! [`Topology::channel`] leaves that end.
 
-use crate::machine::{LinkMode, Machine, MachineParams};
+use crate::machine::{Machine, MachineParams};
 use crate::topology::Topology;
 
 /// Configuration for building a dragonfly [`Machine`].
@@ -41,8 +41,6 @@ pub struct DragonflyConfig {
     pub local_bw: f64,
     /// Inter-group (global) link bandwidth, GB/s.
     pub global_bw: f64,
-    /// Congestion accounting mode.
-    pub link_mode: LinkMode,
     /// Nearest-neighbor one-way latency, microseconds.
     pub base_latency_us: f64,
     /// Additional latency per hop, microseconds.
@@ -61,7 +59,6 @@ impl DragonflyConfig {
             procs_per_node: 1,
             local_bw: 1.0,
             global_bw: 1.0,
-            link_mode: LinkMode::Directed,
             base_latency_us: 1.0,
             hop_latency_us: 0.1,
             nic_bw: 1.0,
@@ -78,7 +75,6 @@ impl DragonflyConfig {
             procs_per_node: 16,
             local_bw: 5.25,
             global_bw: 4.7,
-            link_mode: LinkMode::Directed,
             base_latency_us: 1.3,
             hop_latency_us: 0.12,
             nic_bw: 8.0,
@@ -94,7 +90,6 @@ impl DragonflyConfig {
         let params = MachineParams {
             nodes_per_router: self.nodes_per_router,
             procs_per_node: self.procs_per_node,
-            link_mode: self.link_mode,
             base_latency_us: self.base_latency_us,
             hop_latency_us: self.hop_latency_us,
             nic_bw: self.nic_bw,
@@ -224,16 +219,8 @@ impl Dragonfly {
         }
     }
 
-    #[inline]
-    fn channel(&self, l: u32, reversed: bool, mode: LinkMode) -> u32 {
-        match mode {
-            LinkMode::Undirected => l,
-            LinkMode::Directed => 2 * l + u32::from(reversed),
-        }
-    }
-
     /// Emits the minimal local–global–local route as channel ids.
-    pub fn route_links(&self, a: u32, b: u32, mode: LinkMode, out: &mut Vec<u32>) {
+    pub fn route_links(&self, a: u32, b: u32, out: &mut Vec<u32>) {
         if a == b {
             return;
         }
@@ -241,41 +228,17 @@ impl Dragonfly {
         let (ga, la) = (a / ra, a % ra);
         let (gb, lb) = (b / ra, b % ra);
         if ga == gb {
-            out.push(self.channel(self.local_link(ga, la, lb), la > lb, mode));
+            out.push(Topology::channel(self.local_link(ga, la, lb), la > lb));
             return;
         }
         let gw_a = self.gateway(ga, gb);
         let gw_b = self.gateway(gb, ga);
         if la != gw_a {
-            out.push(self.channel(self.local_link(ga, la, gw_a), la > gw_a, mode));
+            out.push(Topology::channel(self.local_link(ga, la, gw_a), la > gw_a));
         }
-        out.push(self.channel(self.global_link(ga, gb), ga > gb, mode));
+        out.push(Topology::channel(self.global_link(ga, gb), ga > gb));
         if gw_b != lb {
-            out.push(self.channel(self.local_link(gb, gw_b, lb), gw_b > lb, mode));
-        }
-    }
-
-    /// Emits the router sequence of the route, endpoints included.
-    pub fn route_routers(&self, a: u32, b: u32, out: &mut Vec<u32>) {
-        out.push(a);
-        if a == b {
-            return;
-        }
-        let ra = self.routers_per_group;
-        let (ga, la) = (a / ra, a % ra);
-        let gb = b / ra;
-        if ga == gb {
-            out.push(b);
-            return;
-        }
-        let gw_a = self.gateway(ga, gb);
-        let gw_b = self.gateway(gb, ga);
-        if la != gw_a {
-            out.push(ga * ra + gw_a);
-        }
-        out.push(gb * ra + gw_b);
-        if gb * ra + gw_b != b {
-            out.push(b);
+            out.push(Topology::channel(self.local_link(gb, gw_b, lb), gw_b > lb));
         }
     }
 
@@ -350,7 +313,7 @@ mod tests {
         for a in 0..12u32 {
             for b in 0..12u32 {
                 out.clear();
-                d.route_links(a, b, LinkMode::Undirected, &mut out);
+                d.route_links(a, b, &mut out);
                 assert_eq!(out.len() as u32, d.distance(a, b), "{a}->{b}");
             }
         }
@@ -359,7 +322,8 @@ mod tests {
     #[test]
     fn opposite_routes_share_undirected_links() {
         // Minimal dragonfly routing is symmetric: the reverse route
-        // visits the same gateways, so undirected ids must match.
+        // visits the same gateways, so it crosses the same physical
+        // links in reverse order, each through its other channel.
         let d = df(5, 4);
         let mut ab = Vec::new();
         let mut ba = Vec::new();
@@ -367,10 +331,18 @@ mod tests {
             for b in 0..20u32 {
                 ab.clear();
                 ba.clear();
-                d.route_links(a, b, LinkMode::Undirected, &mut ab);
-                d.route_links(b, a, LinkMode::Undirected, &mut ba);
+                d.route_links(a, b, &mut ab);
+                d.route_links(b, a, &mut ba);
                 ba.reverse();
-                assert_eq!(ab, ba, "{a} <-> {b}");
+                assert_eq!(ab.len(), ba.len(), "{a} <-> {b}");
+                for (&x, &y) in ab.iter().zip(&ba) {
+                    assert_ne!(x, y, "{a} <-> {b}");
+                    assert_eq!(
+                        Topology::channel_link(x),
+                        Topology::channel_link(y),
+                        "{a} <-> {b}"
+                    );
+                }
             }
         }
     }
@@ -380,34 +352,37 @@ mod tests {
         let d = df(3, 2);
         let mut ab = Vec::new();
         let mut ba = Vec::new();
-        d.route_links(0, 1, LinkMode::Directed, &mut ab);
-        d.route_links(1, 0, LinkMode::Directed, &mut ba);
+        d.route_links(0, 1, &mut ab);
+        d.route_links(1, 0, &mut ba);
         assert_eq!(ab.len(), 1);
         assert_ne!(ab[0], ba[0]);
-        assert_eq!(ab[0] / 2, ba[0] / 2);
+        assert_eq!(Topology::channel_link(ab[0]), Topology::channel_link(ba[0]));
     }
 
     #[test]
     fn routes_are_contiguous_in_the_router_graph() {
+        // Each channel, decoded with the endpoints `for_each_link`
+        // reports, must leave the router the previous one entered.
         let d = df(4, 3);
-        let mut adj = std::collections::HashSet::new();
-        d.for_each_link(|_, u, v, _| {
-            adj.insert((u, v));
-            adj.insert((v, u));
-        });
-        let mut routers = Vec::new();
+        let mut ends = vec![(0, 0); d.num_physical_links()];
+        d.for_each_link(|l, u, v, _| ends[l as usize] = (u, v));
+        let mut route = Vec::new();
         for a in 0..12u32 {
             for b in 0..12u32 {
-                if a == b {
-                    continue;
-                }
-                routers.clear();
-                d.route_routers(a, b, &mut routers);
-                assert_eq!(routers[0], a);
-                assert_eq!(*routers.last().unwrap(), b);
-                for w in routers.windows(2) {
-                    assert!(adj.contains(&(w[0], w[1])), "{a}->{b}: hop {w:?}");
-                }
+                route.clear();
+                d.route_links(a, b, &mut route);
+                let end = route.iter().fold(a, |cur, &c| {
+                    let l = Topology::channel_link(c);
+                    let (u, v) = ends[l as usize];
+                    let (from, to) = if c == Topology::channel(l, false) {
+                        (u, v)
+                    } else {
+                        (v, u)
+                    };
+                    assert_eq!(from, cur, "{a}->{b}: channel {c}");
+                    to
+                });
+                assert_eq!(end, b, "{a}->{b}");
             }
         }
     }

@@ -19,10 +19,11 @@
 //! Link ids: edge↔agg links first (`(pod·k/2 + edge)·k/2 + agg`), then
 //! agg↔core (`k³/4 + (pod·k/2 + agg)·k/2 + core_index`). Each physical
 //! link has one id regardless of traversal direction — canonical by
-//! construction. Directed channels are `2·l` (up, toward the core) and
-//! `2·l + 1` (down).
+//! construction — and is enumerated lower level first, so its forward
+//! [`Topology::channel`] goes up (toward the core) and its reversed one
+//! down.
 
-use crate::machine::{LinkMode, Machine, MachineParams};
+use crate::machine::{Machine, MachineParams};
 use crate::topology::Topology;
 
 /// Configuration for building a fat-tree [`Machine`].
@@ -39,8 +40,6 @@ pub struct FatTreeConfig {
     pub edge_bw: f64,
     /// Aggregation↔core link bandwidth, GB/s.
     pub core_bw: f64,
-    /// Congestion accounting mode.
-    pub link_mode: LinkMode,
     /// Nearest-neighbor one-way latency, microseconds.
     pub base_latency_us: f64,
     /// Additional latency per hop, microseconds.
@@ -58,7 +57,6 @@ impl FatTreeConfig {
             procs_per_node,
             edge_bw: 1.0,
             core_bw: 1.0,
-            link_mode: LinkMode::Directed,
             base_latency_us: 1.0,
             hop_latency_us: 0.1,
             nic_bw: 1.0,
@@ -74,7 +72,6 @@ impl FatTreeConfig {
             procs_per_node: 16,
             edge_bw: 12.5,
             core_bw: 6.25,
-            link_mode: LinkMode::Directed,
             base_latency_us: 1.5,
             hop_latency_us: 0.3,
             nic_bw: 12.5,
@@ -90,7 +87,6 @@ impl FatTreeConfig {
         let params = MachineParams {
             nodes_per_router: self.nodes_per_router,
             procs_per_node: self.procs_per_node,
-            link_mode: self.link_mode,
             base_latency_us: self.base_latency_us,
             hop_latency_us: self.hop_latency_us,
             nic_bw: self.nic_bw,
@@ -208,16 +204,8 @@ impl FatTree {
         }
     }
 
-    #[inline]
-    fn channel(&self, l: u32, up: bool, mode: LinkMode) -> u32 {
-        match mode {
-            LinkMode::Undirected => l,
-            LinkMode::Directed => 2 * l + u32::from(!up),
-        }
-    }
-
     /// Emits the up*/down* route as channel ids.
-    pub fn route_links(&self, a: u32, b: u32, mode: LinkMode, out: &mut Vec<u32>) {
+    pub fn route_links(&self, a: u32, b: u32, out: &mut Vec<u32>) {
         if a == b {
             return;
         }
@@ -225,31 +213,13 @@ impl FatTree {
         let (pa, ea) = (a / h, a % h);
         let (pb, eb) = (b / h, b % h);
         let agg = eb; // up-link selected by destination edge index
-        out.push(self.channel(self.edge_agg_link(pa, ea, agg), true, mode));
+        out.push(Topology::channel(self.edge_agg_link(pa, ea, agg), false));
         if pa != pb {
             let core = ea; // core selected by source edge index
-            out.push(self.channel(self.agg_core_link(pa, agg, core), true, mode));
-            out.push(self.channel(self.agg_core_link(pb, agg, core), false, mode));
+            out.push(Topology::channel(self.agg_core_link(pa, agg, core), false));
+            out.push(Topology::channel(self.agg_core_link(pb, agg, core), true));
         }
-        out.push(self.channel(self.edge_agg_link(pb, eb, agg), false, mode));
-    }
-
-    /// Emits the router sequence of the route, endpoints included.
-    pub fn route_routers(&self, a: u32, b: u32, out: &mut Vec<u32>) {
-        out.push(a);
-        if a == b {
-            return;
-        }
-        let h = self.h();
-        let (pa, ea) = (a / h, a % h);
-        let (pb, eb) = (b / h, b % h);
-        let agg = eb;
-        out.push(self.agg_id(pa, agg));
-        if pa != pb {
-            out.push(self.core_id(agg, ea));
-            out.push(self.agg_id(pb, agg));
-        }
-        out.push(pb * h + eb);
+        out.push(Topology::channel(self.edge_agg_link(pb, eb, agg), true));
     }
 
     /// Enumerates every physical link in ascending id order.
@@ -310,7 +280,7 @@ mod tests {
         for a in 0..8u32 {
             for b in 0..8u32 {
                 out.clear();
-                f.route_links(a, b, LinkMode::Undirected, &mut out);
+                f.route_links(a, b, &mut out);
                 assert_eq!(out.len() as u32, f.distance(a, b), "{a}->{b}");
             }
         }
@@ -320,8 +290,9 @@ mod tests {
     fn routes_stay_inside_the_id_space() {
         // Up-links are destination-indexed, so a→b and b→a may climb
         // through different aggregation switches (that's real up*/down*
-        // routing); what must hold is that every emitted id is a valid
-        // physical link and lengths match the symmetric distance.
+        // routing); what must hold is that every emitted channel
+        // crosses a valid physical link and lengths match the symmetric
+        // distance.
         let f = ft(8);
         let nl = f.num_physical_links() as u32;
         let mut ab = Vec::new();
@@ -330,9 +301,9 @@ mod tests {
             for b in 0..f.num_terminal_routers() as u32 {
                 ab.clear();
                 ba.clear();
-                f.route_links(a, b, LinkMode::Undirected, &mut ab);
-                f.route_links(b, a, LinkMode::Undirected, &mut ba);
-                assert!(ab.iter().all(|&l| l < nl));
+                f.route_links(a, b, &mut ab);
+                f.route_links(b, a, &mut ba);
+                assert!(ab.iter().all(|&c| Topology::channel_link(c) < nl));
                 assert_eq!(ab.len(), ba.len(), "{a} <-> {b}");
             }
         }
@@ -352,7 +323,7 @@ mod tests {
                 continue;
             }
             out.clear();
-            f.route_links(a, b, LinkMode::Undirected, &mut out);
+            f.route_links(a, b, &mut out);
             down_links.insert(*out.last().unwrap());
         }
         assert_eq!(down_links.len(), 1);
@@ -362,7 +333,7 @@ mod tests {
     fn directed_channels_distinguish_up_and_down() {
         let f = ft(4);
         let mut out = Vec::new();
-        f.route_links(0, 1, LinkMode::Directed, &mut out);
+        f.route_links(0, 1, &mut out);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0] % 2, 0, "first hop goes up");
         assert_eq!(out[1] % 2, 1, "second hop goes down");
@@ -370,24 +341,28 @@ mod tests {
 
     #[test]
     fn routes_are_contiguous_in_the_router_graph() {
+        // Each channel, decoded with the endpoints `for_each_link`
+        // reports, must leave the router the previous one entered.
         let f = ft(4);
-        let mut routers = Vec::new();
-        // Collect adjacency from the link enumeration.
-        let mut adj = std::collections::HashSet::new();
-        f.for_each_link(|_, u, v, _| {
-            adj.insert((u, v));
-            adj.insert((v, u));
-        });
+        let mut ends = vec![(0, 0); f.num_physical_links()];
+        f.for_each_link(|l, u, v, _| ends[l as usize] = (u, v));
+        let mut route = Vec::new();
         for a in 0..8u32 {
             for b in 0..8u32 {
-                if a == b {
-                    continue;
-                }
-                routers.clear();
-                f.route_routers(a, b, &mut routers);
-                for w in routers.windows(2) {
-                    assert!(adj.contains(&(w[0], w[1])), "{a}->{b}: hop {w:?}");
-                }
+                route.clear();
+                f.route_links(a, b, &mut route);
+                let end = route.iter().fold(a, |cur, &c| {
+                    let l = Topology::channel_link(c);
+                    let (u, v) = ends[l as usize];
+                    let (from, to) = if c == Topology::channel(l, false) {
+                        (u, v)
+                    } else {
+                        (v, u)
+                    };
+                    assert_eq!(from, cur, "{a}->{b}: channel {c}");
+                    to
+                });
+                assert_eq!(end, b, "{a}->{b}");
             }
         }
     }

@@ -6,11 +6,10 @@
 //! the static routes is wrong. This module rebuilds the derived state
 //! from first principles: a per-source BFS over the **surviving**
 //! links yields shortest-path distances and parent-tree routes that
-//! avoid the failed links, emitted in the same channel-id space the
-//! analytic emitters use (`2·l` for the enumerated `a → b` direction
-//! of physical link `l`, `2·l + 1` for `b → a`; the plain `l` when
-//! undirected), so congestion accounting and bandwidth lookups keep
-//! working unchanged.
+//! avoid the failed links, emitted as the same [`Topology::channel`]
+//! ids the analytic emitters use, so congestion accounting and
+//! bandwidth lookups keep working unchanged. Rows are assembled by the
+//! route cache's one row builder.
 //!
 //! Masked distances are graph geodesics over the surviving links —
 //! under failures there *is* no static minimal route to measure, so
@@ -27,7 +26,6 @@
 //! requires `row_to(b).route(a)` to be byte-identical to
 //! `row_from(a).route(b)`.
 
-use crate::machine::LinkMode;
 use crate::route_cache::RouteRow;
 use crate::topology::Topology;
 
@@ -42,7 +40,7 @@ pub(crate) struct MaskedAdjacency {
 impl MaskedAdjacency {
     /// Builds the adjacency from the topology's link enumeration,
     /// skipping links whose health `factor` is zero.
-    pub(crate) fn build(topo: &Topology, mode: LinkMode, factor: &[f64]) -> Self {
+    pub(crate) fn build(topo: &Topology, factor: &[f64]) -> Self {
         let n = topo.num_routers();
         let mut deg = vec![0u32; n];
         topo.for_each_link(|l, a, b, _| {
@@ -61,18 +59,12 @@ impl MaskedAdjacency {
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
         topo.for_each_link(|l, a, b, _| {
             if factor[l as usize] > 0.0 {
-                let (ab, ba) = match mode {
-                    LinkMode::Undirected => (l, l),
-                    LinkMode::Directed => (2 * l, 2 * l + 1),
-                };
-                let ia = cursor[a as usize] as usize;
-                cursor[a as usize] += 1;
-                nbr[ia] = b;
-                chan[ia] = ab;
-                let ib = cursor[b as usize] as usize;
-                cursor[b as usize] += 1;
-                nbr[ib] = a;
-                chan[ib] = ba;
+                for (from, to, reversed) in [(a, b, false), (b, a, true)] {
+                    let i = cursor[from as usize] as usize;
+                    cursor[from as usize] += 1;
+                    nbr[i] = to;
+                    chan[i] = Topology::channel(l, reversed);
+                }
             }
         });
         Self { offsets, nbr, chan }
@@ -101,7 +93,7 @@ pub(crate) struct MaskedProducts {
 }
 
 /// Runs the per-source BFS sweep and assembles the masked products.
-pub(crate) fn build_masked(topo: &Topology, mode: LinkMode, factor: &[f64]) -> MaskedProducts {
+pub(crate) fn build_masked(topo: &Topology, factor: &[f64]) -> MaskedProducts {
     let n_all = topo.num_routers();
     let n = topo.num_terminal_routers();
     // tidy-allow: panic-freedom (machine-size precondition at mask build time, before any repair runs; >65534 routers is a build misconfiguration, not a runtime fault)
@@ -109,7 +101,7 @@ pub(crate) fn build_masked(topo: &Topology, mode: LinkMode, factor: &[f64]) -> M
         n_all < u16::MAX as usize,
         "failure masks need the u16::MAX hop sentinel: {n_all} routers overflow it"
     );
-    let adj = MaskedAdjacency::build(topo, mode, factor);
+    let adj = MaskedAdjacency::build(topo, factor);
     let mut table = vec![u16::MAX; n * n];
     let mut rows_from = Vec::with_capacity(n);
     let mut dist = vec![u32::MAX; n_all];
@@ -143,11 +135,8 @@ pub(crate) fn build_masked(topo: &Topology, mode: LinkMode, factor: &[f64]) -> M
         // Extract the tree path to every terminal destination: walk the
         // parent chain (appending channel ids back-to-front), then
         // reverse the just-appended segment in place.
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut links = Vec::new();
-        offsets.push(0u32);
-        for d in 0..n as u32 {
-            if d != s && dist[d as usize] != u32::MAX {
+        rows_from.push(RouteRow::build(n, s, |d, links| {
+            if dist[d as usize] != u32::MAX {
                 let start = links.len();
                 let mut v = d;
                 while v != s {
@@ -156,25 +145,17 @@ pub(crate) fn build_masked(topo: &Topology, mode: LinkMode, factor: &[f64]) -> M
                 }
                 links[start..].reverse();
             }
-            offsets.push(links.len() as u32);
-        }
-        rows_from.push(RouteRow { offsets, links });
+        }));
     }
     // Transpose: row_to(b).route(a) must be the identical byte sequence
     // as row_from(a).route(b).
-    let mut rows_to = Vec::with_capacity(n);
-    for b in 0..n {
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut links = Vec::new();
-        offsets.push(0u32);
-        for row in rows_from.iter().take(n) {
-            let lo = row.offsets[b] as usize;
-            let hi = row.offsets[b + 1] as usize;
-            links.extend_from_slice(&row.links[lo..hi]);
-            offsets.push(links.len() as u32);
-        }
-        rows_to.push(RouteRow { offsets, links });
-    }
+    let rows_to = (0..n as u32)
+        .map(|b| {
+            RouteRow::build(n, b, |a, links| {
+                links.extend_from_slice(rows_from[a as usize].view().route(b));
+            })
+        })
+        .collect();
     MaskedProducts {
         table,
         rows_from,
@@ -192,23 +173,17 @@ mod tests {
         let m = MachineConfig::small(&[3, 3], 1, 1).build();
         let topo = m.topology();
         let factor = vec![1.0; topo.num_physical_links()];
-        let p = build_masked(topo, m.link_mode(), &factor);
-        let n = topo.num_terminal_routers();
+        let p = build_masked(topo, &factor);
+        let n = topo.num_terminal_routers() as u32;
         for a in 0..n {
             for b in 0..n {
-                let h = p.table[a * n + b];
+                let h = p.table[(a * n + b) as usize];
                 // Torus BFS geodesics equal dimension-ordered distances.
-                assert_eq!(u32::from(h), topo.distance(a as u32, b as u32));
-                let lo = p.rows_from[a].offsets[b] as usize;
-                let hi = p.rows_from[a].offsets[b + 1] as usize;
-                assert_eq!((hi - lo) as u16, h, "route length == masked hops");
+                assert_eq!(u32::from(h), topo.distance(a, b));
+                let route = p.rows_from[a as usize].view().route(b);
+                assert_eq!(route.len(), h as usize, "route length == masked hops");
                 // Transpose consistency.
-                let t_lo = p.rows_to[b].offsets[a] as usize;
-                let t_hi = p.rows_to[b].offsets[a + 1] as usize;
-                assert_eq!(
-                    &p.rows_from[a].links[lo..hi],
-                    &p.rows_to[b].links[t_lo..t_hi]
-                );
+                assert_eq!(route, p.rows_to[b as usize].view().route(a));
             }
         }
     }
@@ -220,20 +195,19 @@ mod tests {
         let mut factor = vec![1.0; topo.num_physical_links()];
         // Fail the link of router 0's +x hop (0 -> 1).
         let mut route = Vec::new();
-        topo.route_links(0, 1, m.link_mode(), &mut route);
-        let failed = route[0] / 2;
+        topo.route_links(0, 1, &mut route);
+        let failed = Topology::channel_link(route[0]);
         factor[failed as usize] = 0.0;
-        let p = build_masked(topo, m.link_mode(), &factor);
+        let p = build_masked(topo, &factor);
         let n = topo.num_terminal_routers();
         // Still reachable (torus redundancy) but longer than 1 hop…
         let h = p.table[1];
         assert!(h > 1 && h != u16::MAX);
         // …and the route never crosses the failed physical link.
-        let lo = p.rows_from[0].offsets[1] as usize;
-        let hi = p.rows_from[0].offsets[2] as usize;
-        assert_eq!(hi - lo, h as usize);
-        for &c in &p.rows_from[0].links[lo..hi] {
-            assert_ne!(c / 2, failed);
+        let route = p.rows_from[0].view().route(1);
+        assert_eq!(route.len(), h as usize);
+        for &c in route {
+            assert_ne!(Topology::channel_link(c), failed);
         }
         // Unaffected pairs keep geodesic distances.
         assert_eq!(u32::from(p.table[2 * n + 3]), topo.distance(2, 3));

@@ -7,8 +7,9 @@
 //! topologies in general — behind a pluggable backend:
 //!
 //! * [`topology`] — the [`Topology`] backend abstraction: router
-//!   counts, distances, static routes emitted as link ids, and the
-//!   canonical link-id space each backend owns;
+//!   counts, distances, static routes emitted as directed channel ids,
+//!   the canonical link-id space each backend owns, and the one
+//!   channel encoding ([`Topology::channel`]);
 //! * [`Torus`] — torus/mesh geometry: router coordinates, O(1) hop
 //!   distances, neighbor enumeration (the "hop count between two
 //!   arbitrary nodes can be found in O(1)" property Algorithm 1's
@@ -17,15 +18,15 @@
 //!   routing, for cloud-style clusters;
 //! * [`dragonfly`] — dragonfly groups with minimal local–global–local
 //!   routing, for Aries/Slingshot-style supercomputers;
-//! * [`routing`] — torus dimension-ordered routing at hop granularity
-//!   (diagnostics; the backends emit link ids directly);
+//! * [`routing`] — the torus dimension-ordered walk the torus backend
+//!   emits its channel ids from;
 //! * [`oracle`] — the dense terminal-router hop table ([`DistanceOracle`])
 //!   behind `Machine::hops`/`Machine::dist_row`: one bounds-checked row
 //!   index per distance instead of enum dispatch plus per-dimension
 //!   arithmetic, with an analytic fallback above a size threshold;
 //! * [`route_cache`] — the oracle's routing sibling ([`RouteCache`])
 //!   behind `Machine::route_cache()`: static routes served as cached
-//!   link-id slices from lazily-built per-source rows, same
+//!   channel-id slices from lazily-built per-source rows, same
 //!   threshold-plus-fallback shape;
 //! * [`Machine`] — the full machine: topology + nodes-per-router +
 //!   bandwidths + latencies + the router graph in CSR form for BFS;
@@ -59,8 +60,8 @@ pub use churn::ChurnEvent;
 pub use dragonfly::{Dragonfly, DragonflyConfig};
 pub use fat_tree::{FatTree, FatTreeConfig};
 pub use machine::{
-    FaultSnapshot, LinkEventError, LinkMode, Machine, MachineConfig, MachineParams,
-    DEFAULT_ORACLE_MAX_ROUTERS, DEFAULT_ROUTE_CACHE_MAX_ROUTERS,
+    FaultSnapshot, Machine, MachineConfig, MachineParams, DEFAULT_ORACLE_MAX_ROUTERS,
+    DEFAULT_ROUTE_CACHE_MAX_ROUTERS,
 };
 pub use oracle::DistanceOracle;
 pub use ordering::NodeOrdering;
@@ -74,7 +75,7 @@ pub mod prelude {
     pub use crate::churn::ChurnEvent;
     pub use crate::dragonfly::{Dragonfly, DragonflyConfig};
     pub use crate::fat_tree::{FatTree, FatTreeConfig};
-    pub use crate::machine::{FaultSnapshot, LinkMode, Machine, MachineConfig, MachineParams};
+    pub use crate::machine::{FaultSnapshot, Machine, MachineConfig, MachineParams};
     pub use crate::oracle::DistanceOracle;
     pub use crate::ordering::NodeOrdering;
     pub use crate::route_cache::RouteCache;

@@ -4,9 +4,9 @@
 //! algorithms and the network simulator need: a [`Topology`] backend
 //! (torus/mesh, fat-tree, or dragonfly), multi-node routers,
 //! per-link bandwidths, hop latencies and a CSR router graph for BFS
-//! traversals. The *topology* owns the link-id space (see
-//! [`crate::topology`] for the canonical-id scheme); the machine maps
-//! it into the active [`LinkMode`]'s channel space.
+//! traversals. The *topology* owns the link-id space and the channel
+//! format (see [`crate::topology`]); the machine's per-channel tables
+//! (`num_links`, bandwidths) are indexed by [`Topology::channel`] ids.
 
 use std::sync::OnceLock;
 
@@ -31,18 +31,6 @@ pub const DEFAULT_ORACLE_MAX_ROUTERS: usize = 4096;
 /// the analytic route emitters transparently.
 pub const DEFAULT_ROUTE_CACHE_MAX_ROUTERS: usize = 4096;
 
-/// Whether congestion is accumulated per directed channel or per
-/// physical (undirected) link.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum LinkMode {
-    /// Each direction of a physical link is a separate channel — the
-    /// default; Gemini links carry independent traffic per direction.
-    #[default]
-    Directed,
-    /// Both directions share one congestion counter.
-    Undirected,
-}
-
 /// Topology-independent machine parameters: node attachment, capacity
 /// and the latency/injection model shared by every backend.
 #[derive(Clone, Copy, Debug)]
@@ -51,8 +39,6 @@ pub struct MachineParams {
     pub nodes_per_router: u32,
     /// Processor cores usable per node (the paper uses 16 of Hopper's 24).
     pub procs_per_node: u32,
-    /// Congestion accounting mode.
-    pub link_mode: LinkMode,
     /// Nearest-neighbor one-way latency, microseconds.
     pub base_latency_us: f64,
     /// Additional latency per hop, microseconds.
@@ -77,8 +63,6 @@ pub struct MachineConfig {
     pub procs_per_node: u32,
     /// Link bandwidth per dimension, GB/s.
     pub bw_per_dim: Vec<f64>,
-    /// Congestion accounting mode.
-    pub link_mode: LinkMode,
     /// Nearest-neighbor one-way latency, microseconds.
     pub base_latency_us: f64,
     /// Additional latency per hop, microseconds.
@@ -99,7 +83,6 @@ impl MachineConfig {
             nodes_per_router: 2,
             procs_per_node: 16,
             bw_per_dim: vec![9.375, 4.68, 9.375],
-            link_mode: LinkMode::Directed,
             base_latency_us: 1.27,
             hop_latency_us: (3.88 - 1.27) / 24.0,
             nic_bw: 6.0,
@@ -114,7 +97,6 @@ impl MachineConfig {
             nodes_per_router,
             procs_per_node,
             bw_per_dim: vec![1.0; dims.len()],
-            link_mode: LinkMode::Directed,
             base_latency_us: 1.0,
             hop_latency_us: 0.1,
             nic_bw: 1.0,
@@ -221,34 +203,6 @@ impl FaultSnapshot {
     }
 }
 
-/// Why a link event — a `LinkDegraded` churn event or a fault-snapshot
-/// entry — does not fit a machine ([`Machine::check_link_event`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkEventError {
-    /// The link id is not below the topology's physical link count.
-    LinkOutOfRange,
-    /// The bandwidth factor is NaN or outside `0.0..=1.0`.
-    FactorOutOfRange,
-}
-
-impl LinkEventError {
-    /// A short static description of the reason.
-    pub fn reason(self) -> &'static str {
-        match self {
-            LinkEventError::LinkOutOfRange => "link id past this topology",
-            LinkEventError::FactorOutOfRange => "bandwidth factor is NaN or outside 0.0..=1.0",
-        }
-    }
-}
-
-impl std::fmt::Display for LinkEventError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.reason())
-    }
-}
-
-impl std::error::Error for LinkEventError {}
-
 /// Per-physical-link health (the failure mask). Absent on a healthy
 /// machine so the fault-free fast paths stay branch-cheap.
 #[derive(Clone, Debug)]
@@ -299,7 +253,6 @@ impl Machine {
         let params = MachineParams {
             nodes_per_router: cfg.nodes_per_router,
             procs_per_node: cfg.procs_per_node,
-            link_mode: cfg.link_mode,
             base_latency_us: cfg.base_latency_us,
             hop_latency_us: cfg.hop_latency_us,
             nic_bw: cfg.nic_bw,
@@ -353,7 +306,7 @@ impl Machine {
         self.oracle
             .get_or_init(|| match self.failed_factors() {
                 Some(factor) => {
-                    let p = fault::build_masked(&self.topo, self.params.link_mode, factor);
+                    let p = fault::build_masked(&self.topo, factor);
                     Some(DistanceOracle::from_table(
                         self.topo.num_terminal_routers(),
                         p.table,
@@ -389,18 +342,10 @@ impl Machine {
         self.route_cache
             .get_or_init(|| match self.failed_factors() {
                 Some(factor) => {
-                    let p = fault::build_masked(&self.topo, self.params.link_mode, factor);
-                    Some(RouteCache::from_prebuilt(
-                        self.params.link_mode,
-                        p.rows_from,
-                        p.rows_to,
-                    ))
+                    let p = fault::build_masked(&self.topo, factor);
+                    Some(RouteCache::from_prebuilt(p.rows_from, p.rows_to))
                 }
-                None => RouteCache::build(
-                    &self.topo,
-                    self.params.link_mode,
-                    self.route_cache_max_routers,
-                ),
+                None => RouteCache::build(&self.topo, self.route_cache_max_routers),
             })
             .as_ref()
     }
@@ -461,12 +406,8 @@ impl Machine {
         };
         if let Some(inv) = self.inv_bw.get_mut() {
             let inv_val = 1.0 / (self.topo.physical_link_bw(link) * factor);
-            match self.params.link_mode {
-                LinkMode::Directed => {
-                    inv[2 * link as usize] = inv_val;
-                    inv[2 * link as usize + 1] = inv_val;
-                }
-                LinkMode::Undirected => inv[link as usize] = inv_val,
+            for reversed in [false, true] {
+                inv[Topology::channel(link, reversed) as usize] = inv_val;
             }
         }
         if drop_mask {
@@ -477,17 +418,18 @@ impl Machine {
         }
     }
 
-    /// The one check a link event must pass before it touches the
-    /// machine: `link` is a physical link of this topology and `factor`
-    /// lies in `0.0..=1.0` (NaN does not). Live churn, recovery replay,
-    /// fault snapshots and [`degrade_link`](Self::degrade_link) all run
-    /// it.
-    pub fn check_link_event(&self, link: u32, factor: f64) -> Result<(), LinkEventError> {
+    /// The one check a link event (a `LinkDegraded` churn event or a
+    /// fault-snapshot entry) must pass before it touches the machine:
+    /// `link` is a physical link of this topology and `factor` lies in
+    /// `0.0..=1.0` (NaN does not). The error names the reason. Live
+    /// churn, recovery replay, fault snapshots and
+    /// [`degrade_link`](Self::degrade_link) all run it.
+    pub fn check_link_event(&self, link: u32, factor: f64) -> Result<(), &'static str> {
         if link as usize >= self.topo.num_physical_links() {
-            return Err(LinkEventError::LinkOutOfRange);
+            return Err("link id past this topology");
         }
         if !(0.0..=1.0).contains(&factor) {
-            return Err(LinkEventError::FactorOutOfRange);
+            return Err("bandwidth factor is NaN or outside 0.0..=1.0");
         }
         Ok(())
     }
@@ -623,12 +565,6 @@ impl Machine {
         &self.params
     }
 
-    /// Congestion accounting mode.
-    #[inline]
-    pub fn link_mode(&self) -> LinkMode {
-        self.params.link_mode
-    }
-
     /// Injection (NIC) bandwidth per node, GB/s.
     #[inline]
     pub fn nic_bw(&self) -> f64 {
@@ -719,14 +655,12 @@ impl Machine {
         &self.router_graph
     }
 
-    /// Number of channel ids in the active [`LinkMode`] id space. The
-    /// space is exact: every id belongs to a routable physical link.
+    /// Number of channel ids: the first [`Topology::channel`] past the
+    /// last physical link's two. The space is exact: every id belongs
+    /// to a routable physical link.
     #[inline]
     pub fn num_links(&self) -> usize {
-        match self.params.link_mode {
-            LinkMode::Directed => 2 * self.topo.num_physical_links(),
-            LinkMode::Undirected => self.topo.num_physical_links(),
-        }
+        Topology::channel(self.topo.num_physical_links() as u32, false) as usize
     }
 
     /// Reciprocal bandwidth (`1 / link_bandwidth`) of every channel id,
@@ -744,10 +678,7 @@ impl Machine {
     /// (a hard-failed link reports zero bandwidth).
     #[inline]
     pub fn link_bandwidth(&self, id: u32) -> f64 {
-        let phys = match self.params.link_mode {
-            LinkMode::Directed => id / 2,
-            LinkMode::Undirected => id,
-        };
+        let phys = Topology::channel_link(id);
         let bw = self.topo.physical_link_bw(phys);
         match &self.faults {
             Some(f) => bw * f.factor[phys as usize],
@@ -781,7 +712,7 @@ impl Machine {
             out.extend_from_slice(cache.route(&self.topo, ra, rb));
             return;
         }
-        self.topo.route_links(ra, rb, self.params.link_mode, out);
+        self.topo.route_links(ra, rb, out);
     }
 
     /// Route link ids as a fresh vector (diagnostics/tests).
@@ -863,37 +794,27 @@ mod tests {
         assert_eq!(ab.len(), 1);
         assert_eq!(ba.len(), 1);
         assert_ne!(ab[0], ba[0]);
-        assert_eq!(ab[0] / 2, ba[0] / 2);
-    }
-
-    #[test]
-    fn undirected_links_share_ids() {
-        let mut cfg = MachineConfig::small(&[4, 4], 1, 1);
-        cfg.link_mode = LinkMode::Undirected;
-        let m = cfg.build();
-        let ab = m.route_links_vec(0, 1);
-        let ba = m.route_links_vec(1, 0);
-        assert_eq!(ab, ba);
-        assert_eq!(m.num_links(), 16 * 2);
+        assert_eq!(Topology::channel_link(ab[0]), Topology::channel_link(ba[0]));
     }
 
     #[test]
     fn extent_two_wraparound_shares_undirected_ids() {
         // The regression the topology-owned id scheme exists for: both
-        // directions of an extent-2 dim tie-break to `positive`, but the
-        // physical link must still have ONE undirected id.
-        let mut cfg = MachineConfig::small(&[2, 4], 1, 1);
-        cfg.link_mode = LinkMode::Undirected;
-        let m = cfg.build();
+        // directions of an extent-2 dim tie-break to `positive`, but
+        // they must still be the two channels of ONE physical link.
+        let m = MachineConfig::small(&[2, 4], 1, 1).build();
         for y in 0..4u32 {
             let (a, b) = (y * 2, y * 2 + 1); // (0, y) <-> (1, y)
             let ab = m.route_links_vec(a, b);
             let ba = m.route_links_vec(b, a);
             assert_eq!(ab.len(), 1);
-            assert_eq!(ab, ba, "{a} <-> {b}");
+            assert_eq!(ba.len(), 1);
+            let l = Topology::channel_link(ab[0]);
+            assert_eq!(ab[0], Topology::channel(l, false), "{a} -> {b}");
+            assert_eq!(ba[0], Topology::channel(l, true), "{b} -> {a}");
         }
-        // Exact id space: 4 extent-2 links + 8 ring links.
-        assert_eq!(m.num_links(), 12);
+        // Exact id space: 4 extent-2 links + 8 ring links, 2 channels each.
+        assert_eq!(m.num_links(), 24);
     }
 
     #[test]
@@ -1053,12 +974,12 @@ mod tests {
         }
         assert_eq!(
             m.check_link_event(last + 1, 0.5),
-            Err(LinkEventError::LinkOutOfRange)
+            Err("link id past this topology")
         );
         for factor in [1.5, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(
                 m.check_link_event(0, factor),
-                Err(LinkEventError::FactorOutOfRange),
+                Err("bandwidth factor is NaN or outside 0.0..=1.0"),
                 "{factor}"
             );
         }

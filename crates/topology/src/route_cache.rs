@@ -25,22 +25,49 @@
 //! analytic emitters — `Machine::route_cache()` hides the check.
 //!
 //! Cached routes are produced by the same [`Topology::route_links`]
-//! call the fallback uses, under the machine's [`LinkMode`], so cache
-//! and fallback yield **identical link-id sequences** — the
-//! bit-identity contract `tests/cong_differential.rs` pins.
+//! call the fallback uses, so cache and fallback yield **identical
+//! channel-id sequences** — the bit-identity contract
+//! `tests/cong_differential.rs` pins. Every row, lazy or
+//! failure-masked, is assembled by one builder ([`RouteRow::build`]).
 
 use std::sync::OnceLock;
 
-use crate::machine::LinkMode;
 use crate::topology::Topology;
 
 /// One router's routes to (or from) every terminal router, in CSR form.
 #[derive(Clone, Debug)]
 pub(crate) struct RouteRow {
     /// `offsets[x]..offsets[x + 1]` indexes `links` for peer `x`.
-    pub(crate) offsets: Vec<u32>,
+    offsets: Vec<u32>,
     /// Concatenated channel ids of all routes of this row.
-    pub(crate) links: Vec<u32>,
+    links: Vec<u32>,
+}
+
+impl RouteRow {
+    /// Builds router `own`'s row over peers `0..n`: `route(x, links)`
+    /// appends the channel ids of the route to or from peer `x`. It is
+    /// not called for `own`, whose route is empty.
+    pub(crate) fn build(n: usize, own: u32, mut route: impl FnMut(u32, &mut Vec<u32>)) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut links = Vec::new();
+        offsets.push(0);
+        for x in 0..n as u32 {
+            if x != own {
+                route(x, &mut links);
+            }
+            offsets.push(links.len() as u32);
+        }
+        Self { offsets, links }
+    }
+
+    /// The row as a borrowed view.
+    #[inline]
+    pub(crate) fn view(&self) -> RouteRowView<'_> {
+        RouteRowView {
+            offsets: &self.offsets,
+            links: &self.links,
+        }
+    }
 }
 
 /// A borrowed row of cached routes sharing one endpoint: hot loops
@@ -63,12 +90,10 @@ impl<'a> RouteRowView<'a> {
 
 /// Lazily-filled per-router memo of static routes between terminal
 /// routers, serving [`route`](Self::route) as a borrowed slice.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct RouteCache {
     /// Number of terminal routers (row length).
     n: usize,
-    /// Channel-id space the cached ids live in.
-    mode: LinkMode,
     /// One lazily-built row per *source* terminal router.
     rows_from: Vec<OnceLock<RouteRow>>,
     /// One lazily-built row per *destination* terminal router (routes
@@ -76,35 +101,20 @@ pub struct RouteCache {
     rows_to: Vec<OnceLock<RouteRow>>,
 }
 
-impl Clone for RouteCache {
-    fn clone(&self) -> Self {
-        Self {
-            n: self.n,
-            mode: self.mode,
-            rows_from: self.rows_from.clone(),
-            rows_to: self.rows_to.clone(),
-        }
-    }
-}
-
 impl RouteCache {
     /// Creates an empty (no rows built) cache for `topo`'s terminal
-    /// routers under `mode`, or `None` when the machine exceeds
-    /// `max_routers` (callers then use the analytic emitters).
-    pub fn build(topo: &Topology, mode: LinkMode, max_routers: usize) -> Option<Self> {
+    /// routers, or `None` when the machine exceeds `max_routers`
+    /// (callers then use the analytic emitters).
+    pub fn build(topo: &Topology, max_routers: usize) -> Option<Self> {
         let n = topo.num_terminal_routers();
         if n == 0 || n > max_routers {
             return None;
         }
-        let mut rows_from = Vec::new();
-        rows_from.resize_with(n, OnceLock::new);
-        let mut rows_to = Vec::new();
-        rows_to.resize_with(n, OnceLock::new);
+        let empty = || (0..n).map(|_| OnceLock::new()).collect();
         Some(Self {
             n,
-            mode,
-            rows_from,
-            rows_to,
+            rows_from: empty(),
+            rows_to: empty(),
         })
     }
 
@@ -112,25 +122,12 @@ impl RouteCache {
     /// the failure-masked rebuild uses. Every row slot is initialized,
     /// so the lazy `get_or_init` closures never run and the analytic
     /// emitters are never consulted.
-    pub(crate) fn from_prebuilt(
-        mode: LinkMode,
-        rows_from: Vec<RouteRow>,
-        rows_to: Vec<RouteRow>,
-    ) -> Self {
+    pub(crate) fn from_prebuilt(rows_from: Vec<RouteRow>, rows_to: Vec<RouteRow>) -> Self {
         debug_assert_eq!(rows_from.len(), rows_to.len());
         let n = rows_from.len();
-        let seal = |rows: Vec<RouteRow>| {
-            rows.into_iter()
-                .map(|row| {
-                    let lock = OnceLock::new();
-                    lock.set(row).expect("fresh lock");
-                    lock
-                })
-                .collect()
-        };
+        let seal = |rows: Vec<RouteRow>| rows.into_iter().map(OnceLock::from).collect();
         Self {
             n,
-            mode,
             rows_from: seal(rows_from),
             rows_to: seal(rows_to),
         }
@@ -140,12 +137,6 @@ impl RouteCache {
     #[inline]
     pub fn num_routers(&self) -> usize {
         self.n
-    }
-
-    /// The channel-id space the cached routes were emitted in.
-    #[inline]
-    pub fn link_mode(&self) -> LinkMode {
-        self.mode
     }
 
     /// Number of rows built so far, both directions (demand-driven
@@ -179,22 +170,9 @@ impl RouteCache {
     /// warm cache serves the congestion engine allocation-free.
     #[inline]
     pub fn row_from(&self, topo: &Topology, a: u32) -> RouteRowView<'_> {
-        let row = self.rows_from[a as usize].get_or_init(|| {
-            let mut offsets = Vec::with_capacity(self.n + 1);
-            let mut links = Vec::new();
-            offsets.push(0);
-            for d in 0..self.n as u32 {
-                if d != a {
-                    topo.route_links(a, d, self.mode, &mut links);
-                }
-                offsets.push(links.len() as u32);
-            }
-            RouteRow { offsets, links }
-        });
-        RouteRowView {
-            offsets: &row.offsets,
-            links: &row.links,
-        }
+        self.rows_from[a as usize]
+            .get_or_init(|| RouteRow::build(self.n, a, |d, links| topo.route_links(a, d, links)))
+            .view()
     }
 
     /// The routes *into* terminal router `b` as a row view
@@ -204,22 +182,9 @@ impl RouteCache {
     /// `rows_from` row per source.
     #[inline]
     pub fn row_to(&self, topo: &Topology, b: u32) -> RouteRowView<'_> {
-        let row = self.rows_to[b as usize].get_or_init(|| {
-            let mut offsets = Vec::with_capacity(self.n + 1);
-            let mut links = Vec::new();
-            offsets.push(0);
-            for s in 0..self.n as u32 {
-                if s != b {
-                    topo.route_links(s, b, self.mode, &mut links);
-                }
-                offsets.push(links.len() as u32);
-            }
-            RouteRow { offsets, links }
-        });
-        RouteRowView {
-            offsets: &row.offsets,
-            links: &row.links,
-        }
+        self.rows_to[b as usize]
+            .get_or_init(|| RouteRow::build(self.n, b, |s, links| topo.route_links(s, b, links)))
+            .view()
     }
 
     /// The channel ids of the static route between terminal routers
@@ -249,13 +214,13 @@ mod tests {
         ];
         for m in &machines {
             let topo = m.topology();
-            let cache = RouteCache::build(topo, m.link_mode(), 4096).unwrap();
+            let cache = RouteCache::build(topo, 4096).unwrap();
             let n = topo.num_terminal_routers() as u32;
             let mut fresh = Vec::new();
             for a in 0..n {
                 for b in 0..n {
                     fresh.clear();
-                    topo.route_links(a, b, m.link_mode(), &mut fresh);
+                    topo.route_links(a, b, &mut fresh);
                     assert_eq!(
                         cache.route(topo, a, b),
                         &fresh[..],
@@ -271,7 +236,7 @@ mod tests {
     fn rows_build_on_demand_only() {
         let m = MachineConfig::small(&[4, 4], 1, 1).build();
         let topo = m.topology();
-        let cache = RouteCache::build(topo, m.link_mode(), 4096).unwrap();
+        let cache = RouteCache::build(topo, 4096).unwrap();
         assert_eq!(cache.built_rows(), 0);
         assert_eq!(cache.size_bytes(), 0);
         cache.route(topo, 3, 9);
@@ -287,7 +252,7 @@ mod tests {
     fn reverse_rows_match_forward_routes() {
         let m = MachineConfig::small(&[3, 3], 1, 1).build();
         let topo = m.topology();
-        let cache = RouteCache::build(topo, m.link_mode(), 4096).unwrap();
+        let cache = RouteCache::build(topo, 4096).unwrap();
         for b in 0..9u32 {
             let to = cache.row_to(topo, b);
             for a in 0..9u32 {
@@ -299,16 +264,16 @@ mod tests {
     #[test]
     fn threshold_disables_the_cache() {
         let m = MachineConfig::small(&[4, 4], 1, 1).build();
-        assert!(RouteCache::build(m.topology(), m.link_mode(), 15).is_none());
-        assert!(RouteCache::build(m.topology(), m.link_mode(), 16).is_some());
-        assert!(RouteCache::build(m.topology(), m.link_mode(), 0).is_none());
+        assert!(RouteCache::build(m.topology(), 15).is_none());
+        assert!(RouteCache::build(m.topology(), 16).is_some());
+        assert!(RouteCache::build(m.topology(), 0).is_none());
     }
 
     #[test]
     fn same_router_route_is_empty() {
         let m = MachineConfig::small(&[3, 3], 1, 1).build();
         let topo = m.topology();
-        let cache = RouteCache::build(topo, m.link_mode(), 4096).unwrap();
+        let cache = RouteCache::build(topo, 4096).unwrap();
         for r in 0..9u32 {
             assert!(cache.route(topo, r, r).is_empty());
         }

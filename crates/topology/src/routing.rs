@@ -1,4 +1,4 @@
-//! Static dimension-ordered shortest-path routing, at hop granularity.
+//! Static dimension-ordered shortest-path routing on a torus or mesh.
 //!
 //! Cray Gemini routes packets statically: all hops of dimension 0 first,
 //! then dimension 1, etc., always taking the shorter wrap direction
@@ -7,34 +7,18 @@
 //! congestion metrics (Eq. 1) can be computed *exactly* — the property
 //! Algorithm 3 depends on.
 //!
-//! This module exposes the torus walk as [`Hop`] structs for
-//! diagnostics and tests; the engine's hot paths use the
-//! [`Topology`](crate::topology::Topology) backends, which emit
-//! canonical link ids directly (same walk, no intermediate hop
-//! buffer).
+//! [`walk`] delivers the route hop by hop to a callback; the torus
+//! backend ([`TorusNet`](crate::topology::TorusNet)) turns each hop
+//! into a channel id as it goes, with no intermediate hop buffer.
 
 use crate::torus::{Torus, MAX_DIMS};
-
-/// One hop of a route: the router it leaves from, the dimension it
-/// travels along and the direction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Hop {
-    /// Router the hop departs from.
-    pub from: u32,
-    /// Dimension index.
-    pub dim: u8,
-    /// `true` = +1 direction.
-    pub positive: bool,
-}
 
 /// The dimension-ordered walk from `a` to `b`, delivered as a callback
 /// per hop: `f(from, to, dim, positive)`. All hops of dimension 0
 /// first, then dimension 1, etc., always the shorter wrap direction
-/// with ties toward +1. **The single source of truth for torus
-/// routing**: both the [`Hop`]-level [`route`] and the link-id-emitting
-/// hot path ([`crate::topology::TorusNet`]) are built on it, so the
-/// diagnostics/test route can never desynchronize from the route the
-/// congestion metrics accumulate.
+/// with ties toward +1; exactly `torus.distance(a, b)` hops. **The
+/// single source of truth for torus routing**: the channel ids the
+/// congestion metrics accumulate are emitted from it.
 #[inline]
 pub fn walk(torus: &Torus, a: u32, b: u32, mut f: impl FnMut(u32, u32, usize, bool)) {
     let mut ca = [0u32; MAX_DIMS];
@@ -73,40 +57,27 @@ pub fn walk(torus: &Torus, a: u32, b: u32, mut f: impl FnMut(u32, u32, usize, bo
     debug_assert_eq!(cur, b, "walk did not arrive at destination");
 }
 
-/// Appends the dimension-ordered route from router `a` to router `b`
-/// onto `out`. The route has exactly `torus.distance(a, b)` hops.
-pub fn route(torus: &Torus, a: u32, b: u32, out: &mut Vec<Hop>) {
-    walk(torus, a, b, |from, _, d, positive| {
-        out.push(Hop {
-            from,
-            dim: d as u8,
-            positive,
-        });
-    });
-}
-
-/// Computes the route eagerly into a fresh vector (test/diagnostic use;
-/// hot paths should reuse a buffer through [`route`]).
-pub fn route_vec(torus: &Torus, a: u32, b: u32) -> Vec<Hop> {
-    let mut v = Vec::with_capacity(torus.distance(a, b) as usize);
-    route(torus, a, b, &mut v);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One hop of a walk: `(from, to, dim, positive)`.
+    type Hop = (u32, u32, usize, bool);
+
+    fn hops(torus: &Torus, a: u32, b: u32) -> Vec<Hop> {
+        let mut v = Vec::new();
+        walk(torus, a, b, |from, to, d, positive| {
+            v.push((from, to, d, positive))
+        });
+        v
+    }
 
     #[test]
     fn route_length_equals_distance() {
         let t = Torus::new(&[5, 4, 3]);
         for a in (0..60u32).step_by(7) {
             for b in 0..60u32 {
-                assert_eq!(
-                    route_vec(&t, a, b).len() as u32,
-                    t.distance(a, b),
-                    "a={a} b={b}"
-                );
+                assert_eq!(hops(&t, a, b).len() as u32, t.distance(a, b), "a={a} b={b}");
             }
         }
     }
@@ -114,8 +85,8 @@ mod tests {
     #[test]
     fn route_is_dimension_ordered() {
         let t = Torus::new(&[6, 6]);
-        let r = route_vec(&t, t.router_at(&[0, 0]), t.router_at(&[2, 3]));
-        let dims: Vec<u8> = r.iter().map(|h| h.dim).collect();
+        let r = hops(&t, t.router_at(&[0, 0]), t.router_at(&[2, 3]));
+        let dims: Vec<usize> = r.iter().map(|h| h.2).collect();
         assert_eq!(dims, vec![0, 0, 1, 1, 1]);
     }
 
@@ -123,37 +94,37 @@ mod tests {
     fn route_takes_shorter_wrap() {
         let t = Torus::new(&[8]);
         // 0 -> 6 : backward (2 hops) beats forward (6 hops).
-        let r = route_vec(&t, 0, 6);
+        let r = hops(&t, 0, 6);
         assert_eq!(r.len(), 2);
-        assert!(r.iter().all(|h| !h.positive));
+        assert!(r.iter().all(|h| !h.3));
     }
 
     #[test]
     fn tie_breaks_positive() {
         let t = Torus::new(&[8]);
         // 0 -> 4: both directions are 4 hops; deterministic choice is +.
-        let r = route_vec(&t, 0, 4);
+        let r = hops(&t, 0, 4);
         assert_eq!(r.len(), 4);
-        assert!(r.iter().all(|h| h.positive));
+        assert!(r.iter().all(|h| h.3));
     }
 
     #[test]
     fn empty_route_for_same_router() {
         let t = Torus::new(&[4, 4]);
-        assert!(route_vec(&t, 9, 9).is_empty());
+        assert!(hops(&t, 9, 9).is_empty());
     }
 
     #[test]
     fn mesh_routes_are_direct() {
         let m = Torus::new_mesh(&[8]);
         // 0 -> 6 on a mesh must take 6 forward hops (no wrap shortcut).
-        let r = route_vec(&m, 0, 6);
+        let r = hops(&m, 0, 6);
         assert_eq!(r.len(), 6);
-        assert!(r.iter().all(|h| h.positive));
+        assert!(r.iter().all(|h| h.3));
         // And route length always equals mesh distance.
         for a in 0..8u32 {
             for b in 0..8u32 {
-                assert_eq!(route_vec(&m, a, b).len() as u32, m.distance(a, b));
+                assert_eq!(hops(&m, a, b).len() as u32, m.distance(a, b));
             }
         }
     }
@@ -162,13 +133,14 @@ mod tests {
     fn mesh_2d_route_is_dimension_ordered_and_valid() {
         let m = Torus::new_mesh(&[5, 4]);
         let (a, b) = (m.router_at(&[4, 3]), m.router_at(&[0, 0]));
-        let r = route_vec(&m, a, b);
+        let r = hops(&m, a, b);
         assert_eq!(r.len() as u32, m.distance(a, b));
         let mut cur = a;
-        for h in &r {
-            assert_eq!(h.from, cur);
-            assert!(!h.positive); // heading toward (0,0)
-            cur = m.neighbor(cur, h.dim as usize, h.positive);
+        for &(from, to, d, positive) in &r {
+            assert_eq!(from, cur);
+            assert!(!positive); // heading toward (0,0)
+            assert_eq!(to, m.neighbor(cur, d, positive));
+            cur = to;
         }
         assert_eq!(cur, b);
     }
@@ -177,11 +149,11 @@ mod tests {
     fn route_hops_are_contiguous() {
         let t = Torus::new(&[7, 5, 3]);
         let (a, b) = (3u32, 97u32);
-        let r = route_vec(&t, a, b);
         let mut cur = a;
-        for h in &r {
-            assert_eq!(h.from, cur);
-            cur = t.neighbor(cur, h.dim as usize, h.positive);
+        for (from, to, d, positive) in hops(&t, a, b) {
+            assert_eq!(from, cur);
+            assert_eq!(to, t.neighbor(cur, d, positive));
+            cur = to;
         }
         assert_eq!(cur, b);
     }

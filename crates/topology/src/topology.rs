@@ -2,9 +2,9 @@
 //!
 //! A [`Topology`] is everything the mapping algorithms and the network
 //! simulators need from an interconnect: router count, O(ndims)-ish hop
-//! distances, static minimal routes emitted directly as **link ids**,
-//! the link-id space itself (with bandwidths), and the router adjacency
-//! for BFS traversals. Three backends are provided:
+//! distances, static minimal routes emitted directly as **channel
+//! ids**, the physical-link id space itself (with bandwidths), and the
+//! router adjacency for BFS traversals. Three backends are provided:
 //!
 //! * [`TorusNet`] — k-ary n-D torus / mesh (the paper's Cray Gemini
 //!   model) with dimension-ordered routing;
@@ -14,15 +14,16 @@
 //!   minimal local–global–local routing.
 //!
 //! **The topology owns the link-id space.** Every physical link gets
-//! one dense id; in [`LinkMode::Undirected`] that id *is* the channel
-//! id, and in [`LinkMode::Directed`] the two channels of link `l` are
-//! `2·l` and `2·l + 1`. Because the id is derived from the unordered
-//! endpoint pair — never from the direction a route happens to traverse
-//! the link — opposite-direction routes between the same routers always
-//! hit the same undirected counter. This is what fixes the extent-2
-//! wraparound miscount: both directions of such a dimension tie-break
-//! to `positive`, so the old hop-direction-derived scheme split a↔b
-//! traffic across two ids and silently underreported MC/MMC/AC.
+//! one dense id, derived from its unordered endpoint pair — never from
+//! the direction a route happens to traverse it — and
+//! [`for_each_link`](Topology::for_each_link) reports its endpoints in
+//! a fixed order. A route is a sequence of directed **channels**, each
+//! link direction its own channel (Gemini links carry independent
+//! traffic per direction): [`Topology::channel`] is the one encoding of
+//! that format and [`Topology::channel_link`] its inverse. Deriving the
+//! link from the endpoint pair is what keeps extent-2 wraparound
+//! dimensions exact: both directions of such a dimension tie-break to
+//! `positive`, yet they are the two channels of one physical link.
 //!
 //! The id space is also **exact**: extent-1 dimensions, mesh
 //! boundaries, and internal-switch-free levels contribute no phantom
@@ -38,7 +39,6 @@
 
 use crate::dragonfly::Dragonfly;
 use crate::fat_tree::FatTree;
-use crate::machine::LinkMode;
 use crate::ordering::NodeOrdering;
 use crate::routing;
 use crate::torus::Torus;
@@ -55,6 +55,23 @@ pub enum Topology {
 }
 
 impl Topology {
+    /// The channel crossing physical link `link` in the direction
+    /// [`for_each_link`](Self::for_each_link) reports it (first
+    /// endpoint to second) or, when `reversed`, against it: `2·link`
+    /// and `2·link + 1`. Every route emitter, the masked rebuild and
+    /// the machine's per-channel tables use this one encoding.
+    #[inline]
+    pub fn channel(link: u32, reversed: bool) -> u32 {
+        2 * link + u32::from(reversed)
+    }
+
+    /// The physical link a channel crosses: the inverse of
+    /// [`channel`](Self::channel).
+    #[inline]
+    pub fn channel_link(channel: u32) -> u32 {
+        channel / 2
+    }
+
     /// Total routers (topology-graph vertices), including internal
     /// switches that host no compute nodes (fat-tree aggregation and
     /// core levels). BFS workspaces size against this.
@@ -147,23 +164,11 @@ impl Topology {
     /// endpoints, so congestion metrics are exact. Allocation-free once
     /// `out` has capacity.
     #[inline]
-    pub fn route_links(&self, a: u32, b: u32, mode: LinkMode, out: &mut Vec<u32>) {
+    pub fn route_links(&self, a: u32, b: u32, out: &mut Vec<u32>) {
         match self {
-            Topology::Torus(t) => t.route_links(a, b, mode, out),
-            Topology::FatTree(f) => f.route_links(a, b, mode, out),
-            Topology::Dragonfly(d) => d.route_links(a, b, mode, out),
-        }
-    }
-
-    /// Appends the full router sequence of the static route from `a` to
-    /// `b`, **including both endpoints** (just `a` when `a == b`).
-    /// Diagnostics and property tests; hot paths use
-    /// [`route_links`](Self::route_links).
-    pub fn route_routers(&self, a: u32, b: u32, out: &mut Vec<u32>) {
-        match self {
-            Topology::Torus(t) => t.route_routers(a, b, out),
-            Topology::FatTree(f) => f.route_routers(a, b, out),
-            Topology::Dragonfly(d) => d.route_routers(a, b, out),
+            Topology::Torus(t) => t.route_links(a, b, out),
+            Topology::FatTree(f) => f.route_links(a, b, out),
+            Topology::Dragonfly(d) => d.route_links(a, b, out),
         }
     }
 
@@ -277,9 +282,9 @@ impl TorusNet {
     }
 
     /// Channel id of the hop `from → to` along dimension `d` in
-    /// direction `positive`, under `mode`.
+    /// direction `positive`.
     #[inline]
-    fn channel(&self, from: u32, to: u32, d: usize, positive: bool, mode: LinkMode) -> u32 {
+    fn channel(&self, from: u32, to: u32, d: usize, positive: bool) -> u32 {
         let wrap2 = self.torus.has_wraparound() && self.torus.dims()[d] == 2;
         // Canonical owner: the router whose +1 hop generated the link.
         // On extent-2 wraparound dims both directions reach the same
@@ -294,24 +299,15 @@ impl TorusNet {
         };
         let l = self.link_of[owner as usize * self.torus.ndims() + d];
         debug_assert_ne!(l, u32::MAX, "hop over a nonexistent link");
-        match mode {
-            LinkMode::Undirected => l,
-            LinkMode::Directed => 2 * l + u32::from(reversed),
-        }
+        Topology::channel(l, reversed)
     }
 
-    // Both route emitters ride on `routing::walk` — the single source
-    // of truth for the dimension-ordered walk — so the hot link-id path
-    // can never desynchronize from the Hop-level diagnostics route.
-    fn route_links(&self, a: u32, b: u32, mode: LinkMode, out: &mut Vec<u32>) {
+    // The emitter rides on `routing::walk`, the single source of truth
+    // for the dimension-ordered walk.
+    fn route_links(&self, a: u32, b: u32, out: &mut Vec<u32>) {
         routing::walk(&self.torus, a, b, |from, to, d, positive| {
-            out.push(self.channel(from, to, d, positive, mode));
+            out.push(self.channel(from, to, d, positive));
         });
-    }
-
-    fn route_routers(&self, a: u32, b: u32, out: &mut Vec<u32>) {
-        out.push(a);
-        routing::walk(&self.torus, a, b, |_, to, _, _| out.push(to));
     }
 
     fn for_each_link(&self, mut f: impl FnMut(u32, u32, u32, f64)) {
@@ -364,21 +360,34 @@ mod tests {
     }
 
     #[test]
+    fn channel_encoding_round_trips() {
+        for l in [0u32, 1, 7, 1 << 20] {
+            let (fwd, rev) = (Topology::channel(l, false), Topology::channel(l, true));
+            assert_ne!(fwd, rev);
+            assert_eq!(Topology::channel_link(fwd), l);
+            assert_eq!(Topology::channel_link(rev), l);
+        }
+    }
+
+    #[test]
     fn opposite_routes_share_undirected_ids_on_extent_two() {
         // Both directions across an extent-2 wraparound dim tie-break
-        // to `positive` yet cross the SAME physical link: the ids must
-        // coincide. (Pairs whose routes differ in other dims legally
-        // use different links — different rows / ring halves.)
+        // to `positive` yet cross the SAME physical link: they must be
+        // its two channels. (Pairs whose routes differ in other dims
+        // legally use different links — different rows / ring halves.)
         let n = net(&[2, 4]);
         for y in 0..4u32 {
             let a = y * 2; // (0, y)
             let b = y * 2 + 1; // (1, y)
             let mut ab = Vec::new();
             let mut ba = Vec::new();
-            n.route_links(a, b, LinkMode::Undirected, &mut ab);
-            n.route_links(b, a, LinkMode::Undirected, &mut ba);
+            n.route_links(a, b, &mut ab);
+            n.route_links(b, a, &mut ba);
             assert_eq!(ab.len(), 1);
-            assert_eq!(ab, ba, "{a} <-> {b}");
+            assert_eq!(ba.len(), 1);
+            let l = Topology::channel_link(ab[0]);
+            assert_eq!(ab[0], Topology::channel(l, false), "{a} -> {b}");
+            assert_eq!(ba[0], Topology::channel(l, true), "{b} -> {a}");
         }
     }
 
@@ -387,32 +396,16 @@ mod tests {
         let n = net(&[2]);
         let mut ab = Vec::new();
         let mut ba = Vec::new();
-        n.route_links(0, 1, LinkMode::Directed, &mut ab);
-        n.route_links(1, 0, LinkMode::Directed, &mut ba);
+        n.route_links(0, 1, &mut ab);
+        n.route_links(1, 0, &mut ba);
         assert_eq!(ab.len(), 1);
         assert_eq!(ba.len(), 1);
         assert_ne!(ab[0], ba[0]);
-        assert_eq!(ab[0] / 2, ba[0] / 2, "same physical link");
-    }
-
-    #[test]
-    fn route_routers_matches_route_links_length() {
-        let n = net(&[5, 4, 3]);
-        let topo = Topology::Torus(n);
-        let mut links = Vec::new();
-        let mut routers = Vec::new();
-        for a in (0..60u32).step_by(7) {
-            for b in (0..60u32).step_by(11) {
-                links.clear();
-                routers.clear();
-                topo.route_links(a, b, LinkMode::Undirected, &mut links);
-                topo.route_routers(a, b, &mut routers);
-                assert_eq!(links.len() + 1, routers.len());
-                assert_eq!(links.len() as u32, topo.distance(a, b));
-                assert_eq!(routers[0], a);
-                assert_eq!(*routers.last().unwrap(), b);
-            }
-        }
+        assert_eq!(
+            Topology::channel_link(ab[0]),
+            Topology::channel_link(ba[0]),
+            "same physical link"
+        );
     }
 
     #[test]

@@ -60,11 +60,10 @@ fn all_mappers_end_to_end(machine: &Machine, tasks: u32) {
 
 #[test]
 fn all_mappers_work_on_a_fat_tree() {
-    // k=4 testbed and the cloud cluster preset, both link modes.
+    // k=4 testbeds (two node counts per switch) and the cloud cluster
+    // preset.
     all_mappers_end_to_end(&FatTreeConfig::small(4, 2, 2).build(), 16);
-    let mut cfg = FatTreeConfig::small(4, 1, 2);
-    cfg.link_mode = LinkMode::Undirected;
-    all_mappers_end_to_end(&cfg.build(), 12);
+    all_mappers_end_to_end(&FatTreeConfig::small(4, 1, 2).build(), 12);
     all_mappers_end_to_end(&FatTreeConfig::cluster().build(), 64);
 }
 
@@ -73,10 +72,9 @@ fn all_mappers_work_on_a_dragonfly() {
     let mut small = DragonflyConfig::small(4, 3, 1);
     small.procs_per_node = 2;
     all_mappers_end_to_end(&small.build(), 16);
-    let mut undirected = DragonflyConfig::small(3, 4, 2);
-    undirected.procs_per_node = 2;
-    undirected.link_mode = LinkMode::Undirected;
-    all_mappers_end_to_end(&undirected.build(), 16);
+    let mut wide = DragonflyConfig::small(3, 4, 2);
+    wide.procs_per_node = 2;
+    all_mappers_end_to_end(&wide.build(), 16);
     all_mappers_end_to_end(&DragonflyConfig::supercomputer().build(), 64);
 }
 
@@ -186,20 +184,6 @@ fn heterogeneous_node_capacities_flow_through_the_pipeline() {
         validate_mapping(&tg, &alloc, &out.fine_mapping)
             .unwrap_or_else(|e| panic!("{} heterogeneous: {e}", kind.name()));
     }
-}
-
-#[test]
-fn undirected_link_mode_metrics_are_consistent() {
-    let mut cfg = MachineConfig::small(&[6], 1, 1);
-    cfg.link_mode = LinkMode::Undirected;
-    let machine = cfg.build();
-    let tg = TaskGraph::from_messages(2, [(0, 1, 2.0), (1, 0, 2.0)], None);
-    let m = evaluate(&tg, &machine, &[0, 1]);
-    // Opposing messages share the single undirected link: MMC = 2.
-    assert_eq!(m.mmc, 2.0);
-    assert_eq!(m.used_links, 1);
-    let sum: f64 = m.msg_congestion.iter().sum();
-    assert!((m.th - sum).abs() < 1e-9);
 }
 
 #[test]

@@ -41,84 +41,80 @@ fn route_length_equals_o1_distance() {
         let t = Torus::new(&dims);
         let n = t.num_routers() as u32;
         let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
-        let route = routing::route_vec(&t, a, b);
-        assert_eq!(route.len() as u32, t.distance(a, b));
-        // The route is a contiguous walk ending at b.
-        let mut cur = a;
-        for h in &route {
-            assert_eq!(h.from, cur);
-            cur = t.neighbor(cur, h.dim as usize, h.positive);
-        }
+        // The walk is contiguous, ends at b, and takes distance(a, b)
+        // hops.
+        let (mut cur, mut hops) = (a, 0);
+        routing::walk(&t, a, b, |from, to, d, positive| {
+            assert_eq!(from, cur);
+            assert_eq!(to, t.neighbor(cur, d, positive));
+            cur = to;
+            hops += 1;
+        });
+        assert_eq!(hops, t.distance(a, b));
         assert_eq!(cur, b);
     }
 }
 
 /// Machines of every backend family for a sweep iteration: wraparound
-/// torus, mesh, fat-tree, dragonfly — each in the given link mode.
-fn backend_machines(rng: &mut ChaCha8Rng, mode: LinkMode) -> Vec<Machine> {
+/// torus, mesh, fat-tree, dragonfly.
+fn backend_machines(rng: &mut ChaCha8Rng) -> Vec<Machine> {
     let dims = torus_dims(rng);
-    let mk_torus = |wrap: bool, mode: LinkMode| {
-        let mut cfg = if wrap {
-            MachineConfig::small(&dims, 1, 2)
-        } else {
-            MachineConfig::small_mesh(&dims, 1, 2)
-        };
-        cfg.link_mode = mode;
-        cfg.build()
-    };
     let k = 2 * rng.gen_range(1..=3u32); // 2, 4 or 6
-    let mut ft = FatTreeConfig::small(k, 1, 2);
-    ft.link_mode = mode;
     let g = rng.gen_range(2..=5u32);
     let a = rng.gen_range(1..=4u32);
     let mut df = DragonflyConfig::small(g, a, 1);
     df.procs_per_node = 2;
-    df.link_mode = mode;
     vec![
-        mk_torus(true, mode),
-        mk_torus(false, mode),
-        ft.build(),
+        MachineConfig::small(&dims, 1, 2).build(),
+        MachineConfig::small_mesh(&dims, 1, 2).build(),
+        FatTreeConfig::small(k, 1, 2).build(),
         df.build(),
     ]
 }
 
 #[test]
 fn route_invariants_hold_on_every_backend_and_link_mode() {
-    // For every backend x LinkMode x wraparound: route length equals
-    // the O(1) distance, the router path is contiguous (every
-    // consecutive pair adjacent in the CSR router graph), and every
-    // emitted channel id lies in the exact id space.
+    // For every backend x wraparound: route length equals the O(1)
+    // distance, the channels decoded with `for_each_link`'s endpoints
+    // form a contiguous router path from a to b (every hop adjacent in
+    // the CSR router graph), and every channel id lies in the exact id
+    // space.
     let mut rng = ChaCha8Rng::seed_from_u64(0x70B0);
     for case in 0..24 {
-        for mode in [LinkMode::Directed, LinkMode::Undirected] {
-            for m in backend_machines(&mut rng, mode) {
-                let topo = m.topology();
-                let nt = topo.num_terminal_routers() as u32;
-                let mut links = Vec::new();
-                let mut routers = Vec::new();
-                for _ in 0..32 {
-                    let a = rng.gen_range(0..nt);
-                    let b = rng.gen_range(0..nt);
-                    links.clear();
-                    routers.clear();
-                    topo.route_links(a, b, mode, &mut links);
-                    topo.route_routers(a, b, &mut routers);
-                    let ctx = || format!("case {case} {} {a}->{b}", topo.summary());
-                    assert_eq!(links.len() as u32, topo.distance(a, b), "{}", ctx());
-                    assert_eq!(routers.len(), links.len() + 1, "{}", ctx());
-                    assert_eq!(routers[0], a, "{}", ctx());
-                    assert_eq!(*routers.last().unwrap(), b, "{}", ctx());
-                    let g = m.router_graph();
-                    for w in routers.windows(2) {
-                        assert!(
-                            g.neighbors(w[0]).contains(&w[1]),
-                            "{}: hop {w:?} not adjacent",
-                            ctx()
-                        );
-                    }
-                    let nl = m.num_links() as u32;
-                    assert!(links.iter().all(|&l| l < nl), "{}", ctx());
+        for m in backend_machines(&mut rng) {
+            let topo = m.topology();
+            let nt = topo.num_terminal_routers() as u32;
+            let mut ends = vec![(0, 0); topo.num_physical_links()];
+            topo.for_each_link(|l, u, v, _| ends[l as usize] = (u, v));
+            let g = m.router_graph();
+            let nl = m.num_links() as u32;
+            let mut links = Vec::new();
+            for _ in 0..32 {
+                let a = rng.gen_range(0..nt);
+                let b = rng.gen_range(0..nt);
+                links.clear();
+                topo.route_links(a, b, &mut links);
+                let ctx = || format!("case {case} {} {a}->{b}", topo.summary());
+                assert_eq!(links.len() as u32, topo.distance(a, b), "{}", ctx());
+                assert!(links.iter().all(|&c| c < nl), "{}", ctx());
+                let mut cur = a;
+                for &c in &links {
+                    let l = Topology::channel_link(c);
+                    let (u, v) = ends[l as usize];
+                    let (from, to) = if c == Topology::channel(l, false) {
+                        (u, v)
+                    } else {
+                        (v, u)
+                    };
+                    assert_eq!(from, cur, "{}: channel {c}", ctx());
+                    assert!(
+                        g.neighbors(from).contains(&to),
+                        "{}: hop {from}->{to} not adjacent",
+                        ctx()
+                    );
+                    cur = to;
                 }
+                assert_eq!(cur, b, "{}", ctx());
             }
         }
     }
@@ -127,55 +123,50 @@ fn route_invariants_hold_on_every_backend_and_link_mode() {
 #[test]
 fn metric_identities_hold_on_every_backend_and_link_mode() {
     // TH = Σ_e Congestion(e) and WH = Σ_e VC(e)·bw(e) on random
-    // mappings, for every backend x LinkMode.
+    // mappings, for every backend.
     let mut rng = ChaCha8Rng::seed_from_u64(0x1DE47);
     for case in 0..16 {
-        for mode in [LinkMode::Directed, LinkMode::Undirected] {
-            for m in backend_machines(&mut rng, mode) {
-                let n_tasks = 12u32;
-                let msgs = messages(&mut rng, n_tasks);
-                let tg = TaskGraph::from_messages(n_tasks as usize, msgs, None);
-                let nodes = (n_tasks as usize).div_ceil(2).min(m.num_nodes());
-                let alloc = Allocation::generate(&m, &AllocSpec::contiguous(nodes));
-                // Random feasible mapping: 2 procs per node.
-                let mut slots: Vec<u32> = (0..n_tasks).map(|t| t % nodes as u32).collect();
-                slots.shuffle(&mut rng);
-                let mapping: Vec<u32> = slots.iter().map(|&s| alloc.node(s as usize)).collect();
-                let r = evaluate(&tg, &m, &mapping);
-                let ctx = || format!("case {case} {} {mode:?}", m.topology().summary());
-                let th_sum: f64 = r.msg_congestion.iter().sum();
-                assert!((r.th - th_sum).abs() < 1e-9, "{}: TH identity", ctx());
-                // WH = Σ_e VC(e)·bw(e), with VC recomputed from MC's
-                // own definition (max over per-link VC) so the
-                // bandwidth lookup is load-bearing — a wrong channel→
-                // physical-link mapping would break the MC cross-check
-                // below, not cancel out.
-                let wh_sum: f64 = r.vol_traffic.iter().sum();
-                assert!(
-                    (r.wh - wh_sum).abs() < 1e-9 * (1.0 + r.wh),
-                    "{}: WH identity",
+        for m in backend_machines(&mut rng) {
+            let n_tasks = 12u32;
+            let msgs = messages(&mut rng, n_tasks);
+            let tg = TaskGraph::from_messages(n_tasks as usize, msgs, None);
+            let nodes = (n_tasks as usize).div_ceil(2).min(m.num_nodes());
+            let alloc = Allocation::generate(&m, &AllocSpec::contiguous(nodes));
+            // Random feasible mapping: 2 procs per node.
+            let mut slots: Vec<u32> = (0..n_tasks).map(|t| t % nodes as u32).collect();
+            slots.shuffle(&mut rng);
+            let mapping: Vec<u32> = slots.iter().map(|&s| alloc.node(s as usize)).collect();
+            let r = evaluate(&tg, &m, &mapping);
+            let ctx = || format!("case {case} {}", m.topology().summary());
+            let th_sum: f64 = r.msg_congestion.iter().sum();
+            assert!((r.th - th_sum).abs() < 1e-9, "{}: TH identity", ctx());
+            // WH = Σ_e VC(e)·bw(e), with VC recomputed from MC's own
+            // definition (max over per-link VC) so the bandwidth lookup
+            // is load-bearing — a wrong channel→physical-link mapping
+            // would break the MC cross-check below, not cancel out.
+            let wh_sum: f64 = r.vol_traffic.iter().sum();
+            assert!(
+                (r.wh - wh_sum).abs() < 1e-9 * (1.0 + r.wh),
+                "{}: WH identity",
+                ctx()
+            );
+            let mc_hand = (0..m.num_links() as u32)
+                .map(|l| r.vol_traffic[l as usize] / m.link_bandwidth(l))
+                .fold(0.0f64, f64::max);
+            assert!(
+                (r.mc - mc_hand).abs() < 1e-9 * (1.0 + r.mc),
+                "{}: MC from per-link VC",
+                ctx()
+            );
+            // Directed channels inherit their physical link's
+            // bandwidth: both directions must agree.
+            for l in 0..m.topology().num_physical_links() as u32 {
+                assert_eq!(
+                    m.link_bandwidth(Topology::channel(l, false)).to_bits(),
+                    m.link_bandwidth(Topology::channel(l, true)).to_bits(),
+                    "{}: channel pair {l}",
                     ctx()
                 );
-                let mc_hand = (0..m.num_links() as u32)
-                    .map(|l| r.vol_traffic[l as usize] / m.link_bandwidth(l))
-                    .fold(0.0f64, f64::max);
-                assert!(
-                    (r.mc - mc_hand).abs() < 1e-9 * (1.0 + r.mc),
-                    "{}: MC from per-link VC",
-                    ctx()
-                );
-                // Directed channels inherit their physical link's
-                // bandwidth: both directions must agree.
-                if mode == LinkMode::Directed {
-                    for l in 0..(m.num_links() / 2) as u32 {
-                        assert_eq!(
-                            m.link_bandwidth(2 * l).to_bits(),
-                            m.link_bandwidth(2 * l + 1).to_bits(),
-                            "{}: channel pair {l}",
-                            ctx()
-                        );
-                    }
-                }
             }
         }
     }

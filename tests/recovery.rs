@@ -35,8 +35,7 @@ use umpa::service::{
     ServiceError, SnapshotSource,
 };
 use umpa::topology::{
-    AllocSpec, Allocation, DragonflyConfig, FatTreeConfig, FaultSnapshot, LinkEventError, Machine,
-    MachineConfig,
+    AllocSpec, Allocation, DragonflyConfig, FatTreeConfig, FaultSnapshot, Machine, MachineConfig,
 };
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -456,15 +455,17 @@ fn clean_shutdown_recovers_full_history() {
     }
 }
 
-/// Link events that do not fit the machine: a link id past the
-/// topology, and factors above 1, below 0 and NaN.
-fn malformed_link_events() -> [(ChurnEvent, LinkEventError); 4] {
+/// Link events that do not fit the machine, with the reason
+/// `Machine::check_link_event` gives: a link id past the topology, and
+/// factors above 1, below 0 and NaN.
+fn malformed_link_events() -> [(ChurnEvent, &'static str); 4] {
     let ev = |link, factor| ChurnEvent::LinkDegraded { link, factor };
+    let bad_factor = "bandwidth factor is NaN or outside 0.0..=1.0";
     [
-        (ev(1_000_000, 0.5), LinkEventError::LinkOutOfRange),
-        (ev(1, 1.5), LinkEventError::FactorOutOfRange),
-        (ev(1, -0.5), LinkEventError::FactorOutOfRange),
-        (ev(1, f64::NAN), LinkEventError::FactorOutOfRange),
+        (ev(1_000_000, 0.5), "link id past this topology"),
+        (ev(1, 1.5), bad_factor),
+        (ev(1, -0.5), bad_factor),
+        (ev(1, f64::NAN), bad_factor),
     ]
 }
 
@@ -523,12 +524,12 @@ fn malformed_link_events_are_refused_before_the_journal() {
 
 /// A journal holding a malformed link event (written straight through
 /// the sink, since the service refuses such batches) fails recovery
-/// with a typed error, never a panic.
+/// with the same check's typed error, never a panic.
 #[test]
 fn replay_refuses_malformed_link_events_with_a_typed_error() {
     let machine = MachineConfig::small(&[4, 4], 1, 2).build();
     let alloc = Allocation::generate(&machine, &AllocSpec::sparse(8, 1));
-    for (bad, _) in malformed_link_events() {
+    for (bad, reason) in malformed_link_events() {
         let dir = fresh_dir("malformed-replay");
         let cfg = durable_cfg(&dir, 64, None);
         let mut sink =
@@ -541,10 +542,9 @@ fn replay_refuses_malformed_link_events_with_a_typed_error() {
         }))
         .unwrap_or_else(|_| panic!("{bad:?}: recover panicked"));
         match result {
-            Err(RecoveryError::InvalidReplay { seq: 1, .. })
-            | Err(RecoveryError::CorruptRecord { seq: 1 }) => {}
+            Err(RecoveryError::InvalidReplay { seq: 1, context }) if context == reason => {}
             other => panic!(
-                "{bad:?}: expected a typed replay error, got {:?}",
+                "{bad:?}: expected InvalidReplay for frame 1, got {:?}",
                 other.map(|_| ())
             ),
         }

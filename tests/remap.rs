@@ -28,7 +28,7 @@ use umpa::core::{
 use umpa::graph::TaskGraph;
 use umpa::matgen::churn::{churn_sequence, ChurnSpec};
 use umpa::topology::{
-    AllocSpec, Allocation, DragonflyConfig, FatTreeConfig, LinkMode, Machine, MachineConfig,
+    AllocSpec, Allocation, DragonflyConfig, FatTreeConfig, Machine, MachineConfig, Topology,
 };
 
 /// The three-backend matrix of the acceptance criteria.
@@ -75,14 +75,6 @@ fn assert_remainder_feasible(tg: &TaskGraph, alloc: &Allocation, mapping: &[u32]
             l <= f64::from(alloc.procs(slot)) + 1e-9,
             "slot {slot} over capacity"
         );
-    }
-}
-
-/// Physical link id of a routed channel id under the machine's mode.
-fn physical(machine: &Machine, channel: u32) -> u32 {
-    match machine.link_mode() {
-        LinkMode::Directed => channel / 2,
-        LinkMode::Undirected => channel,
     }
 }
 
@@ -313,7 +305,7 @@ fn oracle_is_invalidated_on_link_failure_and_restore() {
                 for b in 0..n {
                     let route = machine.route_links_vec(a, b);
                     if !route.is_empty() {
-                        break 'found (a, b, physical(&machine, route[0]));
+                        break 'found (a, b, Topology::channel_link(route[0]));
                     }
                 }
             }
@@ -327,7 +319,9 @@ fn oracle_is_invalidated_on_link_failure_and_restore() {
         // must not (stale caches would).
         let after_route = machine.route_links_vec(a, b);
         assert!(
-            after_route.iter().all(|&c| physical(&machine, c) != link),
+            after_route
+                .iter()
+                .all(|&c| Topology::channel_link(c) != link),
             "{label}: route still crosses failed link {link}"
         );
         let after_hops = machine.hops(a, b);
@@ -353,7 +347,7 @@ fn oracle_is_invalidated_on_link_failure_and_restore() {
 fn masked_routes_and_distances_agree_on_every_pair() {
     for (label, mut machine) in machines() {
         let n = machine.num_nodes() as u32;
-        let link = physical(&machine, machine.route_links_vec(0, n - 1)[0]);
+        let link = Topology::channel_link(machine.route_links_vec(0, n - 1)[0]);
         machine.degrade_link(link, 0.0);
         let mut route = Vec::new();
         for a in 0..n {
@@ -361,7 +355,7 @@ fn masked_routes_and_distances_agree_on_every_pair() {
                 route.clear();
                 machine.route_links(a, b, &mut route);
                 assert!(
-                    route.iter().all(|&c| physical(&machine, c) != link),
+                    route.iter().all(|&c| Topology::channel_link(c) != link),
                     "{label}: {a}->{b} crosses failed link"
                 );
                 if machine.router_of(a) != machine.router_of(b) {
@@ -384,7 +378,7 @@ fn soft_degradation_keeps_routes_and_distances() {
         let n = machine.num_nodes() as u32;
         let route = machine.route_links_vec(0, n - 1);
         let channel = route[0];
-        let link = physical(&machine, channel);
+        let link = Topology::channel_link(channel);
         let hops = machine.hops(0, n - 1);
         let bw = machine.link_bandwidth(channel);
         machine.degrade_link(link, 0.5);
@@ -422,7 +416,7 @@ fn repair_under_hard_link_failure_stays_feasible() {
         )
         .fine_mapping;
         let n = machine.num_nodes() as u32;
-        let link = physical(&machine, machine.route_links_vec(0, n - 1)[0]);
+        let link = Topology::channel_link(machine.route_links_vec(0, n - 1)[0]);
         let victim = mapping[0];
         let events = [
             ChurnEvent::LinkDegraded { link, factor: 0.0 },

@@ -38,9 +38,13 @@ fn check_routes(m: &Machine, pairs: &[(u32, u32)], dist: impl Fn(u32, u32) -> u3
         assert_eq!(route.len() as u32, dist(a, b), "{}: route length", ctx());
         let mut cur = a;
         for &c in &route {
-            let link = c / 2;
+            let link = Topology::channel_link(c);
             let (u, v) = ends[link as usize];
-            let (from, to) = if c % 2 == 0 { (u, v) } else { (v, u) };
+            let (from, to) = if c == Topology::channel(link, false) {
+                (u, v)
+            } else {
+                (v, u)
+            };
             assert_eq!(from, cur, "{}: channel {c} does not leave {cur}", ctx());
             assert!(
                 g.neighbors(from).contains(&to),
@@ -116,7 +120,7 @@ fn masked_channels_walk_around_a_hard_link_failure() {
             let mut m = healthy.clone();
             let route = m.route_links_vec(a, b);
             let c = route[hop.min(route.len() - 1)];
-            m.degrade_link(c / 2, 0.0);
+            m.degrade_link(Topology::channel_link(c), 0.0);
             assert!(m.has_failed_links());
             let pairs = all_pairs(&m);
             for &(x, y) in &pairs {
