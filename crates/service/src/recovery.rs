@@ -297,9 +297,11 @@ fn decode_snapshot_payload(bytes: &[u8]) -> Option<SnapshotState> {
     })
 }
 
-/// Validates a decoded snapshot against the genesis machine (pure —
-/// nothing is mutated until every check passes, so a late failure can
-/// still fall back to the next snapshot in the chain).
+/// Validates a decoded snapshot's allocation and job against the
+/// genesis machine (pure — nothing is mutated until every check passes,
+/// so a late failure can still fall back to the next snapshot in the
+/// chain). Its fault mask is checked by `Machine::apply_fault_snapshot`,
+/// which leaves the machine untouched when the mask does not fit.
 fn validate_snapshot(state: &SnapshotState, machine: &Machine) -> bool {
     let num_nodes = machine.num_nodes();
     let mut seen = vec![false; num_nodes];
