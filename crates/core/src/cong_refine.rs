@@ -491,29 +491,12 @@ struct RouteSource<'a> {
 }
 
 impl<'a> RouteSource<'a> {
-    /// Appends the static route between terminal *routers* `ra` and
-    /// `rb` onto `out` (nothing when equal), counting into `stats`.
-    /// Callers supply routers from the maintained `task_router` array —
-    /// no per-query division.
-    #[inline]
-    fn append_routers(&self, ra: u32, rb: u32, out: &mut Vec<u32>, stats: &mut CongRunStats) {
-        if ra == rb {
-            return;
-        }
-        stats.route_queries += 1;
-        match self.cache {
-            Some(c) => {
-                stats.route_cache_hits += 1;
-                out.extend_from_slice(c.route(self.topo, ra, rb));
-            }
-            None => self.topo.route_links(ra, rb, out),
-        }
-    }
-
-    /// The static route between `ra` and `rb` as a borrowed slice —
+    /// The static route between terminal *routers* `ra` and `rb`
+    /// (empty when equal) as a borrowed slice, counting into `stats` —
     /// **zero-copy** on the cache path (the probe's dominant case); the
-    /// analytic fallback emits into `buf` and returns it. Same link
-    /// sequence as [`append_routers`](Self::append_routers).
+    /// analytic fallback emits into `buf` and returns it. Callers supply
+    /// routers from the maintained `task_router` array — no per-query
+    /// division.
     #[inline]
     fn route_slice<'s>(
         &'s self,
@@ -712,7 +695,7 @@ impl<'a> CongState<'a> {
             let weight = message_weight(c);
             let (ra, rb) = (task_router[src as usize], task_router[dst as usize]);
             let start = er_pool.len();
-            routes.append_routers(ra, rb, er_pool, stats);
+            er_pool.extend_from_slice(routes.route_slice(ra, rb, route_buf, stats));
             edges.push(EdgeRec { src, dst, w: c });
             er_span.push((start as u32, (er_pool.len() - start) as u32));
             for &link in &er_pool[start..] {
@@ -1203,7 +1186,8 @@ impl<'a> CongState<'a> {
                 self.task_router[rec.dst as usize],
             );
             let start = self.er_pool.len();
-            self.routes.append_routers(ra, rb, self.er_pool, self.stats);
+            let route = self.routes.route_slice(ra, rb, self.route_buf, self.stats);
+            self.er_pool.extend_from_slice(route);
             for j in start..self.er_pool.len() {
                 self.comm_tasks.insert(self.er_pool[j] as usize, e);
             }
