@@ -335,8 +335,9 @@ mod tests {
         let mut out = Vec::new();
         f.route_links(0, 1, &mut out);
         assert_eq!(out.len(), 2);
-        assert_eq!(out[0] % 2, 0, "first hop goes up");
-        assert_eq!(out[1] % 2, 1, "second hop goes down");
+        let up = |c: u32| c == Topology::channel(Topology::channel_link(c), false);
+        assert!(up(out[0]), "first hop goes up");
+        assert!(!up(out[1]), "second hop goes down");
     }
 
     #[test]
