@@ -179,7 +179,9 @@ pub struct RepairReport {
     /// Whether the supervisor replaced the live mapping with the
     /// from-scratch baseline (polish alone could not close the gap).
     pub adopted_baseline: bool,
-    /// Terminal retry failure, if the retry budget ran out.
+    /// Terminal retry failure, if the retry budget ran out; or
+    /// [`ServiceError::InvalidEvent`] for a refused churn batch, whose
+    /// report is otherwise the default (nothing was applied).
     pub error: Option<ServiceError>,
 }
 
