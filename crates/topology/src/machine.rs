@@ -379,9 +379,9 @@ impl Machine {
     /// entirely and the machine is indistinguishable from freshly
     /// built.
     ///
-    /// Panics when the event fails [`check_link_event`]
-    /// (Self::check_link_event); callers holding untrusted events run
-    /// that check first.
+    /// Panics when the event fails
+    /// [`check_link_event`](Self::check_link_event); callers holding
+    /// untrusted events run that check first.
     pub fn degrade_link(&mut self, link: u32, factor: f64) {
         if let Err(e) = self.check_link_event(link, factor) {
             panic!("link event (link {link}, factor {factor}) refused: {e}");

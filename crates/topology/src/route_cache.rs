@@ -28,7 +28,7 @@
 //! call the fallback uses, so cache and fallback yield **identical
 //! channel-id sequences** — the bit-identity contract
 //! `tests/cong_differential.rs` pins. Every row, lazy or
-//! failure-masked, is assembled by one builder ([`RouteRow::build`]).
+//! failure-masked, is assembled by one builder (`RouteRow::build`).
 
 use std::sync::OnceLock;
 
