@@ -52,7 +52,9 @@
 //! vector borrows the machine's memoized
 //! [`inv_bandwidths`](Machine::inv_bandwidths) slice, and `commTasks`,
 //! like the per-link traffic array, resets in O(links touched last
-//! run), not O(all links).
+//! run), not O(all links). The first run on an allocation builds every
+//! allocated router's route rows up front, so a later run reads warm
+//! slices whichever routers its probes reach.
 //!
 //! Mappings are **bit-identical** to the pre-rewrite engine (same probe
 //! order, same accept rule, same float accumulation order) — asserted
@@ -653,6 +655,16 @@ impl<'a> CongState<'a> {
             cache: machine.route_cache(),
             topo: machine.topology(),
         };
+        // Every probe routes from and to allocated routers only: build
+        // their rows now, so whichever routers a later run's probes
+        // reach, it reads warm slices. A no-op on a warm cache.
+        if let Some(cache) = routes.cache {
+            for slot in 0..alloc.num_nodes() {
+                let r = machine.router_of(alloc.node(slot));
+                cache.row_from(routes.topo, r);
+                cache.row_to(routes.topo, r);
+            }
+        }
 
         // Edge table + task → incident-edge CSR (out ids, then in ids —
         // the same order the old engine walked `out_edges`/`in_edges`).

@@ -26,7 +26,6 @@
 //! requires `row_to(b).route(a)` to be byte-identical to
 //! `row_from(a).route(b)`.
 
-use crate::route_cache::RouteRow;
 use crate::topology::Topology;
 
 /// Router adjacency over surviving links, annotated with the channel
@@ -81,19 +80,41 @@ impl MaskedAdjacency {
     }
 }
 
-/// Everything the machine re-derives under a failure mask: the
-/// terminal-router hop table plus both route-cache tables.
-pub(crate) struct MaskedProducts {
-    /// Row-major `n_term × n_term` hop counts (`u16::MAX` = cut off).
-    pub(crate) table: Vec<u16>,
-    /// Forward routes, one built row per source terminal router.
-    pub(crate) rows_from: Vec<RouteRow>,
-    /// Reverse routes (transpose of `rows_from`).
-    pub(crate) rows_to: Vec<RouteRow>,
+/// The per-source BFS trees of one masked sweep, shared by the route
+/// cache's masked rows.
+#[derive(Debug)]
+pub(crate) struct MaskedTrees {
+    /// Routers per tree: [`Topology::num_routers`], internal switches
+    /// included.
+    n_all: usize,
+    /// `parent[s * n_all + v]` is the channel over which source `s`'s
+    /// BFS reached router `v`; `u32::MAX` for the root and for routers
+    /// the failures cut off.
+    parent: Vec<u32>,
+    /// The router each channel id leaves.
+    tail: Vec<u32>,
 }
 
-/// Runs the per-source BFS sweep and assembles the masked products.
-pub(crate) fn build_masked(topo: &Topology, factor: &[f64]) -> MaskedProducts {
+impl MaskedTrees {
+    /// Appends the channel ids of source `s`'s tree path to `d`
+    /// (nothing when `d` is cut off): walks the parent channels back
+    /// to front, then reverses the just-appended segment in place.
+    pub(crate) fn path(&self, s: u32, d: u32, links: &mut Vec<u32>) {
+        let tree = &self.parent[s as usize * self.n_all..(s as usize + 1) * self.n_all];
+        let start = links.len();
+        let mut c = tree[d as usize];
+        while c != u32::MAX {
+            links.push(c);
+            c = tree[self.tail[c as usize] as usize];
+        }
+        links[start..].reverse();
+    }
+}
+
+/// Runs one BFS per terminal source over the surviving links. Returns
+/// the row-major `n_term × n_term` hop table (`u16::MAX` = cut off) and
+/// every source's parent-channel tree.
+pub(crate) fn sweep(topo: &Topology, factor: &[f64]) -> (Vec<u16>, MaskedTrees) {
     let n_all = topo.num_routers();
     let n = topo.num_terminal_routers();
     // tidy-allow: panic-freedom (machine-size precondition at mask build time, before any repair runs; >65534 routers is a build misconfiguration, not a runtime fault)
@@ -102,17 +123,21 @@ pub(crate) fn build_masked(topo: &Topology, factor: &[f64]) -> MaskedProducts {
         "failure masks need the u16::MAX hop sentinel: {n_all} routers overflow it"
     );
     let adj = MaskedAdjacency::build(topo, factor);
+    let mut tail = vec![0u32; Topology::channel(topo.num_physical_links() as u32, false) as usize];
+    topo.for_each_link(|l, a, b, _| {
+        tail[Topology::channel(l, false) as usize] = a;
+        tail[Topology::channel(l, true) as usize] = b;
+    });
     let mut table = vec![u16::MAX; n * n];
-    let mut rows_from = Vec::with_capacity(n);
+    let mut parent = vec![u32::MAX; n * n_all];
     let mut dist = vec![u32::MAX; n_all];
-    let mut par_chan = vec![u32::MAX; n_all];
-    let mut par = vec![u32::MAX; n_all];
     let mut queue = Vec::with_capacity(n_all);
-    for s in 0..n as u32 {
+    for s in 0..n {
+        let tree = &mut parent[s * n_all..(s + 1) * n_all];
         dist.fill(u32::MAX);
         queue.clear();
-        dist[s as usize] = 0;
-        queue.push(s);
+        dist[s] = 0;
+        queue.push(s as u32);
         let mut head = 0;
         while head < queue.len() {
             let v = queue[head];
@@ -121,46 +146,25 @@ pub(crate) fn build_masked(topo: &Topology, factor: &[f64]) -> MaskedProducts {
             for (w, c) in adj.edges(v) {
                 if dist[w as usize] == u32::MAX {
                     dist[w as usize] = dv + 1;
-                    par[w as usize] = v;
-                    par_chan[w as usize] = c;
+                    tree[w as usize] = c;
                     queue.push(w);
                 }
             }
         }
-        let row = &mut table[s as usize * n..(s as usize + 1) * n];
-        for (d, slot) in row.iter_mut().enumerate() {
-            let h = dist[d];
-            *slot = if h == u32::MAX { u16::MAX } else { h as u16 };
-        }
-        // Extract the tree path to every terminal destination: walk the
-        // parent chain (appending channel ids back-to-front), then
-        // reverse the just-appended segment in place.
-        rows_from.push(RouteRow::build(n, s, |d, links| {
-            if dist[d as usize] != u32::MAX {
-                let start = links.len();
-                let mut v = d;
-                while v != s {
-                    links.push(par_chan[v as usize]);
-                    v = par[v as usize];
-                }
-                links[start..].reverse();
+        for (slot, &h) in table[s * n..(s + 1) * n].iter_mut().zip(&dist) {
+            if h != u32::MAX {
+                *slot = h as u16;
             }
-        }));
+        }
     }
-    // Transpose: row_to(b).route(a) must be the identical byte sequence
-    // as row_from(a).route(b).
-    let rows_to = (0..n as u32)
-        .map(|b| {
-            RouteRow::build(n, b, |a, links| {
-                links.extend_from_slice(rows_from[a as usize].view().route(b));
-            })
-        })
-        .collect();
-    MaskedProducts {
+    (
         table,
-        rows_from,
-        rows_to,
-    }
+        MaskedTrees {
+            n_all,
+            parent,
+            tail,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -173,17 +177,33 @@ mod tests {
         let m = MachineConfig::small(&[3, 3], 1, 1).build();
         let topo = m.topology();
         let factor = vec![1.0; topo.num_physical_links()];
-        let p = build_masked(topo, &factor);
+        let (table, trees) = sweep(topo, &factor);
         let n = topo.num_terminal_routers() as u32;
+        let mut ends = vec![(0, 0); topo.num_physical_links()];
+        topo.for_each_link(|l, u, v, _| ends[l as usize] = (u, v));
+        let mut route = Vec::new();
         for a in 0..n {
             for b in 0..n {
-                let h = p.table[(a * n + b) as usize];
+                let h = table[(a * n + b) as usize];
                 // Torus BFS geodesics equal dimension-ordered distances.
                 assert_eq!(u32::from(h), topo.distance(a, b));
-                let route = p.rows_from[a as usize].view().route(b);
+                route.clear();
+                trees.path(a, b, &mut route);
                 assert_eq!(route.len(), h as usize, "route length == masked hops");
-                // Transpose consistency.
-                assert_eq!(route, p.rows_to[b as usize].view().route(a));
+                // The walk leaves `a` and chains link to link.
+                let mut cur = a;
+                for &c in &route {
+                    let l = Topology::channel_link(c);
+                    let (u, v) = ends[l as usize];
+                    let (from, to) = if c == Topology::channel(l, false) {
+                        (u, v)
+                    } else {
+                        (v, u)
+                    };
+                    assert_eq!(from, cur, "{a}->{b}");
+                    cur = to;
+                }
+                assert_eq!(cur, b, "{a}->{b}");
             }
         }
     }
@@ -198,18 +218,19 @@ mod tests {
         topo.route_links(0, 1, &mut route);
         let failed = Topology::channel_link(route[0]);
         factor[failed as usize] = 0.0;
-        let p = build_masked(topo, &factor);
+        let (table, trees) = sweep(topo, &factor);
         let n = topo.num_terminal_routers();
         // Still reachable (torus redundancy) but longer than 1 hop…
-        let h = p.table[1];
+        let h = table[1];
         assert!(h > 1 && h != u16::MAX);
         // …and the route never crosses the failed physical link.
-        let route = p.rows_from[0].view().route(1);
+        route.clear();
+        trees.path(0, 1, &mut route);
         assert_eq!(route.len(), h as usize);
-        for &c in route {
+        for &c in &route {
             assert_ne!(Topology::channel_link(c), failed);
         }
         // Unaffected pairs keep geodesic distances.
-        assert_eq!(u32::from(p.table[2 * n + 3]), topo.distance(2, 3));
+        assert_eq!(u32::from(table[2 * n + 3]), topo.distance(2, 3));
     }
 }

@@ -8,11 +8,11 @@
 //! format (see [`crate::topology`]); the machine's per-channel tables
 //! (`num_links`, bandwidths) are indexed by [`Topology::channel`] ids.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use umpa_graph::{Graph, GraphBuilder};
 
-use crate::fault;
+use crate::fault::{self, MaskedTrees};
 use crate::oracle::DistanceOracle;
 use crate::route_cache::RouteCache;
 use crate::topology::{Topology, TorusNet};
@@ -234,6 +234,10 @@ pub struct Machine {
     /// analytic route emitters.
     route_cache: OnceLock<Option<RouteCache>>,
     route_cache_max_routers: usize,
+    /// Under hard link failures, the per-source BFS trees of the one
+    /// masked sweep: set by the masked `oracle` build, shared by the
+    /// masked route cache.
+    masked_trees: OnceLock<Arc<MaskedTrees>>,
     /// Lazily built reciprocal channel bandwidths (`1 / bw` per channel
     /// id), hoisted once so per-run congestion setup is a slice borrow
     /// instead of `num_links` divisions.
@@ -281,6 +285,7 @@ impl Machine {
             oracle_max_routers: DEFAULT_ORACLE_MAX_ROUTERS,
             route_cache: OnceLock::new(),
             route_cache_max_routers: DEFAULT_ROUTE_CACHE_MAX_ROUTERS,
+            masked_trees: OnceLock::new(),
             inv_bw: OnceLock::new(),
         }
     }
@@ -289,8 +294,8 @@ impl Machine {
     /// the machine exceeds the router-count threshold (hot paths then
     /// use the analytic [`Topology::distance`]).
     ///
-    /// The build is O(n²) distance calls and is paid by the *first*
-    /// query on the machine (~0.4 s on Hopper's 3264 routers) — the
+    /// The build is one per-source distance sweep, paid by the *first*
+    /// query on the machine (≈ 25 ms on Hopper's 3264 routers) — the
     /// right trade for a long-lived serving machine, where every
     /// subsequent mapping amortizes it. A latency-sensitive caller
     /// doing a single mapping on a large machine can opt out with
@@ -300,16 +305,22 @@ impl Machine {
     /// threshold: the analytic fallback would measure distances over
     /// dead links, so in fault mode there is no fallback to fall back
     /// to (correctness over the memory knob; `u16::MAX` entries mark
-    /// pairs the failures cut apart).
+    /// pairs the failures cut apart). The same sweep leaves every
+    /// source's BFS tree for [`route_cache`](Self::route_cache), so one
+    /// sweep serves both per change of the failed-link set.
     #[inline]
     pub fn oracle(&self) -> Option<&DistanceOracle> {
         self.oracle
             .get_or_init(|| match self.failed_factors() {
                 Some(factor) => {
-                    let p = fault::build_masked(&self.topo, factor);
+                    let (table, trees) = fault::sweep(&self.topo, factor);
+                    // Set unless a threshold change re-runs this build
+                    // under the same failed-link set: the trees are then
+                    // already there, and equal.
+                    let _ = self.masked_trees.set(Arc::new(trees));
                     Some(DistanceOracle::from_table(
                         self.topo.num_terminal_routers(),
-                        p.table,
+                        table,
                     ))
                 }
                 None => DistanceOracle::build(&self.topo, self.oracle_max_routers),
@@ -328,22 +339,29 @@ impl Machine {
     /// The route memo, instantiating it on first use; `None` when the
     /// machine exceeds the router-count threshold (hot paths then emit
     /// routes analytically). Instantiation is O(n) empty row slots —
-    /// rows themselves build on first route *from* each source, so the
-    /// first congestion refinement on a fresh allocation pays the row
-    /// builds and every later run reads warm slices (DESIGN.md §13).
-    /// Under a failure mask with hard-failed links the cache is
-    /// **force-built eagerly** from the masked BFS sweep (every row of
-    /// both directions, regardless of the threshold): the analytic
-    /// emitters would route straight through dead links. The full
-    /// `4·Σ distance` footprint is the price of failures on very large
-    /// machines — see DESIGN.md §14.
+    /// rows themselves build on first route *from* or *to* each router,
+    /// so the first congestion refinement on a fresh allocation pays
+    /// the row builds and every later run reads warm slices (DESIGN.md
+    /// §13). Under a failure mask with hard-failed links the cache is
+    /// instantiated regardless of the threshold, over the BFS trees of
+    /// the masked sweep [`oracle`](Self::oracle) runs: its rows walk
+    /// the trees around the dead links, on demand like healthy rows,
+    /// since the analytic emitters would route straight through them
+    /// (DESIGN.md §14).
     #[inline]
     pub fn route_cache(&self) -> Option<&RouteCache> {
         self.route_cache
             .get_or_init(|| match self.failed_factors() {
-                Some(factor) => {
-                    let p = fault::build_masked(&self.topo, factor);
-                    Some(RouteCache::from_prebuilt(p.rows_from, p.rows_to))
+                Some(_) => {
+                    self.oracle();
+                    let trees = self
+                        .masked_trees
+                        .get()
+                        .expect("the masked oracle build sets the trees");
+                    Some(RouteCache::masked(
+                        self.topo.num_terminal_routers(),
+                        Arc::clone(trees),
+                    ))
                 }
                 None => RouteCache::build(&self.topo, self.route_cache_max_routers),
             })
@@ -537,6 +555,7 @@ impl Machine {
         self.router_graph = b.build_symmetric();
         self.oracle = OnceLock::new();
         self.route_cache = OnceLock::new();
+        self.masked_trees = OnceLock::new();
     }
 
     /// Hop distances out of terminal router `r` as a dense row
@@ -708,7 +727,7 @@ impl Machine {
         if self.has_failed_links() {
             let cache = self
                 .route_cache()
-                .expect("masked route cache is force-built under failures");
+                .expect("the masked route cache exists under failures");
             out.extend_from_slice(cache.route(&self.topo, ra, rb));
             return;
         }

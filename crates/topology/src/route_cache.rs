@@ -30,8 +30,9 @@
 //! `tests/cong_differential.rs` pins. Every row, lazy or
 //! failure-masked, is assembled by one builder (`RouteRow::build`).
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
+use crate::fault::MaskedTrees;
 use crate::topology::Topology;
 
 /// One router's routes to (or from) every terminal router, in CSR form.
@@ -99,6 +100,9 @@ pub struct RouteCache {
     /// One lazily-built row per *destination* terminal router (routes
     /// are directed, so the reverse view is its own table).
     rows_to: Vec<OnceLock<RouteRow>>,
+    /// Under hard link failures, the masked sweep's BFS trees: rows
+    /// walk them instead of calling the analytic emitters.
+    masked: Option<Arc<MaskedTrees>>,
 }
 
 impl RouteCache {
@@ -110,26 +114,23 @@ impl RouteCache {
         if n == 0 || n > max_routers {
             return None;
         }
-        let empty = || (0..n).map(|_| OnceLock::new()).collect();
-        Some(Self {
-            n,
-            rows_from: empty(),
-            rows_to: empty(),
-        })
+        Some(Self::empty(n, None))
     }
 
-    /// Wraps fully prebuilt rows (both directions) — the constructor
-    /// the failure-masked rebuild uses. Every row slot is initialized,
-    /// so the lazy `get_or_init` closures never run and the analytic
-    /// emitters are never consulted.
-    pub(crate) fn from_prebuilt(rows_from: Vec<RouteRow>, rows_to: Vec<RouteRow>) -> Self {
-        debug_assert_eq!(rows_from.len(), rows_to.len());
-        let n = rows_from.len();
-        let seal = |rows: Vec<RouteRow>| rows.into_iter().map(OnceLock::from).collect();
+    /// An empty cache over `n` terminal routers whose rows walk the
+    /// masked sweep's `trees` — the cache a machine with hard-failed
+    /// links serves.
+    pub(crate) fn masked(n: usize, trees: Arc<MaskedTrees>) -> Self {
+        Self::empty(n, Some(trees))
+    }
+
+    fn empty(n: usize, masked: Option<Arc<MaskedTrees>>) -> Self {
+        let slots = || (0..n).map(|_| OnceLock::new()).collect();
         Self {
             n,
-            rows_from: seal(rows_from),
-            rows_to: seal(rows_to),
+            rows_from: slots(),
+            rows_to: slots(),
+            masked,
         }
     }
 
@@ -171,7 +172,10 @@ impl RouteCache {
     #[inline]
     pub fn row_from(&self, topo: &Topology, a: u32) -> RouteRowView<'_> {
         self.rows_from[a as usize]
-            .get_or_init(|| RouteRow::build(self.n, a, |d, links| topo.route_links(a, d, links)))
+            .get_or_init(|| match &self.masked {
+                Some(trees) => RouteRow::build(self.n, a, |d, links| trees.path(a, d, links)),
+                None => RouteRow::build(self.n, a, |d, links| topo.route_links(a, d, links)),
+            })
             .view()
     }
 
@@ -183,7 +187,10 @@ impl RouteCache {
     #[inline]
     pub fn row_to(&self, topo: &Topology, b: u32) -> RouteRowView<'_> {
         self.rows_to[b as usize]
-            .get_or_init(|| RouteRow::build(self.n, b, |s, links| topo.route_links(s, b, links)))
+            .get_or_init(|| match &self.masked {
+                Some(trees) => RouteRow::build(self.n, b, |s, links| trees.path(s, b, links)),
+                None => RouteRow::build(self.n, b, |s, links| topo.route_links(s, b, links)),
+            })
             .view()
     }
 
