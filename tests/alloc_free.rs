@@ -368,6 +368,81 @@ fn warm_incremental_remap_is_allocation_free() {
 }
 
 #[test]
+fn congestion_refinement_under_a_hard_link_failure_allocates_nothing_after_its_first_run() {
+    // The DESIGN.md §13/§14 contract under failures: the masked route
+    // cache builds its rows on demand, and congestion refinement's
+    // setup builds every allocated router's rows on its first run. So
+    // once that run is done, later runs allocate nothing — even when
+    // they start from other mappings, whose probes reach routers the
+    // first run's probes never did. The scratch is sized beforehand on
+    // a copy of the machine, so the measured window sees only the row
+    // contract.
+    let machines: Vec<Machine> = vec![
+        MachineConfig::small(&[4, 4], 1, 4).build(),
+        umpa::topology::FatTreeConfig::small(4, 1, 4).build(),
+        umpa::topology::DragonflyConfig {
+            procs_per_node: 4,
+            ..umpa::topology::DragonflyConfig::small(3, 3, 1)
+        }
+        .build(),
+    ];
+    let tg = TaskGraph::from_messages(
+        32,
+        (0..32u32).flat_map(|i| [(i, (i + 1) % 32, 4.0), (i, (i + 5) % 32, 1.0)]),
+        None,
+    );
+    let cfg = CongRefineConfig::volume();
+    let mut scratch = MapperScratch::new();
+    for mut machine in machines {
+        let n = machine.num_terminal_routers() as u32;
+        let first_hop = machine.route_links_vec(0, machine.nodes_of_router(n - 1).start)[0];
+        machine.degrade_link(umpa::topology::Topology::channel_link(first_hop), 0.0);
+        let alloc = Allocation::generate(&machine, &AllocSpec::sparse(8, 2));
+        let mut mapping = Vec::new();
+        greedy_map_into(
+            &tg,
+            &machine,
+            &alloc,
+            &GreedyConfig::default(),
+            &mut scratch.greedy,
+            &mut mapping,
+        );
+        // Unit task weights: every rotation of a feasible mapping is
+        // feasible.
+        let starts: Vec<Vec<u32>> = (0..6)
+            .map(|k| {
+                let mut start = mapping.clone();
+                start.rotate_left(k * 5);
+                start
+            })
+            .collect();
+        let run =
+            |machine: &Machine, scratch: &mut MapperScratch, mapping: &mut Vec<u32>, k: usize| {
+                mapping.copy_from_slice(&starts[k]);
+                congestion_refine_scratch(&tg, machine, &alloc, mapping, &cfg, &mut scratch.cong);
+            };
+        let fresh = machine.clone();
+        for k in 0..starts.len() {
+            run(&machine, &mut scratch, &mut mapping, k);
+        }
+        assert_eq!(fresh.route_cache().unwrap().built_rows(), 0);
+        run(&fresh, &mut scratch, &mut mapping, 0);
+        let mut k = 0;
+        let counted = measure_steady_state(|| {
+            k += 1;
+            run(&fresh, &mut scratch, &mut mapping, k);
+        });
+        assert_eq!(
+            counted,
+            0,
+            "congestion refinement under a hard link failure allocated {counted} times over \
+             5 runs after the first on {}",
+            machine.topology().summary()
+        );
+    }
+}
+
+#[test]
 fn warm_pipeline_allocates_strictly_less_than_cold() {
     let machine = MachineConfig::small(&[4, 4], 1, 4).build();
     let alloc = Allocation::generate(&machine, &AllocSpec::sparse(8, 2));

@@ -14,6 +14,10 @@
 //! link, two failed links, a mesh cut that isolates a corner router,
 //! and fail → restore → fail another link, which must not serve the
 //! first failure's products.
+//!
+//! A last test pins the on-demand footprint: a hard failure on Hopper
+//! builds no route row, and one `GreedyMc` map then builds both rows of
+//! every allocated router and nothing else.
 
 #[path = "reference/masked.rs"]
 mod reference;
@@ -188,4 +192,39 @@ fn hopper_masked_products_match_on_sampled_pairs() {
             );
         }
     }
+}
+
+#[test]
+fn masked_rows_build_on_demand() {
+    let mut m = MachineConfig::hopper().build();
+    let [l1, _] = used_links(&m);
+    m.degrade_link(l1, 0.0);
+    let cache = m
+        .route_cache()
+        .expect("masked cache is built under failures");
+    assert_eq!(cache.built_rows(), 0, "a hard failure builds no route row");
+    let alloc = Allocation::generate(&m, &AllocSpec::sparse(32, 5));
+    let tg = TaskGraph::from_messages(
+        256,
+        (0..256u32).flat_map(|i| [(i, (i + 1) % 256, 4.0), (i, (i + 9) % 256, 1.0)]),
+        None,
+    );
+    map_tasks(
+        &tg,
+        &m,
+        &alloc,
+        MapperKind::GreedyMc,
+        &PipelineConfig::default(),
+    );
+    let mut routers: Vec<u32> = alloc.nodes().iter().map(|&v| m.router_of(v)).collect();
+    routers.sort_unstable();
+    routers.dedup();
+    // Congestion refinement builds both rows of every allocated router
+    // and nothing else.
+    assert_eq!(cache.built_rows(), 2 * routers.len());
+    assert!(
+        cache.size_bytes() < 32 << 20,
+        "{} bytes of masked rows",
+        cache.size_bytes()
+    );
 }
