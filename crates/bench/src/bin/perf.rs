@@ -623,7 +623,8 @@ fn main() {
                 ..ServiceConfig::default()
             },
         );
-        svc.install_job(Arc::clone(&tasks));
+        svc.install_job(Arc::clone(&tasks))
+            .expect("the resident job fits the allocation");
         // Requests must stay direct-mappable even after the churn
         // generator's 25 % node-removal cap, so cap them at half the
         // initial processor capacity.

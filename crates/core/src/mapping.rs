@@ -110,6 +110,29 @@ pub fn validate_mapping(
     Ok(())
 }
 
+/// The one check a job must pass before it is mapped onto `alloc`:
+/// the allocation holds a node, every task weight is finite and
+/// non-negative, and the total weight fits the allocation's processors
+/// under the tolerance greedy's own precondition uses ([`fits`]). The
+/// error names the reason. The service runs it on every install and
+/// map request before anything is journaled or mapped, and recovery
+/// replay runs it on every install frame.
+pub fn check_job(tg: &TaskGraph, alloc: &Allocation) -> Result<(), &'static str> {
+    if alloc.num_nodes() == 0 {
+        return Err("allocation holds no node");
+    }
+    let n = tg.num_tasks() as u32;
+    if (0..n).any(|t| !(tg.task_weight(t) >= 0.0 && tg.task_weight(t).is_finite())) {
+        return Err("task weight is NaN, infinite or negative");
+    }
+    // Summed exactly as greedy sums it.
+    let total_weight: f64 = (0..n).map(|t| tg.task_weight(t)).sum();
+    if !fits(f64::from(alloc.total_procs()), total_weight) {
+        return Err("total task weight exceeds the allocation's processors");
+    }
+    Ok(())
+}
+
 /// Boolean convenience over [`validate_mapping`] for callers that only
 /// branch on feasibility (assertions, differential harnesses); the
 /// typed [`MappingError`] carries the diagnosis when you need it.
@@ -128,6 +151,31 @@ mod tests {
         let alloc = Allocation::generate(&m, &AllocSpec::contiguous(4));
         let tg = TaskGraph::from_messages(4, [(0, 1, 1.0), (2, 3, 1.0)], None);
         (m, alloc, tg)
+    }
+
+    #[test]
+    fn job_check_refuses_empty_allocations_bad_weights_and_oversized_jobs() {
+        let (m, alloc, tg) = setup();
+        assert_eq!(check_job(&tg, &alloc), Ok(()));
+        let empty = Allocation::from_nodes(&m, Vec::new(), 2);
+        assert_eq!(check_job(&tg, &empty), Err("allocation holds no node"));
+        for w in [f64::NAN, f64::INFINITY, -1.0] {
+            let bad = TaskGraph::from_messages(4, [(0, 1, 1.0)], Some(vec![1.0, w, 1.0, 1.0]));
+            assert_eq!(
+                check_job(&bad, &alloc),
+                Err("task weight is NaN, infinite or negative"),
+                "weight {w}"
+            );
+        }
+        // 4 nodes × 2 procs: 8 unit tasks fit, 9 do not.
+        let ring = |n: u32| {
+            TaskGraph::from_messages(n as usize, (0..n).map(|i| (i, (i + 1) % n, 1.0)), None)
+        };
+        assert_eq!(check_job(&ring(8), &alloc), Ok(()));
+        assert_eq!(
+            check_job(&ring(9), &alloc),
+            Err("total task weight exceeds the allocation's processors")
+        );
     }
 
     #[test]

@@ -68,7 +68,9 @@ pub enum RecoveryError {
     },
     /// A decoded record references entities this machine does not
     /// have (e.g. a link id past the topology) — the journal belongs
-    /// to a different machine shape.
+    /// to a different machine shape — or installs a job that fails
+    /// [`check_job`](umpa_core::check_job) on the allocation replay has
+    /// reached.
     InvalidReplay {
         /// Sequence number of the offending frame.
         seq: u64,
@@ -511,7 +513,7 @@ impl MappingService {
                     });
                 }
             }
-            replay.push(rec);
+            replay.push((*seq, rec));
         }
         report.last_seq = last_seq;
 
@@ -530,7 +532,7 @@ impl MappingService {
                 }
             }
         }
-        for rec in replay {
+        for (seq, rec) in replay {
             match rec {
                 JournalRecord::Install {
                     num_tasks,
@@ -542,7 +544,9 @@ impl MappingService {
                         messages,
                         weights,
                     };
-                    inner.install_job(Arc::new(parts.build()));
+                    inner
+                        .install_job(Arc::new(parts.build()))
+                        .map_err(|context| RecoveryError::InvalidReplay { seq, context })?;
                 }
                 JournalRecord::Churn(events) => {
                     inner.apply_churn(&events);

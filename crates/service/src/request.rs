@@ -113,6 +113,12 @@ pub enum ServiceError {
         /// Why it was refused (static description).
         reason: &'static str,
     },
+    /// A job was refused, before any journal write or mapping, because
+    /// it fails [`umpa_core::check_job`] on the current allocation.
+    InvalidJob {
+        /// Why it was refused (static description).
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for ServiceError {
@@ -127,6 +133,7 @@ impl fmt::Display for ServiceError {
             ServiceError::InvalidEvent { index, reason } => {
                 write!(f, "churn batch refused: event {index}: {reason}")
             }
+            ServiceError::InvalidJob { reason } => write!(f, "job refused: {reason}"),
         }
     }
 }

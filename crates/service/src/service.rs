@@ -19,8 +19,8 @@ use std::thread::JoinHandle;
 
 use umpa_core::greedy::weighted_hops;
 use umpa_core::{
-    apply_events, map_tasks_with, remap_incremental, ChurnEvent, MapperScratch, PipelineConfig,
-    RemapConfig, RemapDrift, RemapOutcome,
+    apply_events, check_job, map_tasks_with, remap_incremental, ChurnEvent, MapperScratch,
+    PipelineConfig, RemapConfig, RemapDrift, RemapOutcome,
 };
 use umpa_graph::TaskGraph;
 use umpa_topology::{Allocation, Machine};
@@ -346,10 +346,13 @@ impl ServiceInner {
 
     /// Installs (or replaces) the resident job; the write-lock core of
     /// [`MappingService::install_job`], shared with recovery replay
-    /// (which re-runs the same from-scratch map deterministically).
-    pub(crate) fn install_job(&self, tasks: Arc<TaskGraph>) -> f64 {
+    /// (which re-runs the same from-scratch map deterministically). A
+    /// job that fails [`check_job`] is refused with its reason before
+    /// anything is journaled or mutated.
+    pub(crate) fn install_job(&self, tasks: Arc<TaskGraph>) -> Result<f64, &'static str> {
         let mut scratch = MapperScratch::new();
         let mut st = self.write_state();
+        check_job(&tasks, &st.alloc)?;
         self.journal_append(&JournalRecord::install(&tasks));
         let outcome = map_tasks_with(
             &tasks,
@@ -370,7 +373,7 @@ impl ServiceInner {
         });
         self.pending_due_ns.store(u64::MAX, Ordering::Release);
         self.maybe_snapshot(st);
-        wh
+        Ok(wh)
     }
 
     /// Forced supervisor pass; the write-lock core of
@@ -525,9 +528,14 @@ impl MappingService {
     /// with the ladder's top-rung mapper (`UMC`) and returns the
     /// initial WH.
     /// Subsequent churn repairs and the drift supervisor operate on
-    /// this job's live mapping.
-    pub fn install_job(&self, tasks: Arc<TaskGraph>) -> f64 {
-        self.inner.install_job(tasks)
+    /// this job's live mapping. A job that fails
+    /// [`check_job`](umpa_core::check_job) on the current allocation is
+    /// refused before anything is journaled or mutated, with
+    /// [`ServiceError::InvalidJob`]; the resident job stays as it was.
+    pub fn install_job(&self, tasks: Arc<TaskGraph>) -> Result<f64, ServiceError> {
+        self.inner
+            .install_job(tasks)
+            .map_err(|reason| ServiceError::InvalidJob { reason })
     }
 
     /// Submits a map request through the bounded admission queue.

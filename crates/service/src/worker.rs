@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use umpa_core::{map_tasks_with, MapperScratch};
+use umpa_core::{check_job, map_tasks_with, MapperScratch};
 
 use crate::ladder::select_rung;
 use crate::request::{Envelope, MapReply, ServiceError};
@@ -81,7 +81,8 @@ fn serve(inner: &ServiceInner, env: Envelope, scratch: &mut MapperScratch) {
             let tasks = job.tasks;
             let computed = catch_unwind(AssertUnwindSafe(|| {
                 let st = inner.read_state();
-                map_tasks_with(
+                check_job(&tasks, &st.alloc)?;
+                Ok(map_tasks_with(
                     &tasks,
                     &st.machine,
                     &st.alloc,
@@ -89,13 +90,13 @@ fn serve(inner: &ServiceInner, env: Envelope, scratch: &mut MapperScratch) {
                     &inner.pipeline,
                     scratch,
                 )
-                .fine_mapping
+                .fine_mapping)
             }));
             let done_ns = inner.clock.now_ns();
             let service_ns = done_ns.saturating_sub(picked_ns);
             let total_ns = done_ns.saturating_sub(submitted_ns);
             match computed {
-                Ok(mapping) => {
+                Ok(Ok(mapping)) => {
                     inner.costs.observe(rung, service_ns);
                     inner.stats.served_by_rung[rung.index()].fetch_add(1, Ordering::AcqRel);
                     if total_ns > deadline_ns {
@@ -110,6 +111,9 @@ fn serve(inner: &ServiceInner, env: Envelope, scratch: &mut MapperScratch) {
                         total_ns,
                         deadline_ns,
                     }));
+                }
+                Ok(Err(reason)) => {
+                    let _ = reply.send(Err(ServiceError::InvalidJob { reason }));
                 }
                 Err(_) => {
                     inner.stats.panics.fetch_add(1, Ordering::AcqRel);

@@ -61,7 +61,8 @@ fn main() {
         alloc.clone(),
         durable(Some(switch.clone())),
     );
-    svc.install_job(Arc::clone(&resident));
+    svc.install_job(Arc::clone(&resident))
+        .expect("the resident job fits the allocation");
     for ev in &events {
         svc.apply_churn(std::slice::from_ref(ev));
     }
@@ -96,7 +97,9 @@ fn main() {
             ..ServiceConfig::default()
         },
     );
-    reference.install_job(Arc::clone(&resident));
+    reference
+        .install_job(Arc::clone(&resident))
+        .expect("the resident job fits the allocation");
     let surviving = (report.last_seq - 1) as usize;
     for ev in &events[..surviving] {
         reference.apply_churn(std::slice::from_ref(ev));

@@ -61,7 +61,9 @@ fn main() {
         },
     );
     let resident = Arc::new(ring_with_chords(128, 3));
-    let wh0 = svc.install_job(Arc::clone(&resident));
+    let wh0 = svc
+        .install_job(Arc::clone(&resident))
+        .expect("the resident job fits the allocation");
     println!(
         "resident job installed: {} tasks, initial WH {:.0}\n",
         resident.num_tasks(),

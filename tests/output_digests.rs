@@ -199,7 +199,7 @@ fn service_repairs_are_pinned() {
         };
         let service = MappingService::with_clock(machine, alloc, cfg, clock);
         let mut h = Fnv::new();
-        h.f64(service.install_job(Arc::clone(&tasks)));
+        h.f64(service.install_job(Arc::clone(&tasks)).expect("job fits"));
 
         let mut stream = vec![
             ChurnEvent::LinkDegraded {

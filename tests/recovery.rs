@@ -134,7 +134,7 @@ fn digest(service: &MappingService) -> StateDigest {
 /// nothing else touches the journal, so frame `seq` `k+1` is exactly
 /// `events[k]` (seq 1 is the install).
 fn run_ops(service: &MappingService, graph: &Arc<TaskGraph>, events: &[ChurnEvent]) {
-    service.install_job(Arc::clone(graph));
+    service.install_job(Arc::clone(graph)).expect("job fits");
     for ev in events {
         service.apply_churn(std::slice::from_ref(ev));
     }
@@ -151,7 +151,7 @@ fn reference_digest(
 ) -> StateDigest {
     let reference = MappingService::new(machine.clone(), alloc.clone(), plain_cfg());
     if last_seq >= 1 {
-        reference.install_job(Arc::clone(graph));
+        reference.install_job(Arc::clone(graph)).expect("job fits");
         let surviving = (last_seq - 1) as usize;
         for ev in &events[..surviving] {
             reference.apply_churn(std::slice::from_ref(ev));
@@ -359,7 +359,7 @@ fn retry_and_polish_frames_replay_bit_identical() {
     let dir = fresh_dir("retry");
 
     let drive = |service: &MappingService| {
-        service.install_job(Arc::clone(&graph));
+        service.install_job(Arc::clone(&graph)).expect("job fits");
         // Shrink below capacity: repair goes Infeasible, pending arms.
         service.apply_churn(&[ChurnEvent::NodesRemoved {
             nodes: doomed.clone(),
@@ -409,7 +409,7 @@ fn recover_from_empty_directory_is_genesis() {
 
     // The recovered (empty) service journals from seq 1 like a fresh one.
     let graph = Arc::new(task_graph(tasks, 1));
-    service.install_job(Arc::clone(&graph));
+    service.install_job(Arc::clone(&graph)).expect("job fits");
     drop(service);
     let (recovered, report) =
         MappingService::recover(machine.clone(), alloc.clone(), durable_cfg(&dir, 4, None))
@@ -486,7 +486,7 @@ fn malformed_link_events_are_refused_before_the_journal() {
         let dir = fresh_dir("malformed");
         let service =
             MappingService::new(machine.clone(), alloc.clone(), durable_cfg(&dir, 64, None));
-        service.install_job(Arc::clone(&graph));
+        service.install_job(Arc::clone(&graph)).expect("job fits");
         let before = digest(&service);
         let appends = service.stats().journal_appends;
         let journal_len = || {
@@ -550,4 +550,74 @@ fn replay_refuses_malformed_link_events_with_a_typed_error() {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The oversized-job setup: a 4×4 torus with one node per router and
+/// two processors per node, and an 8-node allocation (16 processors).
+fn sixteen_processors() -> (Machine, Allocation) {
+    let machine = MachineConfig::small(&[4, 4], 1, 2).build();
+    let alloc = Allocation::generate(&machine, &AllocSpec::sparse(8, 1));
+    (machine, alloc)
+}
+
+const TOO_HEAVY: &str = "total task weight exceeds the allocation's processors";
+
+#[test]
+fn oversized_job_is_refused_before_the_journal() {
+    let (machine, alloc) = sixteen_processors();
+    let dir = fresh_dir("oversized");
+    let service = MappingService::new(machine.clone(), alloc.clone(), durable_cfg(&dir, 64, None));
+    service
+        .install_job(Arc::new(task_graph(16, 1)))
+        .expect("16 tasks fit 16 processors");
+    let before = digest(&service);
+    let appends = service.stats().journal_appends;
+    let journal_len = || {
+        std::fs::metadata(dir.join("journal.bin"))
+            .expect("journal exists")
+            .len()
+    };
+    let len = journal_len();
+    let refused = catch_unwind(AssertUnwindSafe(|| {
+        service.install_job(Arc::new(task_graph(20, 1)))
+    }))
+    .unwrap_or_else(|_| panic!("install_job panicked on an oversized job"));
+    assert_eq!(refused, Err(ServiceError::InvalidJob { reason: TOO_HEAVY }));
+    assert_eq!(service.stats().journal_appends, appends);
+    assert_eq!(journal_len(), len, "a frame was appended");
+    assert_eq!(digest(&service), before, "state changed");
+    drop(service);
+    let (recovered, report) = MappingService::recover(machine, alloc, durable_cfg(&dir, 64, None))
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(report.last_seq, 1);
+    assert_eq!(digest(&recovered), before);
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An install frame whose job no longer fits the allocation replay
+/// starts from fails recovery with the job check's typed error, never
+/// a panic.
+#[test]
+fn replay_refuses_an_oversized_install_with_a_typed_error() {
+    let (machine, alloc) = sixteen_processors();
+    let dir = fresh_dir("oversized-replay");
+    let service = MappingService::new(machine.clone(), alloc, durable_cfg(&dir, 64, None));
+    service
+        .install_job(Arc::new(task_graph(16, 1)))
+        .expect("16 tasks fit 16 processors");
+    drop(service);
+    let smaller = Allocation::generate(&machine, &AllocSpec::sparse(4, 1));
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        MappingService::recover(machine.clone(), smaller, durable_cfg(&dir, 64, None))
+    }))
+    .unwrap_or_else(|_| panic!("recover panicked on an oversized install frame"));
+    match result {
+        Err(RecoveryError::InvalidReplay { seq: 1, context }) if context == TOO_HEAVY => {}
+        other => panic!(
+            "expected InvalidReplay for frame 1, got {:?}",
+            other.map(|_| ())
+        ),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

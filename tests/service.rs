@@ -105,7 +105,9 @@ fn soak_500_events_sheds_survives_and_bounds_drift() {
     let queue_capacity = cfg.queue_capacity;
     let service = MappingService::new(machine, alloc, cfg);
     let resident = Arc::new(task_graph(128, 1));
-    let initial_wh = service.install_job(Arc::clone(&resident));
+    let initial_wh = service
+        .install_job(Arc::clone(&resident))
+        .expect("job fits");
     assert!(initial_wh > 0.0);
 
     let mut tickets = Vec::new();
@@ -282,7 +284,9 @@ fn infeasible_repair_retries_exhausts_typed_then_converges_on_capacity() {
     let max_attempts = RETRY_MAX_ATTEMPTS;
     let service = MappingService::with_clock(machine, alloc, cfg, clock);
     // 14 unit tasks on 8 nodes × 2 procs = 16 slots: nearly full.
-    service.install_job(Arc::new(task_graph(14, 5)));
+    service
+        .install_job(Arc::new(task_graph(14, 5)))
+        .expect("job fits");
 
     // Remove 4 nodes (8 slots): 14 tasks cannot fit 8 slots.
     let doomed: Vec<u32> = service.with_state(|_, a| a.nodes()[..4].to_vec());
@@ -364,7 +368,9 @@ fn manual_clock_runs_are_deterministic() {
             ..ServiceConfig::default()
         };
         let service = MappingService::with_clock(machine, alloc, cfg, clock);
-        service.install_job(Arc::new(task_graph(96, 2)));
+        service
+            .install_job(Arc::new(task_graph(96, 2)))
+            .expect("job fits");
         let mut replies = Vec::new();
         for ev in &load {
             match ev {
@@ -402,7 +408,9 @@ fn poisoned_state_lock_is_absorbed_and_service_keeps_serving() {
     };
     let service = MappingService::new(machine, alloc, cfg);
     let wh_before = {
-        service.install_job(Arc::new(task_graph(96, 4)));
+        service
+            .install_job(Arc::new(task_graph(96, 4)))
+            .expect("job fits");
         service.live_wh().expect("job installed")
     };
 
@@ -453,4 +461,38 @@ fn try_wait_reports_a_request_the_service_dropped() {
         ticket.try_wait(),
         Some(Err(ServiceError::Disconnected))
     ));
+}
+
+#[test]
+fn oversized_map_request_gets_a_typed_error() {
+    // 4×4 torus, one node per router, two processors per node: an
+    // 8-node allocation holds 16 processors, and a 20-task job does
+    // not fit it.
+    let machine = MachineConfig::small(&[4, 4], 1, 2).build();
+    let alloc = Allocation::generate(&machine, &AllocSpec::sparse(8, 1));
+    let cfg = ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    };
+    let service = MappingService::new(machine, alloc, cfg);
+    let reply = service
+        .submit_map(MapJob::new(Arc::new(task_graph(20, 1))))
+        .accepted()
+        .expect("queue empty, must admit")
+        .wait();
+    assert_eq!(
+        reply.map(|r| r.mapping),
+        Err(ServiceError::InvalidJob {
+            reason: "total task weight exceeds the allocation's processors"
+        })
+    );
+    // The worker keeps serving jobs that fit.
+    let reply = service
+        .submit_map(MapJob::new(Arc::new(task_graph(16, 1))))
+        .accepted()
+        .expect("queue empty, must admit")
+        .wait()
+        .expect("a fitting job is served");
+    assert_eq!(reply.mapping.len(), 16);
+    assert_eq!(service.shutdown().panics, 0);
 }
