@@ -375,9 +375,10 @@ fn main() {
         // task 0 (its co-residents are re-placed and a 1-hop frontier
         // polished), then return the node via a cheap no-displacement
         // repair, so every cycle starts from full capacity. Node churn
-        // only — the cycle never enters the masked-topology rebuild,
-        // which is a cold-path cost measured by the failover example
-        // instead. The fixture gets two spare nodes of headroom so a
+        // only — the cycle never enters the masked BFS sweep a hard link
+        // failure runs, a cold-path cost the failover example times
+        // instead (≈ 2 ms on its 8×8×4 torus, ≈ 0.28 s on Hopper, on a
+        // 2-CPU VM). The fixture gets two spare nodes of headroom so a
         // single node failure is always repairable.
         let remap_cfg = RemapConfig::default();
         let mut rmach = machine.clone();
@@ -635,10 +636,11 @@ fn main() {
             churn_fraction: 0.2,
             tasks: (slots / 4, slots / 2),
             mean_gap_ns: ((service_ns * 0.6) as u64).max(10_000),
-            // Node churn only: a hard link failure's masked-topology
-            // rebuild is a multi-second cold path (measured by the
-            // failover example) that would hold the write lock and
-            // turn the reply p99 into a rebuild benchmark.
+            // Node churn only: a hard link failure runs the masked BFS
+            // sweep under the write lock (≈ 0.28 s on Hopper on a 2-CPU
+            // VM; the failover example times it on its own torus), so
+            // it would turn the reply p99 into a sweep benchmark, and
+            // adding it needs a new BENCH_mapping.json baseline.
             churn: ChurnSpec::nodes_only(0, 0),
             ..LoadSpec::new(if preset.name == "tiny" { 96 } else { 256 }, 7)
         };

@@ -1,15 +1,22 @@
-//! Failure-masked rebuilds of the distance oracle and route cache.
+//! Failure-masked distances and routes: one BFS sweep per change of
+//! the failed-link set.
 //!
 //! The analytic backends ([`Topology`]) route with closed-form walks
 //! that know nothing about link health; once a physical link hard-fails
 //! (`factor == 0`), every cached *and* analytic product derived from
-//! the static routes is wrong. This module rebuilds the derived state
-//! from first principles: a per-source BFS over the **surviving**
-//! links yields shortest-path distances and parent-tree routes that
-//! avoid the failed links, emitted as the same [`Topology::channel`]
-//! ids the analytic emitters use, so congestion accounting and
-//! bandwidth lookups keep working unchanged. Rows are assembled by the
-//! route cache's one row builder.
+//! the static routes is wrong. This module re-derives them from first
+//! principles: one BFS per terminal source over the **surviving** links
+//! ([`sweep`]) fills that source's row of the hop table and leaves its
+//! parent-channel tree — for every router, the channel the BFS reached
+//! it over, labelled with the same [`Topology::channel`] ids the
+//! analytic emitters use, so congestion accounting and bandwidth
+//! lookups keep working unchanged. The machine's distance oracle keeps
+//! the table, and its route cache keeps the trees ([`MaskedTrees`]):
+//! a masked route row is built on demand, through the route cache's one
+//! row builder, by walking trees back to their roots along a
+//! channel → tail-router table. The trees cost
+//! `n_term · n_routers · 4` bytes (≈ 42.6 MB on Hopper), against
+//! ≈ 0.5 GiB per direction for every route.
 //!
 //! Masked distances are graph geodesics over the surviving links —
 //! under failures there *is* no static minimal route to measure, so
@@ -20,11 +27,14 @@
 //! not accounted to any link and placement heuristics see an
 //! effectively infinite distance.
 //!
-//! The reverse (`rows_to`) table is built by transposing the forward
-//! rows rather than by destination-side BFS: BFS tie-breaking is
-//! source-dependent, and the congestion engine's probe/commit split
+//! Both directions of a route come from its *source's* tree: the
+//! reverse row into `b` walks every source's tree to `b` rather than
+//! running a destination-side BFS, because BFS tie-breaking is
+//! source-dependent and the congestion engine's probe/commit split
 //! requires `row_to(b).route(a)` to be byte-identical to
-//! `row_from(a).route(b)`.
+//! `row_from(a).route(b)`. A row depends only on its own source's tree,
+//! so a row built on demand is the row a full rebuild would build —
+//! `tests/masked_differential.rs` pins that against the frozen rebuild.
 
 use crate::topology::Topology;
 

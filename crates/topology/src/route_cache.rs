@@ -27,8 +27,12 @@
 //! Cached routes are produced by the same [`Topology::route_links`]
 //! call the fallback uses, so cache and fallback yield **identical
 //! channel-id sequences** — the bit-identity contract
-//! `tests/cong_differential.rs` pins. Every row, lazy or
-//! failure-masked, is assembled by one builder (`RouteRow::build`).
+//! `tests/cong_differential.rs` pins. Under hard link failures the
+//! machine serves a cache over the masked sweep's BFS trees
+//! (the `fault` module) instead: its rows are built on demand too, by
+//! walking the trees around the dead links, and the analytic emitters
+//! are never consulted. Every row, healthy or failure-masked, is
+//! assembled by one builder (`RouteRow::build`).
 
 use std::sync::{Arc, OnceLock};
 
@@ -164,7 +168,8 @@ impl RouteCache {
 
     /// The routes *out of* terminal router `a` as a row view
     /// (`view.route(b)` = the `a → b` channel ids), building the row on
-    /// first use. `topo` must be the topology the cache was built for.
+    /// first use. `topo` must be the topology the cache was built for
+    /// (a failure-masked cache walks its trees instead).
     ///
     /// The row build is the one allocating step; every later query on
     /// the row is two bounds-checked indexes and a slice borrow, so a
