@@ -121,12 +121,12 @@ pub fn check_job(tg: &TaskGraph, alloc: &Allocation) -> Result<(), &'static str>
     if alloc.num_nodes() == 0 {
         return Err("allocation holds no node");
     }
-    let n = tg.num_tasks() as u32;
-    if (0..n).any(|t| !(tg.task_weight(t) >= 0.0 && tg.task_weight(t).is_finite())) {
+    let weights = (0..tg.num_tasks() as u32).map(|t| tg.task_weight(t));
+    if weights.clone().any(|w| !(w >= 0.0 && w.is_finite())) {
         return Err("task weight is NaN, infinite or negative");
     }
     // Summed exactly as greedy sums it.
-    let total_weight: f64 = (0..n).map(|t| tg.task_weight(t)).sum();
+    let total_weight: f64 = weights.sum();
     if !fits(f64::from(alloc.total_procs()), total_weight) {
         return Err("total task weight exceeds the allocation's processors");
     }
