@@ -6,7 +6,7 @@
 //! pairwise Pearson correlations. This crate implements that pipeline
 //! from scratch:
 //!
-//! * [`nnls`] — Lawson–Hanson active-set NNLS;
+//! * [`mod@nnls`] — Lawson–Hanson active-set NNLS;
 //! * [`stats`] — column standardization, Pearson correlation,
 //!   geometric means (the aggregation used by Figures 1–3 and Table I).
 

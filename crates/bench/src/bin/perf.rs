@@ -1,6 +1,6 @@
-//! Perf tracker: times the mapping engine's hot paths and the batched
-//! `map_many` throughput, then emits `BENCH_mapping.json` so subsequent
-//! PRs have a perf trajectory to regress against.
+//! Perf tracker: times the mapping engine's hot paths and the service
+//! round trip, then emits `BENCH_mapping.json` so subsequent changes
+//! have a perf trajectory to regress against.
 //!
 //! Measured (median ns/op over warm scratch — the steady-state serving
 //! path), per topology backend:
@@ -23,9 +23,6 @@
 //!   the mean displaced-task count, the p99 speedup over a
 //!   from-scratch greedy+WH re-map, and the repaired-vs-from-scratch
 //!   WH / AC / MC ratios for a single node failure;
-//! * `map_many/batch{1,32,256}` — full pipeline requests per second
-//!   through the batched API (torus), plus the sequential reference and
-//!   the parallel speedup when the `parallel` feature is on;
 //! * `service` — one request round-trip through the always-on
 //!   [`MappingService`] (torus, empty queue, one worker): submit via
 //!   the bounded admission queue, block on the reply. The metrics
@@ -33,26 +30,23 @@
 //!   `service_p50_ns` / `service_p99_ns` reply latency (including
 //!   queue wait), `service_shed_rate` (admission rejections), and the
 //!   `service_ladder_*` per-rung serve counts showing how the deadline
-//!   ladder degraded under pressure. The replay runs even with
-//!   `--no-batch` — the service row is part of the regression gate.
+//!   ladder degraded under pressure.
 //!
 //! The metrics block records `oracle_enabled` and `oracle_build_ns` per
 //! backend so the perf trajectory distinguishes table-backed runs.
 //!
 //! Usage: `cargo run --release -p umpa-bench --bin perf [--preset tiny]
-//! [--topo torus|fattree|dragonfly|all] [--no-batch] [--out PATH]`. The
-//! `tiny` preset is the CI smoke configuration; CI runs it once per
-//! backend. `--no-batch` skips the slow `map_many` section — the
-//! regression-gate configuration (see `perf_gate`).
+//! [--topo torus|fattree|dragonfly|all] [--out PATH]`. The `tiny`
+//! preset is the CI smoke configuration; CI runs it once per backend.
+//! The default preset is the regression-gate configuration (see
+//! `perf_gate`).
 
 use umpa_bench::timing::{bench_ns, fmt_ns, print_samples, to_json, BenchOpts, Sample};
 use umpa_core::cong_refine::{congestion_refine_scratch, CongRefineConfig};
 use umpa_core::greedy::{greedy_map_into, GreedyConfig};
 use umpa_core::metrics::evaluate;
 use umpa_core::multilevel::multilevel_map_into;
-use umpa_core::pipeline::{
-    map_many, map_many_seq, MapRequest, MapStrategy, MapperKind, PipelineConfig,
-};
+use umpa_core::pipeline::{MapperKind, PipelineConfig};
 use umpa_core::remap::{remap_incremental, ChurnEvent, RemapConfig};
 use umpa_core::scratch::MapperScratch;
 use umpa_core::wh_refine::{wh_refine_scratch, WhRefineConfig};
@@ -81,8 +75,6 @@ struct Preset {
     /// 3-D stencil dimensions of the multilevel fixture (tasks ≫ the
     /// allocation, so the coarsen–map–refine path is what's measured).
     ml_grid: (usize, usize, usize),
-    /// `map_many` batch sizes.
-    batches: &'static [usize],
     opts: BenchOpts,
 }
 
@@ -94,7 +86,6 @@ impl Preset {
             parts: 32,
             nodes: 8,
             ml_grid: (16, 16, 8), // 2048 tasks
-            batches: &[1, 8, 32],
             opts: BenchOpts::fast(),
         }
     }
@@ -106,7 +97,6 @@ impl Preset {
             parts: 256,
             nodes: 16,
             ml_grid: (30, 30, 22), // 19800 tasks
-            batches: &[1, 32, 256],
             opts: BenchOpts::default(),
         }
     }
@@ -181,7 +171,6 @@ fn main() {
         .find(|w| w[0] == "--topo")
         .map(|w| w[1].clone())
         .unwrap_or_else(|| "all".to_string());
-    let no_batch = args.iter().any(|a| a == "--no-batch");
     let out_path = args
         .windows(2)
         .find(|w| w[0] == "--out")
@@ -529,61 +518,7 @@ fn main() {
         );
     }
 
-    // --- Batched serving throughput (torus fixture) ------------------
-    if let Some((_, machine)) = machines
-        .iter()
-        .find(|(n, _)| *n == "torus")
-        .filter(|_| !no_batch)
-    {
-        let alloc = Allocation::generate(machine, &AllocSpec::sparse(preset.nodes, 11));
-        let cfg = PipelineConfig::default();
-        for &batch in preset.batches {
-            let requests: Vec<MapRequest<'_>> = (0..batch)
-                .map(|i| MapRequest {
-                    tasks: &tg,
-                    machine,
-                    alloc: &alloc,
-                    kind: match i % 3 {
-                        0 => MapperKind::Greedy,
-                        1 => MapperKind::GreedyWh,
-                        _ => MapperKind::GreedyMc,
-                    },
-                    strategy: MapStrategy::Direct,
-                    cfg: &cfg,
-                })
-                .collect();
-            let s = bench_ns(&format!("map_many/batch{batch}"), &preset.opts, || {
-                map_many(&requests)
-            });
-            let batched_ns = s.median_ns;
-            let per_req = batched_ns / batch as f64;
-            metrics.push((format!("map_many_batch{batch}_ns_per_request"), per_req));
-            metrics.push((
-                format!("map_many_batch{batch}_requests_per_sec"),
-                1e9 / per_req,
-            ));
-            samples.push(s);
-            // The sequential reference for the largest batch gives the
-            // parallel speedup number the acceptance gate tracks.
-            if batch == *preset.batches.last().unwrap() {
-                let seq = bench_ns(&format!("map_many_seq/batch{batch}"), &preset.opts, || {
-                    map_many_seq(&requests)
-                });
-                let speedup = seq.median_ns / batched_ns;
-                metrics.push((format!("map_many_batch{batch}_parallel_speedup"), speedup));
-                eprintln!(
-                    "map_many batch {batch}: {} vs sequential {} → speedup {speedup:.2}x",
-                    fmt_ns(batched_ns),
-                    fmt_ns(seq.median_ns)
-                );
-                samples.push(seq);
-            }
-        }
-    }
-
     // --- Always-on mapping service (torus fixture) -------------------
-    // Deliberately outside the --no-batch skip: the `service`
-    // round-trip row is part of the perf_gate regression set.
     if let Some((_, machine)) = machines.iter().find(|(n, _)| *n == "torus") {
         let tasks = Arc::new(tg.clone());
 
@@ -763,12 +698,6 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     metrics.push(("threads".to_string(), threads as f64));
-    // Report the engine's actual mode — feature unification can enable
-    // umpa-core/parallel without this binary's own feature flag.
-    metrics.push((
-        "parallel_feature".to_string(),
-        f64::from(u8::from(umpa_core::PARALLEL_ENABLED)),
-    ));
 
     print_samples(&samples);
     let json = to_json(&samples, &metrics);

@@ -103,7 +103,7 @@ fn remeasure(topos: &BTreeSet<&str>) -> Option<BTreeMap<String, f64>> {
         let tmp_str = tmp.to_string_lossy().into_owned();
         eprintln!("perf_gate: re-measuring {topo} rows (best-of-2) ...");
         let status = Command::new(&perf)
-            .args(["--preset", "default", "--topo", topo, "--no-batch", "--out"])
+            .args(["--preset", "default", "--topo", topo, "--out"])
             .arg(&tmp)
             .status();
         match status {

@@ -20,13 +20,12 @@
 //! a WH-refinement candidate — recompute nothing a lookup can serve:
 //!
 //! 1. **Route caching.** Every routed endpoint is an allocated node, so
-//!    routes are served from the machine's
-//!    [`RouteCache`](umpa_topology::RouteCache) link-id slices when
-//!    enabled, and a per-edge *EdgeRoutes* slab inside [`CongState`]
-//!    stores each task-graph edge's **current** route. The invariant:
-//!    EdgeRoutes always reflects the *committed* mapping, so "old
-//!    route" removal in delta collection and `commTasks` maintenance is
-//!    a slice read. Each edge enters the slab once at init and once per
+//!    routes are served from the machine's [`RouteCache`] link-id
+//!    slices when enabled, and a per-edge *EdgeRoutes* slab inside
+//!    `CongState` stores each task-graph edge's **current** route. The
+//!    invariant: EdgeRoutes always reflects the *committed* mapping, so
+//!    "old route" removal in delta collection and `commTasks`
+//!    maintenance is a slice read. Each edge enters the slab once at init and once per
 //!    *committed* move; probes themselves never route — their "new
 //!    routes" are borrowed cache slices, iterated in place.
 //! 2. **Epoch-marked dense dedup.** Per-link delta deduplication is
@@ -333,8 +332,8 @@ pub struct CongRunStats {
     /// Router-crossing route computations requested (same-router pairs
     /// route to the empty slice and are not counted).
     pub route_queries: u64,
-    /// Route queries served from the machine's
-    /// [`RouteCache`](umpa_topology::RouteCache) as slice reads; the
+    /// Route queries served from the machine's [`RouteCache`] as slice
+    /// reads; the
     /// remainder fell back to the analytic emitters.
     pub route_cache_hits: u64,
 }
@@ -427,26 +426,14 @@ impl CongScratch {
 }
 
 /// Refines `mapping` in place; returns the final `(max, avg)`
-/// congestion in the chosen kind's units.
+/// congestion in the chosen kind's units. Allocation-free once
+/// `scratch` is warm (including the machine's route-cache rows, which
+/// build on the first run per allocation).
 ///
 /// For [`CongestionKind::Messages`] pass a task graph whose edge
 /// weights are message counts (see `TaskGraph::group_quotient` with
 /// `count_weighted`), so that coarse edges carry the number of fine
 /// messages they bundle.
-pub fn congestion_refine(
-    tg: &TaskGraph,
-    machine: &Machine,
-    alloc: &Allocation,
-    mapping: &mut [u32],
-    cfg: &CongRefineConfig,
-) -> (f64, f64) {
-    let mut scratch = CongScratch::new();
-    congestion_refine_scratch(tg, machine, alloc, mapping, cfg, &mut scratch)
-}
-
-/// Scratch-reusing form of [`congestion_refine`]; allocation-free once
-/// `scratch` is warm (including the machine's route-cache rows, which
-/// build on the first run per allocation).
 pub fn congestion_refine_scratch(
     tg: &TaskGraph,
     machine: &Machine,
@@ -1340,6 +1327,17 @@ mod tests {
         MachineConfig::small(&[n], 1, 1).build()
     }
 
+    /// Algorithm 3 on a fresh scratch.
+    fn refine_fresh(
+        tg: &TaskGraph,
+        machine: &Machine,
+        alloc: &Allocation,
+        mapping: &mut [u32],
+        cfg: &CongRefineConfig,
+    ) -> (f64, f64) {
+        congestion_refine_scratch(tg, machine, alloc, mapping, cfg, &mut CongScratch::new())
+    }
+
     #[test]
     fn relieves_an_overloaded_link() {
         let m = line_machine(8);
@@ -1349,8 +1347,7 @@ mod tests {
         let tg = TaskGraph::from_messages(6, [(0, 3, 4.0), (1, 4, 4.0), (2, 5, 4.0)], None);
         let mut mapping: Vec<u32> = (0..6usize).map(|t| alloc.node(t)).collect();
         let before = evaluate(&tg, &m, &mapping);
-        let (mc, _ac) =
-            congestion_refine(&tg, &m, &alloc, &mut mapping, &CongRefineConfig::volume());
+        let (mc, _ac) = refine_fresh(&tg, &m, &alloc, &mut mapping, &CongRefineConfig::volume());
         let after = evaluate(&tg, &m, &mapping);
         assert!(mc <= before.mc + 1e-9);
         assert!(
@@ -1375,8 +1372,7 @@ mod tests {
             );
             let mut mapping: Vec<u32> = (0..8usize).map(|t| alloc.node(t)).collect();
             let before = evaluate(&tg, &m, &mapping);
-            let (mc, ac) =
-                congestion_refine(&tg, &m, &alloc, &mut mapping, &CongRefineConfig::volume());
+            let (mc, ac) = refine_fresh(&tg, &m, &alloc, &mut mapping, &CongRefineConfig::volume());
             let after = evaluate(&tg, &m, &mapping);
             assert!(after.mc <= before.mc + 1e-9, "seed {seed}");
             assert!((after.mc - mc).abs() < 1e-9, "seed {seed}: mc mismatch");
@@ -1407,8 +1403,7 @@ mod tests {
                 &CongRefineConfig::volume(),
                 &mut scratch,
             );
-            let fresh_out =
-                congestion_refine(&tg, &m, &alloc, &mut fresh, &CongRefineConfig::volume());
+            let fresh_out = refine_fresh(&tg, &m, &alloc, &mut fresh, &CongRefineConfig::volume());
             assert_eq!(warm, fresh, "seed {seed}: warm scratch diverged");
             assert_eq!(warm_out, fresh_out, "seed {seed}");
         }
@@ -1421,7 +1416,7 @@ mod tests {
         let tg = TaskGraph::from_messages(6, [(0, 3, 1.0), (1, 4, 1.0), (2, 5, 1.0)], None);
         let mut mapping: Vec<u32> = (0..6usize).map(|t| alloc.node(t)).collect();
         let before = evaluate(&tg, &m, &mapping);
-        congestion_refine(&tg, &m, &alloc, &mut mapping, &CongRefineConfig::messages());
+        refine_fresh(&tg, &m, &alloc, &mut mapping, &CongRefineConfig::messages());
         let after = evaluate(&tg, &m, &mapping);
         assert!(after.mmc <= before.mmc + 1e-9);
         validate_mapping(&tg, &alloc, &mapping).unwrap();
@@ -1439,8 +1434,7 @@ mod tests {
         let alloc2 = Allocation::generate(&m2, &AllocSpec::contiguous(2));
         let mut mapping = vec![alloc2.node(0), alloc2.node(1)];
         // Both nodes share router 0 → no traffic.
-        let (mc, ac) =
-            congestion_refine(&tg, &m2, &alloc2, &mut mapping, &CongRefineConfig::volume());
+        let (mc, ac) = refine_fresh(&tg, &m2, &alloc2, &mut mapping, &CongRefineConfig::volume());
         assert_eq!((mc, ac), (0.0, 0.0));
         let _ = (m, alloc);
     }
@@ -1467,7 +1461,7 @@ mod tests {
             alloc.node(1),
             alloc.node(2),
         ];
-        congestion_refine(&tg, &m, &alloc, &mut mapping, &CongRefineConfig::volume());
+        refine_fresh(&tg, &m, &alloc, &mut mapping, &CongRefineConfig::volume());
         validate_mapping(&tg, &alloc, &mapping).unwrap();
     }
 

@@ -24,7 +24,7 @@
 //! pseudocode makes 0 and 1 coincide if `t_MSRV` counts as mapped).
 //!
 //! Candidate scoring runs on the shared batch gain kernel of
-//! [`crate::gain`] (DESIGN.md §17): one pass over the pivot's edges
+//! `crate::gain` (DESIGN.md §17): one pass over the pivot's edges
 //! gathers its mapped neighbors (the kernel's panel), its unmapped
 //! neighbors (the `conn` updates the following placement commit
 //! replays) and the BFS seed routers; a compact slot×slot distance
@@ -39,10 +39,8 @@
 //! across backends, oracle on/off, and warm/cold scratch.
 //!
 //! All per-run buffers live in a reusable [`GreedyScratch`]; a warm
-//! scratch makes repeated runs allocation-free (DESIGN.md §8). With the
-//! `parallel` feature, [`greedy_map`] evaluates its `NBFS` candidates on
-//! worker threads and reduces deterministically (lowest WH, ties toward
-//! the lower candidate index — identical to the sequential scan).
+//! scratch makes repeated runs allocation-free (DESIGN.md §8). The
+//! `NBFS` candidates run one after the other on that scratch.
 
 use umpa_ds::{EpochMarker, IndexedMaxHeap};
 use umpa_graph::{Bfs, TaskGraph};
@@ -156,7 +154,7 @@ impl GreedyScratch {
 
 /// Weighted hops of a mapping. Distances come from the machine's
 /// [`DistanceOracle`](umpa_topology::DistanceOracle) table when built
-/// and from the analytic backend otherwise (via [`HopDist`], which
+/// and from the analytic backend otherwise (via `HopDist`, which
 /// hoists the oracle check out of the per-message loop); the sums are
 /// bit-identical because hop counts are exact integers either way.
 pub fn weighted_hops(tg: &TaskGraph, machine: &Machine, mapping: &[u32]) -> f64 {
@@ -166,66 +164,10 @@ pub fn weighted_hops(tg: &TaskGraph, machine: &Machine, mapping: &[u32]) -> f64 
         .sum()
 }
 
-/// Runs Algorithm 1 for every `NBFS` in the config and returns the
-/// mapping with the lowest WH.
-///
-/// With the `parallel` feature and more than one candidate, the runs
-/// execute on worker threads; the reduction (lowest WH, ties toward the
-/// lower candidate index) makes the result bit-identical to the
-/// sequential path.
-// tidy-cold-region: convenience entry point that owns its scratch and result;
-// the allocation-free path is `greedy_map_into` with a warm scratch
-pub fn greedy_map(
-    tg: &TaskGraph,
-    machine: &Machine,
-    alloc: &Allocation,
-    cfg: &GreedyConfig,
-) -> Vec<u32> {
-    // tidy-allow: panic-freedom (API precondition on entry: an empty candidate list has no defined result)
-    assert!(!cfg.nbfs_candidates.is_empty());
-    #[cfg(feature = "parallel")]
-    if cfg.nbfs_candidates.len() > 1 {
-        use rayon::prelude::*;
-        let runs: Vec<(f64, Vec<u32>)> = cfg
-            .nbfs_candidates
-            .par_iter()
-            .map(|&nbfs| {
-                let mut scratch = GreedyScratch::new();
-                prepare(machine, alloc, &mut scratch);
-                let wh = run_greedy(
-                    tg,
-                    machine,
-                    alloc,
-                    nbfs,
-                    cfg.heavy_first_fraction,
-                    &mut scratch,
-                );
-                (wh, std::mem::take(&mut scratch.mapping))
-            })
-            .collect();
-        // Deterministic reduction: strict `<` over the candidate order ==
-        // "lowest WH wins, ties toward the lower index".
-        let mut best = 0;
-        for i in 1..runs.len() {
-            if runs[i].0 < runs[best].0 {
-                best = i;
-            }
-        }
-        // tidy-allow: panic-freedom (unreachable: `best` indexes the non-empty `runs` the scan above produced)
-        return runs.into_iter().nth(best).unwrap().1;
-    }
-    let mut scratch = GreedyScratch::new();
-    let mut out = Vec::new();
-    greedy_map_into(tg, machine, alloc, cfg, &mut scratch, &mut out);
-    out
-}
-// tidy-end-cold-region
-
-/// Scratch-reusing form of [`greedy_map`]: writes the winning mapping
-/// into `out` and returns its WH. Allocation-free once `scratch` and
-/// `out` are warm. Always evaluates candidates sequentially (the
-/// parallel path needs one scratch per worker — see
-/// [`map_many`](crate::pipeline::map_many)).
+/// Runs Algorithm 1 for every `NBFS` in the config, writes the mapping
+/// with the lowest WH into `out` (ties toward the earlier candidate)
+/// and returns its WH. Allocation-free once `scratch` and `out` are
+/// warm.
 pub fn greedy_map_into(
     tg: &TaskGraph,
     machine: &Machine,
@@ -248,16 +190,6 @@ pub fn greedy_map_into(
     out.clear();
     out.extend_from_slice(&scratch.best);
     best_wh
-}
-
-/// Runs Algorithm 1 with a fixed number of far seeds (default
-/// heterogeneity pre-pass threshold).
-#[cfg(test)]
-fn greedy_map_with(tg: &TaskGraph, machine: &Machine, alloc: &Allocation, nbfs: u32) -> Vec<u32> {
-    let mut scratch = GreedyScratch::new();
-    prepare(machine, alloc, &mut scratch);
-    run_greedy(tg, machine, alloc, nbfs, 0.5, &mut scratch);
-    std::mem::take(&mut scratch.mapping)
 }
 
 /// Per-call setup shared by every entry point: reset the kernel
@@ -837,6 +769,32 @@ mod tests {
         MachineConfig::small(&[4, 4], 1, 1).build()
     }
 
+    /// Algorithm 1 over `cfg`'s candidates on a fresh scratch.
+    fn greedy_fresh(
+        tg: &TaskGraph,
+        machine: &Machine,
+        alloc: &Allocation,
+        cfg: &GreedyConfig,
+    ) -> Vec<u32> {
+        let mut out = Vec::new();
+        greedy_map_into(tg, machine, alloc, cfg, &mut GreedyScratch::new(), &mut out);
+        out
+    }
+
+    /// Runs Algorithm 1 with a fixed number of far seeds (default
+    /// heterogeneity pre-pass threshold).
+    fn greedy_map_with(
+        tg: &TaskGraph,
+        machine: &Machine,
+        alloc: &Allocation,
+        nbfs: u32,
+    ) -> Vec<u32> {
+        let mut scratch = GreedyScratch::new();
+        prepare(machine, alloc, &mut scratch);
+        run_greedy(tg, machine, alloc, nbfs, 0.5, &mut scratch);
+        std::mem::take(&mut scratch.mapping)
+    }
+
     /// A 4-task chain with one heavy hub.
     fn chain() -> TaskGraph {
         TaskGraph::from_messages(4, [(0, 1, 10.0), (1, 2, 10.0), (2, 3, 10.0)], None)
@@ -847,7 +805,7 @@ mod tests {
         let m = machine();
         let alloc = umpa_topology::Allocation::generate(&m, &AllocSpec::sparse(4, 1));
         let tg = chain();
-        let mapping = greedy_map(&tg, &m, &alloc, &GreedyConfig::default());
+        let mapping = greedy_fresh(&tg, &m, &alloc, &GreedyConfig::default());
         validate_mapping(&tg, &alloc, &mapping).unwrap();
         // One task per node (capacity 1): all nodes distinct.
         let mut nodes = mapping.clone();
@@ -861,7 +819,7 @@ mod tests {
         let m = machine();
         let alloc = umpa_topology::Allocation::generate(&m, &AllocSpec::contiguous(4));
         let tg = chain();
-        let mapping = greedy_map(&tg, &m, &alloc, &GreedyConfig::default());
+        let mapping = greedy_fresh(&tg, &m, &alloc, &GreedyConfig::default());
         // A chain on a contiguous 4-node strip: optimal WH has every
         // neighbor pair at distance 1 => WH = 30.
         let wh = weighted_hops(&tg, &m, &mapping);
@@ -878,7 +836,7 @@ mod tests {
             (0..8u32).map(|i| (i, (i + 1) % 8, 1.0 + f64::from(i % 3))),
             None,
         );
-        let greedy = greedy_map(&tg, &m, &alloc, &GreedyConfig::default());
+        let greedy = greedy_fresh(&tg, &m, &alloc, &GreedyConfig::default());
         // Adversarial placement: tasks in allocation order but shifted
         // by half the ring (pairs far apart).
         let adversarial: Vec<u32> = (0..8usize).map(|t| alloc.node((t * 5) % 8)).collect();
@@ -892,7 +850,7 @@ mod tests {
         let m = MachineConfig::small(&[4, 4], 1, 4).build();
         let alloc = umpa_topology::Allocation::generate(&m, &AllocSpec::contiguous(2));
         let tg = TaskGraph::from_messages(8, (0..7u32).map(|i| (i, i + 1, 1.0)), None);
-        let mapping = greedy_map(&tg, &m, &alloc, &GreedyConfig::default());
+        let mapping = greedy_fresh(&tg, &m, &alloc, &GreedyConfig::default());
         validate_mapping(&tg, &alloc, &mapping).unwrap();
     }
 
@@ -938,7 +896,7 @@ mod tests {
         let m = machine();
         let alloc = umpa_topology::Allocation::generate(&m, &AllocSpec::contiguous(3));
         let tg = TaskGraph::from_messages(3, [(0, 1, 1.0)], None); // task 2 isolated
-        let mapping = greedy_map(&tg, &m, &alloc, &GreedyConfig::default());
+        let mapping = greedy_fresh(&tg, &m, &alloc, &GreedyConfig::default());
         validate_mapping(&tg, &alloc, &mapping).unwrap();
         assert_ne!(mapping[2], u32::MAX);
     }
@@ -963,7 +921,7 @@ mod tests {
         let combined = weighted_hops(
             &tg,
             &m,
-            &greedy_map(&tg, &m, &alloc, &GreedyConfig::default()),
+            &greedy_fresh(&tg, &m, &alloc, &GreedyConfig::default()),
         );
         assert!((combined - w0.min(w1)).abs() < 1e-9);
     }
@@ -983,7 +941,7 @@ mod tests {
         for seed in 0..6u64 {
             let alloc = umpa_topology::Allocation::generate(&m, &AllocSpec::sparse(8, seed));
             greedy_map_into(&tg, &m, &alloc, &cfg, &mut scratch, &mut out);
-            let fresh = greedy_map(&tg, &m, &alloc, &cfg);
+            let fresh = greedy_fresh(&tg, &m, &alloc, &cfg);
             assert_eq!(out, fresh, "seed {seed}: warm scratch diverged");
         }
     }
@@ -1021,7 +979,7 @@ mod tests {
             nbfs_candidates: vec![0],
             heavy_first_fraction: 0.0, // would catch everything if it fired
         };
-        let b = greedy_map(&tg, &m, &alloc, &cfg);
+        let b = greedy_fresh(&tg, &m, &alloc, &cfg);
         assert_eq!(a, b);
     }
 
@@ -1070,6 +1028,6 @@ mod tests {
         let m = machine();
         let alloc = umpa_topology::Allocation::generate(&m, &AllocSpec::contiguous(2));
         let tg = chain();
-        greedy_map(&tg, &m, &alloc, &GreedyConfig::default());
+        greedy_fresh(&tg, &m, &alloc, &GreedyConfig::default());
     }
 }

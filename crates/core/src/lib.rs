@@ -9,7 +9,7 @@
 //!   unmapped task with maximum connectivity to the mapped set onto the
 //!   free node minimizing the weighted-hop increase, found by an
 //!   early-exiting BFS over the machine graph;
-//! * [`wh_refine`] — **Algorithm 2**, Kernighan–Lin-style swap
+//! * [`mod@wh_refine`] — **Algorithm 2**, Kernighan–Lin-style swap
 //!   refinement of the weighted-hop metric (`UWH`), driven by a max-heap
 //!   of per-task incurred WH and a BFS-ordered candidate scan capped at
 //!   `Δ` evaluations;
@@ -33,11 +33,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Whether this build of the engine was compiled with the `parallel`
-/// feature (thread-pooled `map_many`, NBFS candidates).
-/// Exposed so downstream tools (e.g. the perf tracker) report the
-/// engine's actual mode rather than their own feature flags.
-pub const PARALLEL_ENABLED: bool = cfg!(feature = "parallel");
+/// Always `false`: the engine has one build, and it maps each request
+/// on the caller's thread. Kept only because the benchmark's banner
+/// (`perfbench`) reads it; it goes with the benchmark change of
+/// ROADMAP item 4.
+pub const PARALLEL_ENABLED: bool = false;
 
 pub mod baselines;
 pub mod cong_refine;
@@ -55,44 +55,37 @@ pub mod wh_refine;
 
 pub use baselines::{def_mapping, smap_mapping, tmap_mapping};
 pub use cong_refine::{
-    congestion_refine, congestion_refine_scratch, CongRefineConfig, CongRunStats, CongScratch,
-    CongestionKind,
+    congestion_refine_scratch, CongRefineConfig, CongRunStats, CongScratch, CongestionKind,
 };
 pub use eps::{CONG_EPS, DRIFT_EPS, GAIN_EPS};
-pub use greedy::{greedy_map, greedy_map_into, GreedyConfig, GreedyRunStats, GreedyScratch};
-pub use mapping::{
-    check_job, fits, is_valid_mapping, validate_mapping, MappingError, CAPACITY_EPS,
-};
+pub use greedy::{greedy_map_into, GreedyConfig, GreedyRunStats, GreedyScratch};
+pub use mapping::{check_job, fits, validate_mapping, MappingError, CAPACITY_EPS};
 pub use metrics::{evaluate, MetricsReport};
 pub use multilevel::{multilevel_map_into, MultilevelConfig, MultilevelScratch, MultilevelStats};
 pub use pipeline::{
-    map_many, map_many_seq, map_multilevel, map_multilevel_with, map_tasks, map_tasks_with,
-    MapRequest, MapStrategy, MapperKind, MappingOutcome, PipelineConfig,
+    map_multilevel_with, map_tasks, map_tasks_with, MapperKind, MappingOutcome, PipelineConfig,
 };
 pub use remap::{
     apply_events, remap_incremental, ChurnEvent, RemapConfig, RemapDrift, RemapOutcome,
     RemapScratch, RemapStats,
 };
 pub use scratch::MapperScratch;
-pub use wh_refine::{
-    wh_refine, wh_refine_frontier_scratch, wh_refine_scratch, WhRefineConfig, WhScratch,
-};
+pub use wh_refine::{wh_refine_frontier_scratch, wh_refine_scratch, WhRefineConfig, WhScratch};
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::baselines::{def_mapping, smap_mapping, tmap_mapping};
-    pub use crate::cong_refine::{congestion_refine, CongRefineConfig, CongestionKind};
-    pub use crate::greedy::{greedy_map, GreedyConfig};
+    pub use crate::cong_refine::{congestion_refine_scratch, CongRefineConfig, CongestionKind};
+    pub use crate::greedy::{greedy_map_into, GreedyConfig};
     pub use crate::metrics::{evaluate, MetricsReport};
     pub use crate::multilevel::{MultilevelConfig, MultilevelStats};
     pub use crate::pipeline::{
-        map_many, map_many_seq, map_multilevel, map_multilevel_with, map_tasks, map_tasks_with,
-        MapRequest, MapStrategy, MapperKind, MappingOutcome, PipelineConfig,
+        map_multilevel_with, map_tasks, map_tasks_with, MapperKind, MappingOutcome, PipelineConfig,
     };
     pub use crate::remap::{
         apply_events, remap_incremental, ChurnEvent, RemapConfig, RemapDrift, RemapOutcome,
         RemapStats,
     };
     pub use crate::scratch::MapperScratch;
-    pub use crate::wh_refine::{wh_refine, WhRefineConfig};
+    pub use crate::wh_refine::{wh_refine_scratch, WhRefineConfig};
 }

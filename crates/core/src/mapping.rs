@@ -111,12 +111,13 @@ pub fn validate_mapping(
 }
 
 /// The one check a job must pass before it is mapped onto `alloc`:
-/// the allocation holds a node, every task weight is finite and
-/// non-negative, and the total weight fits the allocation's processors
-/// under the tolerance greedy's own precondition uses ([`fits`]). The
-/// error names the reason. The service runs it on every install and
-/// map request before anything is journaled or mapped, and recovery
-/// replay runs it on every install frame.
+/// the allocation holds a node, every task weight and every message
+/// volume is finite and non-negative, and the total weight fits the
+/// allocation's processors under the tolerance greedy's own
+/// precondition uses ([`fits`]). The error names the reason. The
+/// service runs it on every install and map request before anything
+/// is journaled or mapped, and recovery replay runs it on every
+/// install frame.
 pub fn check_job(tg: &TaskGraph, alloc: &Allocation) -> Result<(), &'static str> {
     if alloc.num_nodes() == 0 {
         return Err("allocation holds no node");
@@ -125,20 +126,15 @@ pub fn check_job(tg: &TaskGraph, alloc: &Allocation) -> Result<(), &'static str>
     if weights.clone().any(|w| !(w >= 0.0 && w.is_finite())) {
         return Err("task weight is NaN, infinite or negative");
     }
+    if tg.messages().any(|(_, _, c)| !(c >= 0.0 && c.is_finite())) {
+        return Err("message volume is NaN, infinite or negative");
+    }
     // Summed exactly as greedy sums it.
     let total_weight: f64 = weights.sum();
     if !fits(f64::from(alloc.total_procs()), total_weight) {
         return Err("total task weight exceeds the allocation's processors");
     }
     Ok(())
-}
-
-/// Boolean convenience over [`validate_mapping`] for callers that only
-/// branch on feasibility (assertions, differential harnesses); the
-/// typed [`MappingError`] carries the diagnosis when you need it.
-#[inline]
-pub fn is_valid_mapping(tg: &TaskGraph, alloc: &Allocation, mapping: &[u32]) -> bool {
-    validate_mapping(tg, alloc, mapping).is_ok()
 }
 
 #[cfg(test)]
@@ -165,6 +161,12 @@ mod tests {
                 check_job(&bad, &alloc),
                 Err("task weight is NaN, infinite or negative"),
                 "weight {w}"
+            );
+            let bad = TaskGraph::from_messages(4, [(0, 1, 1.0), (2, 3, w)], None);
+            assert_eq!(
+                check_job(&bad, &alloc),
+                Err("message volume is NaN, infinite or negative"),
+                "volume {w}"
             );
         }
         // 4 nodes × 2 procs: 8 unit tasks fit, 9 do not.

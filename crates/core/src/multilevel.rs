@@ -179,7 +179,7 @@ fn match_level(
 ///
 /// Panics for the `DEF`/`TMAP`/`SMAP` baselines — those do not
 /// decompose over a hierarchy; route them through the direct pipeline
-/// (`map_multilevel` in [`crate::pipeline`] does so automatically).
+/// (`map_multilevel_with` in [`crate::pipeline`] does so automatically).
 pub fn multilevel_map_into(
     fine: &TaskGraph,
     machine: &Machine,

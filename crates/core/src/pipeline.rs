@@ -15,10 +15,8 @@
 //! they start from).
 //!
 //! Serving shape: [`map_tasks_with`] threads a warm [`MapperScratch`]
-//! through phase 2 so its hot path is allocation-free, and [`map_many`]
-//! batches requests — sequentially through one scratch, or (with the
-//! `parallel` feature) across a per-worker scratch pool with outputs in
-//! request order, bit-identical to the sequential path.
+//! through phase 2 so its hot path is allocation-free; a server keeps
+//! one scratch per worker thread and maps each request on it.
 
 use std::time::{Duration, Instant};
 
@@ -98,8 +96,9 @@ pub struct PipelineConfig {
     pub cong_volume: CongRefineConfig,
     /// Algorithm 3 settings for the message variant.
     pub cong_messages: CongRefineConfig,
-    /// Multilevel coarsen–map–refine settings (the [`map_multilevel`]
-    /// strategy for graphs far larger than the machine).
+    /// Multilevel coarsen–map–refine settings (the
+    /// [`map_multilevel_with`] engine for graphs far larger than the
+    /// machine).
     pub multilevel: MultilevelConfig,
     /// Run Algorithm 2 on the *fine* task graph after composing (the
     /// §III-B alternative the paper declines by default: fine-level
@@ -120,20 +119,6 @@ impl Default for PipelineConfig {
             fine_wh_refine: false,
         }
     }
-}
-
-/// How a request turns its task graph into a mapping: the paper's
-/// two-phase pipeline, or the multilevel engine for graphs far larger
-/// than the machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum MapStrategy {
-    /// Phase-1 grouping (recursive bisection) + phase-2 mapping — the
-    /// paper's flow, right for machine-sized graphs.
-    #[default]
-    Direct,
-    /// Coarsen–map–refine over a heavy-edge-matching hierarchy
-    /// ([`crate::multilevel`]) — right when `|Vt| ≫ |Va|`.
-    Multilevel,
 }
 
 /// Result of the full pipeline.
@@ -320,22 +305,12 @@ pub fn map_tasks_with(
 /// phase 1's role, so unlike [`map_tasks`] there is no untimed
 /// preprocessing. `group_of` is the composed fine-task → coarsest-vertex
 /// assignment.
-pub fn map_multilevel(
-    fine: &TaskGraph,
-    machine: &Machine,
-    alloc: &Allocation,
-    kind: MapperKind,
-    cfg: &PipelineConfig,
-) -> MappingOutcome {
-    map_multilevel_with(fine, machine, alloc, kind, cfg, &mut MapperScratch::new())
-}
-
-/// [`map_multilevel`] with a caller-owned [`MapperScratch`]: the
-/// hierarchy and every engine buffer are reused, so a warm scratch
-/// makes the whole run allocation-free apart from materializing the
-/// outcome (use [`crate::multilevel::multilevel_map_into`] directly for
-/// the fully allocation-free serving path). Results are bit-identical
-/// to [`map_multilevel`].
+///
+/// The hierarchy and every engine buffer live in the caller-owned
+/// [`MapperScratch`], so a warm scratch makes the whole run
+/// allocation-free apart from materializing the outcome (use
+/// [`multilevel_map_into`] directly for the fully allocation-free
+/// serving path); a warm run is bit-identical to a fresh one.
 pub fn map_multilevel_with(
     fine: &TaskGraph,
     machine: &Machine,
@@ -357,74 +332,6 @@ pub fn map_multilevel_with(
         elapsed,
         tmap_fell_back: false,
     }
-}
-
-/// One mapping request for the batched [`map_many`] API. Borrows its
-/// inputs so a serving layer can share one machine/topology across a
-/// whole batch.
-#[derive(Clone, Copy)]
-pub struct MapRequest<'a> {
-    /// The fine task graph to map.
-    pub tasks: &'a TaskGraph,
-    /// Target machine.
-    pub machine: &'a Machine,
-    /// Allocated nodes.
-    pub alloc: &'a Allocation,
-    /// Mapping algorithm to run.
-    pub kind: MapperKind,
-    /// Direct pipeline or multilevel engine.
-    pub strategy: MapStrategy,
-    /// Pipeline configuration.
-    pub cfg: &'a PipelineConfig,
-}
-
-/// Dispatches one request onto the strategy's entry point.
-fn run_request(r: &MapRequest<'_>, scratch: &mut MapperScratch) -> MappingOutcome {
-    match r.strategy {
-        MapStrategy::Direct => map_tasks_with(r.tasks, r.machine, r.alloc, r.kind, r.cfg, scratch),
-        MapStrategy::Multilevel => {
-            map_multilevel_with(r.tasks, r.machine, r.alloc, r.kind, r.cfg, scratch)
-        }
-    }
-}
-
-/// Maps a batch of independent requests, amortizing scratch buffers
-/// across the batch. Outputs are in request order.
-///
-/// Without the `parallel` feature (or for a single request) the batch
-/// runs sequentially through one warm [`MapperScratch`]. With it, the
-/// batch is split into one contiguous chunk per worker, each worker
-/// owning one scratch — requests are independent and every scratch is
-/// fully reset per request, so the mappings are **bit-identical** to
-/// the sequential path; only wall-clock changes.
-pub fn map_many(requests: &[MapRequest<'_>]) -> Vec<MappingOutcome> {
-    #[cfg(feature = "parallel")]
-    if requests.len() > 1 {
-        use rayon::prelude::*;
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let chunk = requests.len().div_ceil(workers);
-        let nested: Vec<Vec<MappingOutcome>> = requests
-            .par_chunks(chunk)
-            .map(|part| {
-                let mut scratch = MapperScratch::new();
-                part.iter().map(|r| run_request(r, &mut scratch)).collect()
-            })
-            .collect();
-        return nested.into_iter().flatten().collect();
-    }
-    map_many_seq(requests)
-}
-
-/// Always-sequential form of [`map_many`] (one scratch, request order).
-/// The reference the parallel path is tested against.
-pub fn map_many_seq(requests: &[MapRequest<'_>]) -> Vec<MappingOutcome> {
-    let mut scratch = MapperScratch::new();
-    requests
-        .iter()
-        .map(|r| run_request(r, &mut scratch))
-        .collect()
 }
 
 /// Composes the fine mapping out of grouping and coarse placement.

@@ -473,7 +473,7 @@ fn place_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::{greedy_map, GreedyConfig};
+    use crate::greedy::{greedy_map_into, GreedyConfig, GreedyScratch};
     use crate::mapping::validate_mapping;
     use umpa_topology::{AllocSpec, MachineConfig};
 
@@ -485,7 +485,15 @@ mod tests {
             (0..tasks as u32).map(|i| (i, (i + 1) % tasks as u32, 1.0 + f64::from(i % 3))),
             None,
         );
-        let mapping = greedy_map(&tg, &machine, &alloc, &GreedyConfig::default());
+        let mut mapping = Vec::new();
+        greedy_map_into(
+            &tg,
+            &machine,
+            &alloc,
+            &GreedyConfig::default(),
+            &mut GreedyScratch::new(),
+            &mut mapping,
+        );
         (machine, alloc, tg, mapping)
     }
 

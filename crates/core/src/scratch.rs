@@ -7,10 +7,9 @@
 //! them per call dominates small-problem runtimes and defeats the
 //! paper's headline speed claim. A [`MapperScratch`] owns all of them;
 //! threading one warm scratch through
-//! [`map_tasks_with`](crate::pipeline::map_tasks_with) (or the batched
-//! [`map_many`](crate::pipeline::map_many)) makes the steady-state
-//! mapping phase allocation-free — buffers grow to the high-water mark
-//! of the problems seen and are then reused verbatim.
+//! [`map_tasks_with`](crate::pipeline::map_tasks_with) makes the
+//! steady-state mapping phase allocation-free — buffers grow to the
+//! high-water mark of the problems seen and are then reused verbatim.
 //!
 //! Buffers are sized lazily: a scratch built for one machine/task-graph
 //! shape serves any other shape (everything `reset`s on entry), so one

@@ -20,7 +20,7 @@
 //! [`SlotBuckets`] registry — O(1) task moves instead of `Vec::retain`.
 //!
 //! Gain evaluation is **incremental and mutation-free** (DESIGN.md
-//! §11): swap gains come from [`HopDist::swap_gain`] — distance-oracle
+//! §11): swap gains come from `HopDist::swap_gain` — distance-oracle
 //! rows (or the analytic fallback) over the two tasks' neighbor lists,
 //! with the t1–t2 edge handled by an explicit correction term — instead
 //! of virtually relocating tasks and recomputing their full WH.
@@ -73,19 +73,7 @@ impl WhScratch {
 }
 
 /// Refines `mapping` in place to lower WH; returns the final WH.
-pub fn wh_refine(
-    tg: &TaskGraph,
-    machine: &Machine,
-    alloc: &Allocation,
-    mapping: &mut [u32],
-    cfg: &WhRefineConfig,
-) -> f64 {
-    let mut scratch = WhScratch::new();
-    wh_refine_scratch(tg, machine, alloc, mapping, cfg, &mut scratch)
-}
-
-/// Scratch-reusing form of [`wh_refine`]; allocation-free once
-/// `scratch` is warm.
+/// Allocation-free once `scratch` is warm.
 pub fn wh_refine_scratch(
     tg: &TaskGraph,
     machine: &Machine,
@@ -94,23 +82,7 @@ pub fn wh_refine_scratch(
     cfg: &WhRefineConfig,
     scratch: &mut WhScratch,
 ) -> f64 {
-    assert_eq!(mapping.len(), tg.num_tasks());
-    let mut r = Refiner::new(tg, machine, alloc, mapping, scratch);
-    let mut wh = weighted_hops(tg, machine, r.mapping);
-    for _ in 0..cfg.max_passes {
-        let improved = r.run_pass(cfg.delta);
-        let new_wh = wh - improved;
-        debug_assert!(
-            (new_wh - weighted_hops(tg, machine, r.mapping)).abs() < DRIFT_EPS * (1.0 + new_wh),
-            "incremental WH drifted"
-        );
-        if wh <= 0.0 || (wh - new_wh) / wh <= cfg.min_rel_improvement {
-            wh = new_wh;
-            break;
-        }
-        wh = new_wh;
-    }
-    wh
+    refine(tg, machine, alloc, mapping, None, cfg, scratch)
 }
 
 /// Frontier-restricted form of [`wh_refine_scratch`] for incremental
@@ -128,11 +100,26 @@ pub fn wh_refine_frontier_scratch(
     cfg: &WhRefineConfig,
     scratch: &mut WhScratch,
 ) -> f64 {
+    refine(tg, machine, alloc, mapping, Some(frontier), cfg, scratch)
+}
+
+/// The pass loop both entry points share: passes pivot on `frontier`
+/// (every task when `None`) and repeat while the last one improved WH
+/// by more than `cfg.min_rel_improvement`, up to `cfg.max_passes`.
+fn refine(
+    tg: &TaskGraph,
+    machine: &Machine,
+    alloc: &Allocation,
+    mapping: &mut [u32],
+    frontier: Option<&[u32]>,
+    cfg: &WhRefineConfig,
+    scratch: &mut WhScratch,
+) -> f64 {
     assert_eq!(mapping.len(), tg.num_tasks());
     let mut r = Refiner::new(tg, machine, alloc, mapping, scratch);
     let mut wh = weighted_hops(tg, machine, r.mapping);
     for _ in 0..cfg.max_passes {
-        let improved = r.run_pass_frontier(cfg.delta, frontier);
+        let improved = r.run_pass(cfg.delta, frontier);
         let new_wh = wh - improved;
         debug_assert!(
             (new_wh - weighted_hops(tg, machine, r.mapping)).abs() < DRIFT_EPS * (1.0 + new_wh),
@@ -244,31 +231,23 @@ impl<'a> Refiner<'a> {
     }
 
     /// One refinement pass; returns the total WH improvement achieved.
-    fn run_pass(&mut self, delta: usize) -> f64 {
+    /// The heap is seeded with `frontier` (each task listed once), or
+    /// with every task in id order when there is none: the
+    /// incremental-remap restriction bounds the tasks whose placement
+    /// is reconsidered, while swap *partners* are still found anywhere
+    /// the BFS reaches. Tasks pop by incurred WH and take the first
+    /// improving swap.
+    fn run_pass(&mut self, delta: usize, frontier: Option<&[u32]>) -> f64 {
         let n = self.tg.num_tasks();
         self.heap.reset(n);
-        for t in 0..n as u32 {
+        let mut seed = |t: u32| {
             let key = self.task_wh(t);
             self.heap.push(t, key);
+        };
+        match frontier {
+            Some(tasks) => tasks.iter().copied().for_each(&mut seed),
+            None => (0..n as u32).for_each(&mut seed),
         }
-        self.drain_heap(delta)
-    }
-
-    /// A pass that pivots only on `frontier` tasks (each listed once):
-    /// the incremental-remap restriction. Swap *partners* are still
-    /// found anywhere the BFS reaches — only the set of tasks whose
-    /// placement is reconsidered is bounded.
-    fn run_pass_frontier(&mut self, delta: usize, frontier: &[u32]) -> f64 {
-        self.heap.reset(self.tg.num_tasks());
-        for &t in frontier {
-            let key = self.task_wh(t);
-            self.heap.push(t, key);
-        }
-        self.drain_heap(delta)
-    }
-
-    /// Pops tasks by incurred WH and applies first-improving swaps.
-    fn drain_heap(&mut self, delta: usize) -> f64 {
         let mut pass_gain = 0.0;
         while let Some((twh, key)) = self.heap.pop() {
             if key <= 0.0 {
@@ -360,12 +339,38 @@ impl<'a> Refiner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::{greedy_map, GreedyConfig};
+    use crate::greedy::{greedy_map_into, GreedyConfig, GreedyScratch};
     use crate::mapping::validate_mapping;
     use umpa_topology::{AllocSpec, MachineConfig};
 
     fn ring_tg(n: u32) -> TaskGraph {
         TaskGraph::from_messages(n as usize, (0..n).map(|i| (i, (i + 1) % n, 2.0)), None)
+    }
+
+    /// The default greedy mapping, the refinement's usual start.
+    fn greedy(tg: &TaskGraph, machine: &Machine, alloc: &Allocation) -> Vec<u32> {
+        let mut out = Vec::new();
+        let cfg = GreedyConfig::default();
+        greedy_map_into(
+            tg,
+            machine,
+            alloc,
+            &cfg,
+            &mut GreedyScratch::new(),
+            &mut out,
+        );
+        out
+    }
+
+    /// Algorithm 2 on a fresh scratch.
+    fn refine_fresh(
+        tg: &TaskGraph,
+        machine: &Machine,
+        alloc: &Allocation,
+        mapping: &mut [u32],
+        cfg: &WhRefineConfig,
+    ) -> f64 {
+        wh_refine_scratch(tg, machine, alloc, mapping, cfg, &mut WhScratch::new())
     }
 
     #[test]
@@ -376,7 +381,7 @@ mod tests {
         // Pessimal-ish: stride-3 placement of the ring.
         let mut mapping: Vec<u32> = (0..8usize).map(|t| alloc.node(t * 3 % 8)).collect();
         let before = weighted_hops(&tg, &m, &mapping);
-        let after = wh_refine(&tg, &m, &alloc, &mut mapping, &WhRefineConfig::default());
+        let after = refine_fresh(&tg, &m, &alloc, &mut mapping, &WhRefineConfig::default());
         assert!(after < before, "no improvement: {before} -> {after}");
         validate_mapping(&tg, &alloc, &mapping).unwrap();
         assert!((weighted_hops(&tg, &m, &mapping) - after).abs() < 1e-9);
@@ -388,9 +393,9 @@ mod tests {
         for seed in 0..4u64 {
             let alloc = umpa_topology::Allocation::generate(&m, &AllocSpec::sparse(8, seed));
             let tg = ring_tg(8);
-            let mut mapping = greedy_map(&tg, &m, &alloc, &GreedyConfig::default());
+            let mut mapping = greedy(&tg, &m, &alloc);
             let before = weighted_hops(&tg, &m, &mapping);
-            let after = wh_refine(&tg, &m, &alloc, &mut mapping, &WhRefineConfig::default());
+            let after = refine_fresh(&tg, &m, &alloc, &mut mapping, &WhRefineConfig::default());
             assert!(after <= before + 1e-9, "seed {seed}: {before} -> {after}");
             validate_mapping(&tg, &alloc, &mapping).unwrap();
         }
@@ -403,7 +408,7 @@ mod tests {
         let mut scratch = WhScratch::new();
         for seed in 0..6u64 {
             let alloc = umpa_topology::Allocation::generate(&m, &AllocSpec::sparse(8, seed));
-            let base = greedy_map(&tg, &m, &alloc, &GreedyConfig::default());
+            let base = greedy(&tg, &m, &alloc);
             let mut warm = base.clone();
             let mut fresh = base.clone();
             let wh_warm = wh_refine_scratch(
@@ -414,7 +419,7 @@ mod tests {
                 &WhRefineConfig::default(),
                 &mut scratch,
             );
-            let wh_fresh = wh_refine(&tg, &m, &alloc, &mut fresh, &WhRefineConfig::default());
+            let wh_fresh = refine_fresh(&tg, &m, &alloc, &mut fresh, &WhRefineConfig::default());
             assert_eq!(warm, fresh, "seed {seed}: warm scratch diverged");
             assert_eq!(wh_warm, wh_fresh);
         }
@@ -430,7 +435,7 @@ mod tests {
         // counts directed messages: 8 * 2.0 = 16).
         let mut mapping: Vec<u32> = (0..8usize).map(|t| alloc.node(t)).collect();
         let wh0 = weighted_hops(&tg, &m, &mapping);
-        let wh1 = wh_refine(&tg, &m, &alloc, &mut mapping, &WhRefineConfig::default());
+        let wh1 = refine_fresh(&tg, &m, &alloc, &mut mapping, &WhRefineConfig::default());
         assert_eq!(wh0, wh1);
     }
 
@@ -443,10 +448,10 @@ mod tests {
             (0..10u32).flat_map(|i| [(i, (i + 1) % 10, 1.0), (i, (i + 3) % 10, 0.5)]),
             None,
         );
-        let base = greedy_map(&tg, &m, &alloc, &GreedyConfig::default());
+        let base = greedy(&tg, &m, &alloc);
         let mut m1 = base.clone();
         let mut m8 = base.clone();
-        let wh1 = wh_refine(
+        let wh1 = refine_fresh(
             &tg,
             &m,
             &alloc,
@@ -456,7 +461,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let wh8 = wh_refine(&tg, &m, &alloc, &mut m8, &WhRefineConfig::default());
+        let wh8 = refine_fresh(&tg, &m, &alloc, &mut m8, &WhRefineConfig::default());
         assert!(wh8 <= wh1 + 1e-9, "Δ=8 ({wh8}) should beat Δ=1 ({wh1})");
     }
 
@@ -468,7 +473,7 @@ mod tests {
         let tg = TaskGraph::from_messages(4, [(0, 1, 5.0), (2, 3, 5.0)], None);
         // Bad start: 0 and 1 split across far nodes.
         let mut mapping = vec![alloc.node(0), alloc.node(2), alloc.node(1), alloc.node(1)];
-        let after = wh_refine(&tg, &m, &alloc, &mut mapping, &WhRefineConfig::default());
+        let after = refine_fresh(&tg, &m, &alloc, &mut mapping, &WhRefineConfig::default());
         // 0 and 1 should end co-located (or adjacent at worst).
         assert!(after <= 5.0, "WH after refine = {after}");
         validate_mapping(&tg, &alloc, &mapping).unwrap();

@@ -201,7 +201,7 @@ pub(crate) enum Envelope {
         reply: Sender<Result<MapReply, ServiceError>>,
     },
     /// A deliberately panicking request, for the isolation tests.
-    #[doc(hidden)]
+    #[cfg(test)]
     Poison {
         reply: Sender<Result<MapReply, ServiceError>>,
     },

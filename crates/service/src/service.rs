@@ -528,10 +528,10 @@ impl MappingService {
     /// with the ladder's top-rung mapper (`UMC`) and returns the
     /// initial WH.
     /// Subsequent churn repairs and the drift supervisor operate on
-    /// this job's live mapping. A job that fails
-    /// [`check_job`](umpa_core::check_job) on the current allocation is
-    /// refused before anything is journaled or mutated, with
-    /// [`ServiceError::InvalidJob`]; the resident job stays as it was.
+    /// this job's live mapping. A job that fails [`check_job`] on the
+    /// current allocation is refused before anything is journaled or
+    /// mutated, with [`ServiceError::InvalidJob`]; the resident job
+    /// stays as it was.
     pub fn install_job(&self, tasks: Arc<TaskGraph>) -> Result<f64, ServiceError> {
         self.inner
             .install_job(tasks)
@@ -550,22 +550,6 @@ impl MappingService {
             },
             rx,
         )
-    }
-
-    /// Submits a request whose service deliberately panics — the
-    /// isolation-test hook proving workers survive poisoned work.
-    #[doc(hidden)]
-    pub fn submit_poison(&self) -> Submit<MapTicket> {
-        let (reply, rx) = mpsc::channel();
-        self.admit(Envelope::Poison { reply }, rx)
-    }
-
-    /// Closes the admission intake without draining or joining — the
-    /// backpressure-test hook for the post-shutdown rejection path,
-    /// where queued work is still in flight when a submit arrives.
-    #[doc(hidden)]
-    pub fn close_intake(&mut self) {
-        self.tx = None;
     }
 
     fn admit(
@@ -627,20 +611,6 @@ impl MappingService {
     /// of the `check_every` ration.
     pub fn polish_now(&self) -> RepairReport {
         self.inner.polish_now()
-    }
-
-    /// Panics a writer while it holds the state `RwLock`, poisoning
-    /// it — the robustness-test hook proving the `into_inner`
-    /// absorption path keeps `submit_map` / `apply_churn` serving
-    /// afterwards. The panic is caught here; only the poison escapes.
-    #[doc(hidden)]
-    pub fn poison_state_lock(&self) {
-        let inner = Arc::clone(&self.inner);
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let _guard = inner.write_state();
-            // tidy-allow: panic-freedom (deliberate poison for the lock-absorption test; caught by the catch_unwind above)
-            panic!("deliberate state-lock poisoning (test hook)");
-        }));
     }
 
     /// Weighted hops of the resident job's live mapping; `None`
@@ -709,5 +679,142 @@ impl MappingService {
 impl Drop for MappingService {
     fn drop(&mut self) {
         self.finish();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use umpa_topology::{AllocSpec, MachineConfig};
+
+    /// Test hooks that reach paths no public call can: a panicking
+    /// request, a closed intake with queued work, a poisoned lock.
+    impl MappingService {
+        /// Submits a request whose service deliberately panics.
+        fn submit_poison(&self) -> Submit<MapTicket> {
+            let (reply, rx) = mpsc::channel();
+            self.admit(Envelope::Poison { reply }, rx)
+        }
+
+        /// Closes the admission intake without draining or joining, so
+        /// queued work is still in flight when the next submit arrives.
+        fn close_intake(&mut self) {
+            self.tx = None;
+        }
+
+        /// Panics a writer while it holds the state `RwLock`. The panic
+        /// is caught here; only the poison escapes.
+        fn poison_state_lock(&self) {
+            let inner = Arc::clone(&self.inner);
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                let _guard = inner.write_state();
+                panic!("deliberate state-lock poisoning (test hook)");
+            }));
+        }
+    }
+
+    /// Ring + chords with skewed weights.
+    fn task_graph(n: u32, seed: u64) -> TaskGraph {
+        let msgs = (0..n).flat_map(move |i| {
+            let w = 1.0 + f64::from((i + seed as u32) % 5);
+            [
+                (i, (i + 1) % n, 2.0 * w),
+                (i, (i + n / 3).max(i + 1) % n, w),
+            ]
+        });
+        TaskGraph::from_messages(n as usize, msgs, None)
+    }
+
+    /// A one-worker (or consumerless) service on a 128-node torus with
+    /// 96 sparse allocated nodes of 2 processors each.
+    fn service(workers: usize, queue_capacity: usize) -> MappingService {
+        let machine = MachineConfig::small(&[4, 4, 4], 2, 2).build();
+        let alloc = Allocation::generate(&machine, &AllocSpec::sparse(96, 7));
+        let cfg = ServiceConfig {
+            workers,
+            queue_capacity,
+            ..ServiceConfig::default()
+        };
+        MappingService::new(machine, alloc, cfg)
+    }
+
+    #[test]
+    fn poisoned_request_is_isolated_and_service_keeps_serving() {
+        let service = service(1, ServiceConfig::default().queue_capacity);
+        let poisoned = service
+            .submit_poison()
+            .accepted()
+            .expect("poison must be admitted");
+        assert!(matches!(poisoned.wait(), Err(ServiceError::Panicked)));
+
+        // The same worker keeps serving after catching the panic.
+        let job = MapJob::new(Arc::new(task_graph(64, 3)));
+        let reply = service
+            .submit_map(job)
+            .accepted()
+            .expect("normal request admitted")
+            .wait()
+            .expect("normal request served after the poison");
+        assert_eq!(reply.mapping.len(), 64);
+
+        let stats = service.shutdown();
+        assert_eq!(stats.panics, 1);
+        assert_eq!(stats.deadline_misses, 0);
+    }
+
+    #[test]
+    fn rejection_after_intake_closes_reports_the_queued_depth() {
+        // No consumers: four requests stay queued.
+        let mut service = service(0, 4);
+        let tasks = Arc::new(task_graph(16, 1));
+        for _ in 0..4 {
+            assert!(service
+                .submit_map(MapJob::new(Arc::clone(&tasks)))
+                .accepted()
+                .is_some());
+        }
+        // Once intake closes, a rejection must still carry the depth
+        // observed at rejection time — the 4 queued envelopes have not
+        // drained — not a hardwired zero.
+        service.close_intake();
+        match service.submit_map(MapJob::new(Arc::clone(&tasks))) {
+            Submit::Accepted(_) => panic!("admitted past shutdown"),
+            Submit::Rejected { queue_depth } => assert_eq!(queue_depth, 4),
+        }
+        assert_eq!(service.stats().rejected, 1);
+    }
+
+    #[test]
+    fn poisoned_state_lock_is_absorbed_and_service_keeps_serving() {
+        let service = service(1, ServiceConfig::default().queue_capacity);
+        service
+            .install_job(Arc::new(task_graph(96, 4)))
+            .expect("job fits");
+        let wh_before = service.live_wh().expect("job installed");
+
+        // Panic a writer while it holds the state RwLock: the lock is now
+        // poisoned. Every lock site absorbs poison via `into_inner`, so
+        // the service must keep serving — reads, churn and mapped
+        // requests alike — instead of cascading the panic.
+        service.poison_state_lock();
+
+        assert_eq!(
+            service.live_wh().map(f64::to_bits),
+            Some(wh_before.to_bits()),
+            "reads must survive a poisoned lock"
+        );
+        let victim = service.with_state(|_, a| a.nodes()[0]);
+        let report = service.apply_churn(&[ChurnEvent::NodeFailed { node: victim }]);
+        assert_eq!(
+            report.applied_events, 1,
+            "churn must still mutate state after poisoning"
+        );
+        let reply = service
+            .submit_map(MapJob::new(Arc::new(task_graph(48, 9))))
+            .accepted()
+            .expect("queue empty, must admit")
+            .wait()
+            .expect("worker must still serve after poisoning");
+        assert!(!reply.mapping.is_empty());
     }
 }

@@ -121,6 +121,7 @@ fn serve(inner: &ServiceInner, env: Envelope, scratch: &mut MapperScratch) {
                 }
             }
         }
+        #[cfg(test)]
         Envelope::Poison { reply } => {
             let poisoned: Result<(), _> = catch_unwind(|| {
                 // tidy-allow: panic-freedom (deliberate: the isolation test's poisoned request; caught on the line above)

@@ -1,7 +1,7 @@
 //! `determinism` — no nondeterminism sources in the engine crates.
 //!
 //! The engine's headline property is bit-identical mappings across
-//! scratch/parallel/oracle/route-cache configurations (PRs 1/3/5, the
+//! warm/cold scratch, oracle and route-cache configurations (the
 //! differential harnesses in CI). The classic ways to lose it:
 //!
 //! * `std::collections::HashMap`/`HashSet` — `RandomState` seeds the

@@ -3,8 +3,8 @@
 //! `umpa_core::remap`, `umpa_topology::fault` and the whole of
 //! `umpa_service` document a hard contract: incremental repair and
 //! the serving loop **never panic** — infeasibility is a typed
-//! [`RemapOutcome::Infeasible`] (the service's analog is a typed
-//! [`ServiceError`]), not a crash in a serving process that just lost
+//! `RemapOutcome::Infeasible` (the service's analog is a typed
+//! `ServiceError`), not a crash in a serving process that just lost
 //! hardware. This lint bans the panicking
 //! constructs (`unwrap`/`expect`/`panic!`/`todo!`/asserts) plus a
 //! heuristic for the sneakiest variant: direct slice indexing inside a

@@ -2,7 +2,7 @@
 //!
 //! Cray's scheduler places consecutive MPI ranks along a locality-
 //! preserving linear ordering of the machine ("space filling curves",
-//! Section IV-B; Albing et al. [25]). The DEF baseline and the
+//! Section IV-B; Albing et al. \[25\]). The DEF baseline and the
 //! allocation generator both consume such an ordering. Two are
 //! provided:
 //!

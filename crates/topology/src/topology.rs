@@ -8,9 +8,9 @@
 //!
 //! * [`TorusNet`] — k-ary n-D torus / mesh (the paper's Cray Gemini
 //!   model) with dimension-ordered routing;
-//! * [`FatTree`](crate::fat_tree::FatTree) — 3-level k-ary fat-tree
+//! * [`FatTree`] — 3-level k-ary fat-tree
 //!   (Clos) with deterministic up\*/down\* routing;
-//! * [`Dragonfly`](crate::dragonfly::Dragonfly) — dragonfly groups with
+//! * [`Dragonfly`] — dragonfly groups with
 //!   minimal local–global–local routing.
 //!
 //! **The topology owns the link-id space.** Every physical link gets
@@ -130,13 +130,14 @@ impl Topology {
 
     /// Writes the hop distance from terminal router `a` to every
     /// terminal router (id order) into `out[..num_terminal_routers]` —
-    /// the per-source sweep the [`DistanceOracle`]
-    /// (crate::oracle::DistanceOracle) build runs once per row. Tori
-    /// use the odometer sweep ([`Torus::fill_distances`]), which is
-    /// ~an order of magnitude cheaper than per-pair [`distance`]
-    /// (Self::distance) calls (no coordinate decode per destination);
-    /// the shallow fat-tree/dragonfly distance functions fall back to
-    /// the per-pair loop. Values are exactly `distance(a, b) as u16`.
+    /// the per-source sweep the
+    /// [`DistanceOracle`](crate::oracle::DistanceOracle) build runs once
+    /// per row. Tori use the odometer sweep ([`Torus::fill_distances`]),
+    /// which is ~an order of magnitude cheaper than per-pair
+    /// [`distance`](Self::distance) calls (no coordinate decode per
+    /// destination); the shallow fat-tree/dragonfly distance functions
+    /// fall back to the per-pair loop. Values are exactly
+    /// `distance(a, b) as u16`.
     pub fn fill_distance_row(&self, a: u32, out: &mut [u16]) {
         match self {
             Topology::Torus(t) => t.torus.fill_distances(a, out),

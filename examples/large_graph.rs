@@ -3,7 +3,7 @@
 //!
 //! Generates a 3-D stencil halo-exchange pattern (10⁵ tasks by
 //! default, `--tasks 1000000` for the million-task run), allocates most
-//! of the Hopper-preset torus, and runs `map_multilevel` with the
+//! of the Hopper-preset torus, and runs `multilevel_map_into` with the
 //! `UWH` mapper — the workload the direct pipeline's phase-1
 //! partitioner cannot touch at this scale.
 //!

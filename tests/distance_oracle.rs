@@ -11,9 +11,9 @@
 //!    fallback (hop counts are exact integers either way, so every
 //!    float gain and therefore every swap decision coincides).
 
-use umpa::core::cong_refine::{congestion_refine, CongRefineConfig};
-use umpa::core::greedy::{greedy_map, weighted_hops, GreedyConfig};
-use umpa::core::wh_refine::{wh_refine, WhRefineConfig};
+use umpa::core::cong_refine::{congestion_refine_scratch, CongRefineConfig, CongScratch};
+use umpa::core::greedy::{greedy_map_into, weighted_hops, GreedyConfig, GreedyScratch};
+use umpa::core::wh_refine::{wh_refine_scratch, WhRefineConfig, WhScratch};
 use umpa::graph::TaskGraph;
 use umpa::topology::{
     AllocSpec, Allocation, DistanceOracle, DragonflyConfig, FatTreeConfig, Machine, MachineConfig,
@@ -109,6 +109,21 @@ fn engine_machines() -> Vec<(&'static str, Machine)> {
     ]
 }
 
+/// The default greedy mapping, on a fresh scratch.
+fn greedy(tg: &TaskGraph, machine: &Machine, alloc: &Allocation) -> Vec<u32> {
+    let mut out = Vec::new();
+    let cfg = GreedyConfig::default();
+    greedy_map_into(
+        tg,
+        machine,
+        alloc,
+        &cfg,
+        &mut GreedyScratch::new(),
+        &mut out,
+    );
+    out
+}
+
 #[test]
 fn oracle_backed_refinement_is_bit_identical_to_analytic() {
     let tg = fixture_tg();
@@ -119,25 +134,28 @@ fn oracle_backed_refinement_is_bit_identical_to_analytic() {
         for seed in 0..4u64 {
             let alloc = Allocation::generate(&m_oracle, &AllocSpec::sparse(8, seed));
             // Same greedy start on both machines (itself a cross-check).
-            let base_o = greedy_map(&tg, &m_oracle, &alloc, &GreedyConfig::default());
-            let base_a = greedy_map(&tg, &m_analytic, &alloc, &GreedyConfig::default());
+            let base_o = greedy(&tg, &m_oracle, &alloc);
+            let base_a = greedy(&tg, &m_analytic, &alloc);
             assert_eq!(base_o, base_a, "{name} seed {seed}: greedy diverged");
 
             let mut wh_o = base_o.clone();
             let mut wh_a = base_o.clone();
-            let out_o = wh_refine(
+            let wh_cfg = WhRefineConfig::default();
+            let out_o = wh_refine_scratch(
                 &tg,
                 &m_oracle,
                 &alloc,
                 &mut wh_o,
-                &WhRefineConfig::default(),
+                &wh_cfg,
+                &mut WhScratch::new(),
             );
-            let out_a = wh_refine(
+            let out_a = wh_refine_scratch(
                 &tg,
                 &m_analytic,
                 &alloc,
                 &mut wh_a,
-                &WhRefineConfig::default(),
+                &wh_cfg,
+                &mut WhScratch::new(),
             );
             assert_eq!(wh_o, wh_a, "{name} seed {seed}: wh_refine mapping diverged");
             assert_eq!(
@@ -153,19 +171,22 @@ fn oracle_backed_refinement_is_bit_identical_to_analytic() {
 
             let mut mc_o = base_o.clone();
             let mut mc_a = base_o.clone();
-            let cong_o = congestion_refine(
+            let mc_cfg = CongRefineConfig::volume();
+            let cong_o = congestion_refine_scratch(
                 &tg,
                 &m_oracle,
                 &alloc,
                 &mut mc_o,
-                &CongRefineConfig::volume(),
+                &mc_cfg,
+                &mut CongScratch::new(),
             );
-            let cong_a = congestion_refine(
+            let cong_a = congestion_refine_scratch(
                 &tg,
                 &m_analytic,
                 &alloc,
                 &mut mc_a,
-                &CongRefineConfig::volume(),
+                &mc_cfg,
+                &mut CongScratch::new(),
             );
             assert_eq!(
                 mc_o, mc_a,

@@ -3,7 +3,6 @@
 
 use umpa::core::mapping::validate_mapping;
 use umpa::core::multilevel::MultilevelConfig;
-use umpa::core::pipeline::map_multilevel;
 use umpa::matgen::spmv::spmv_task_graph;
 use umpa::matgen::SparsePattern;
 use umpa::prelude::*;
@@ -133,6 +132,17 @@ fn eager_ml_cfg() -> PipelineConfig {
     }
 }
 
+/// The multilevel engine on a fresh scratch.
+fn multilevel_fresh(
+    tg: &TaskGraph,
+    machine: &Machine,
+    alloc: &Allocation,
+    kind: MapperKind,
+    cfg: &PipelineConfig,
+) -> MappingOutcome {
+    map_multilevel_with(tg, machine, alloc, kind, cfg, &mut MapperScratch::new())
+}
+
 /// The greedy family — the kinds the multilevel engine maps itself.
 const ML_KINDS: [MapperKind; 4] = [
     MapperKind::Greedy,
@@ -148,10 +158,10 @@ fn multilevel_zero_and_single_task() {
     let cfg = eager_ml_cfg();
     for kind in ML_KINDS {
         let empty = TaskGraph::from_messages(0, [], None);
-        let out = map_multilevel(&empty, &machine, &alloc, kind, &cfg);
+        let out = multilevel_fresh(&empty, &machine, &alloc, kind, &cfg);
         assert!(out.fine_mapping.is_empty(), "{}", kind.name());
         let single = TaskGraph::from_messages(1, [], None);
-        let out = map_multilevel(&single, &machine, &alloc, kind, &cfg);
+        let out = multilevel_fresh(&single, &machine, &alloc, kind, &cfg);
         validate_mapping(&single, &alloc, &out.fine_mapping)
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
     }
@@ -165,7 +175,7 @@ fn multilevel_fewer_tasks_than_nodes() {
     let tg = TaskGraph::from_messages(5, (0..5u32).map(|i| (i, (i + 1) % 5, 2.0)), None);
     let cfg = eager_ml_cfg();
     for kind in ML_KINDS {
-        let out = map_multilevel(&tg, &machine, &alloc, kind, &cfg);
+        let out = multilevel_fresh(&tg, &machine, &alloc, kind, &cfg);
         validate_mapping(&tg, &alloc, &out.fine_mapping)
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
     }
@@ -180,7 +190,7 @@ fn multilevel_empty_comm_graph_cannot_coarsen() {
     let tg = TaskGraph::from_messages(16, [], None);
     let cfg = eager_ml_cfg();
     for kind in ML_KINDS {
-        let out = map_multilevel(&tg, &machine, &alloc, kind, &cfg);
+        let out = multilevel_fresh(&tg, &machine, &alloc, kind, &cfg);
         validate_mapping(&tg, &alloc, &out.fine_mapping)
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
         let m = evaluate(&tg, &machine, &out.fine_mapping);
@@ -198,14 +208,14 @@ fn multilevel_star_graph_collapses_to_one_vertex() {
     let tg = TaskGraph::from_messages(9, (1..9u32).map(|leaf| (0, leaf, 1.0)), Some(vec![0.25; 9]));
     let cfg = eager_ml_cfg();
     for kind in ML_KINDS {
-        let out = map_multilevel(&tg, &machine, &alloc, kind, &cfg);
+        let out = multilevel_fresh(&tg, &machine, &alloc, kind, &cfg);
         validate_mapping(&tg, &alloc, &out.fine_mapping)
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
     }
     // Under UWH the fully collapsed star lands on a single node: the
     // whole graph's weight is 2.25 of an 8-proc node, so every message
     // should end node-local.
-    let out = map_multilevel(&tg, &machine, &alloc, MapperKind::GreedyWh, &cfg);
+    let out = multilevel_fresh(&tg, &machine, &alloc, MapperKind::GreedyWh, &cfg);
     let m = evaluate(&tg, &machine, &out.fine_mapping);
     assert_eq!(m.th, 0.0, "collapsed star should be colocated");
 }
@@ -224,7 +234,7 @@ fn multilevel_heavy_tasks_that_cannot_merge() {
     );
     let cfg = eager_ml_cfg();
     for kind in ML_KINDS {
-        let out = map_multilevel(&tg, &machine, &alloc, kind, &cfg);
+        let out = multilevel_fresh(&tg, &machine, &alloc, kind, &cfg);
         validate_mapping(&tg, &alloc, &out.fine_mapping)
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
     }

@@ -2,14 +2,13 @@
 //! engine: across the topology backend × preset matrix (torus including
 //! extent-1 and extent-2 dimensions, mesh, fat-tree, dragonfly),
 //! multilevel mappings must be feasible, deterministic, bit-identical
-//! across the `parallel` feature and the distance-oracle modes, and —
-//! on graphs small enough to run both — within a bounded weighted-hops
-//! ratio of the direct pipeline.
+//! across warm and fresh scratch and across the distance-oracle modes,
+//! and — on graphs small enough to run both — within a bounded
+//! weighted-hops ratio of the direct pipeline.
 
 use umpa::core::multilevel::{multilevel_map_into, MultilevelConfig};
 use umpa::core::pipeline::{
-    map_many, map_many_seq, map_multilevel, map_multilevel_with, map_tasks, MapRequest,
-    MapStrategy, MapperKind, PipelineConfig,
+    map_multilevel_with, map_tasks, MapperKind, MappingOutcome, PipelineConfig,
 };
 use umpa::core::scratch::MapperScratch;
 use umpa::core::{evaluate, validate_mapping};
@@ -75,6 +74,17 @@ fn ml_cfg() -> PipelineConfig {
     }
 }
 
+/// The multilevel engine on a fresh scratch.
+fn multilevel_fresh(
+    tg: &TaskGraph,
+    machine: &Machine,
+    alloc: &Allocation,
+    kind: MapperKind,
+    cfg: &PipelineConfig,
+) -> MappingOutcome {
+    map_multilevel_with(tg, machine, alloc, kind, cfg, &mut MapperScratch::new())
+}
+
 #[test]
 fn multilevel_is_feasible_and_deterministic_across_the_matrix() {
     let cfg = ml_cfg();
@@ -85,12 +95,12 @@ fn multilevel_is_feasible_and_deterministic_across_the_matrix() {
         // 8 × 4 procs.
         let tg = big_graph(128, 0.125);
         for kind in KINDS {
-            let a = map_multilevel(&tg, &m, &alloc, kind, &cfg);
+            let a = multilevel_fresh(&tg, &m, &alloc, kind, &cfg);
             validate_mapping(&tg, &alloc, &a.fine_mapping)
                 .unwrap_or_else(|e| panic!("{name}/{}: {e}", kind.name()));
             assert_eq!(a.group_of.len(), tg.num_tasks(), "{name}/{}", kind.name());
             // Deterministic for a fixed seed.
-            let b = map_multilevel(&tg, &m, &alloc, kind, &cfg);
+            let b = multilevel_fresh(&tg, &m, &alloc, kind, &cfg);
             assert_eq!(
                 a.fine_mapping,
                 b.fine_mapping,
@@ -110,56 +120,6 @@ fn multilevel_is_feasible_and_deterministic_across_the_matrix() {
 }
 
 #[test]
-fn multilevel_map_many_matches_the_sequential_loop() {
-    // `map_many` with the Multilevel strategy must equal both the
-    // always-sequential batched form and a plain loop of
-    // `map_multilevel` — under the `parallel` feature and without it
-    // (CI runs this test in both configurations; the sequential loop
-    // is feature-independent, so equality here pins bit-identity
-    // across the feature too).
-    let cfg = ml_cfg();
-    let machs = machines();
-    let allocs: Vec<Allocation> = machs
-        .iter()
-        .map(|(_, m)| Allocation::generate(m, &AllocSpec::sparse(8, 5)))
-        .collect();
-    let tg = big_graph(112, 0.125);
-    let mut requests = Vec::new();
-    let mut plan = Vec::new();
-    for (i, (_, m)) in machs.iter().enumerate() {
-        for kind in KINDS {
-            requests.push(MapRequest {
-                tasks: &tg,
-                machine: m,
-                alloc: &allocs[i],
-                kind,
-                strategy: MapStrategy::Multilevel,
-                cfg: &cfg,
-            });
-            plan.push((i, kind));
-        }
-    }
-    let batched = map_many(&requests);
-    let sequential = map_many_seq(&requests);
-    assert_eq!(batched.len(), plan.len());
-    for (r, &(i, kind)) in plan.iter().enumerate() {
-        let single = map_multilevel(&tg, &machs[i].1, &allocs[i], kind, &cfg);
-        assert_eq!(
-            batched[r].fine_mapping,
-            single.fine_mapping,
-            "request {r} ({}/{}): batched diverged",
-            machs[i].0,
-            kind.name()
-        );
-        assert_eq!(
-            sequential[r].fine_mapping, single.fine_mapping,
-            "request {r}: sequential diverged"
-        );
-        assert_eq!(batched[r].group_of, single.group_of, "request {r}");
-    }
-}
-
-#[test]
 fn multilevel_is_bit_identical_with_oracle_on_and_off() {
     let cfg = ml_cfg();
     for (name, m) in machines() {
@@ -169,8 +129,8 @@ fn multilevel_is_bit_identical_with_oracle_on_and_off() {
         let alloc = Allocation::generate(&m, &AllocSpec::sparse(8, 7));
         let tg = big_graph(96, 0.125);
         for kind in KINDS {
-            let with_oracle = map_multilevel(&tg, &m, &alloc, kind, &cfg);
-            let without = map_multilevel(&tg, &analytic, &alloc, kind, &cfg);
+            let with_oracle = multilevel_fresh(&tg, &m, &alloc, kind, &cfg);
+            let without = multilevel_fresh(&tg, &analytic, &alloc, kind, &cfg);
             assert_eq!(
                 with_oracle.fine_mapping,
                 without.fine_mapping,
@@ -193,7 +153,7 @@ fn multilevel_wh_is_within_ten_percent_of_direct() {
         // 10 × |Va| = 80 tasks, fill 0.5.
         let tg = big_graph(80, 0.2);
         let direct = map_tasks(&tg, &m, &alloc, MapperKind::GreedyWh, &cfg);
-        let ml = map_multilevel(&tg, &m, &alloc, MapperKind::GreedyWh, &cfg);
+        let ml = multilevel_fresh(&tg, &m, &alloc, MapperKind::GreedyWh, &cfg);
         validate_mapping(&tg, &alloc, &ml.fine_mapping).unwrap();
         let wh_direct = evaluate(&tg, &m, &direct.fine_mapping).wh;
         let wh_ml = evaluate(&tg, &m, &ml.fine_mapping).wh;
@@ -240,7 +200,7 @@ fn baselines_route_through_the_direct_pipeline() {
     let alloc = Allocation::generate(&m, &AllocSpec::sparse(8, 2));
     let tg = big_graph(64, 0.25);
     for kind in [MapperKind::Def, MapperKind::Tmap, MapperKind::Smap] {
-        let ml = map_multilevel(&tg, &m, &alloc, kind, &cfg);
+        let ml = multilevel_fresh(&tg, &m, &alloc, kind, &cfg);
         let direct = map_tasks(&tg, &m, &alloc, kind, &cfg);
         assert_eq!(
             ml.fine_mapping,

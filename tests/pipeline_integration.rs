@@ -1,6 +1,8 @@
 //! Cross-crate integration tests: matrix → partition → task graph →
 //! mapping → metrics → simulation, end to end.
 
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use umpa::matgen::dataset::{self, Scale};
 use umpa::matgen::gen::{stencil2d, Stencil2D};
 use umpa::matgen::spmv::{partition_loads, spmv_task_graph};
@@ -122,5 +124,59 @@ fn partition_loads_conserve_total_work() {
             "{}",
             kind.name()
         );
+    }
+}
+
+/// A random task graph of `n` tasks with 1–39 messages.
+fn random_task_graph(rng: &mut ChaCha8Rng, n: u32) -> TaskGraph {
+    let m = rng.gen_range(1..40usize);
+    TaskGraph::from_messages(
+        n as usize,
+        (0..m).map(|_| {
+            (
+                rng.gen_range(0..n),
+                rng.gen_range(0..n),
+                f64::from(rng.gen_range(1..100u32)),
+            )
+        }),
+        None,
+    )
+}
+
+#[test]
+fn warm_scratch_map_tasks_with_matches_fresh_map_tasks() {
+    // One scratch carried through every request, as a service worker
+    // carries it: 4 random graphs × 3 allocations × all 7 kinds, each
+    // equal to a fresh `map_tasks` in mapping, grouping and fallback.
+    let machine = MachineConfig::small(&[4, 4], 1, 2).build();
+    let mut rng = ChaCha8Rng::seed_from_u64(0x9A9);
+    let cfg = PipelineConfig::default();
+    let graphs: Vec<TaskGraph> = (0..4).map(|_| random_task_graph(&mut rng, 12)).collect();
+    let allocs: Vec<Allocation> = (0..3)
+        .map(|i| Allocation::generate(&machine, &AllocSpec::sparse(6, 40 + i)))
+        .collect();
+    let kinds = [
+        MapperKind::Def,
+        MapperKind::Greedy,
+        MapperKind::GreedyWh,
+        MapperKind::GreedyMc,
+        MapperKind::GreedyMmc,
+        MapperKind::Tmap,
+        MapperKind::Smap,
+    ];
+    let mut warm = MapperScratch::new();
+    for (gi, tg) in graphs.iter().enumerate() {
+        for (ai, alloc) in allocs.iter().enumerate() {
+            for kind in kinds {
+                let label = format!("graph {gi}, alloc {ai}, {}", kind.name());
+                let served = map_tasks_with(tg, &machine, alloc, kind, &cfg, &mut warm);
+                let fresh = map_tasks(tg, &machine, alloc, kind, &cfg);
+                assert_eq!(served.fine_mapping, fresh.fine_mapping, "{label}");
+                assert_eq!(served.group_of, fresh.group_of, "{label}");
+                assert_eq!(served.tmap_fell_back, fresh.tmap_fell_back, "{label}");
+                umpa::core::mapping::validate_mapping(tg, alloc, &served.fine_mapping)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+            }
+        }
     }
 }

@@ -7,9 +7,9 @@
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use umpa::core::greedy::{greedy_map, weighted_hops, GreedyConfig};
+use umpa::core::greedy::{greedy_map_into, weighted_hops, GreedyConfig, GreedyScratch};
 use umpa::core::mapping::validate_mapping;
-use umpa::core::wh_refine::{wh_refine, WhRefineConfig};
+use umpa::core::wh_refine::{wh_refine_scratch, WhRefineConfig, WhScratch};
 use umpa::prelude::*;
 use umpa::topology::routing;
 
@@ -217,7 +217,15 @@ fn greedy_mapping_is_always_feasible() {
         let machine = MachineConfig::small(&[4, 4], 1, 2).build();
         let alloc = Allocation::generate(&machine, &AllocSpec::sparse(5, seed));
         let tg = TaskGraph::from_messages(10, msgs, None);
-        let mapping = greedy_map(&tg, &machine, &alloc, &GreedyConfig::default());
+        let mut mapping = Vec::new();
+        greedy_map_into(
+            &tg,
+            &machine,
+            &alloc,
+            &GreedyConfig::default(),
+            &mut GreedyScratch::new(),
+            &mut mapping,
+        );
         assert!(
             validate_mapping(&tg, &alloc, &mapping).is_ok(),
             "case {case}"
@@ -236,12 +244,13 @@ fn wh_refinement_is_monotone() {
         let tg = TaskGraph::from_messages(8, msgs, None);
         let mut mapping: Vec<u32> = (0..8).map(|t| alloc.node(t)).collect();
         let before = weighted_hops(&tg, &machine, &mapping);
-        let after = wh_refine(
+        let after = wh_refine_scratch(
             &tg,
             &machine,
             &alloc,
             &mut mapping,
             &WhRefineConfig::default(),
+            &mut WhScratch::new(),
         );
         assert!(after <= before + 1e-9, "case {case}");
         assert!((weighted_hops(&tg, &machine, &mapping) - after).abs() < 1e-6);
@@ -251,7 +260,7 @@ fn wh_refinement_is_monotone() {
 
 #[test]
 fn congestion_refinement_never_worsens_mc() {
-    use umpa::core::cong_refine::{congestion_refine, CongRefineConfig};
+    use umpa::core::cong_refine::{congestion_refine_scratch, CongRefineConfig, CongScratch};
     let mut rng = ChaCha8Rng::seed_from_u64(0xF00);
     for case in 0..64 {
         let msgs = messages(&mut rng, 8);
@@ -261,12 +270,13 @@ fn congestion_refinement_never_worsens_mc() {
         let tg = TaskGraph::from_messages(8, msgs, None);
         let mut mapping: Vec<u32> = (0..8).map(|t| alloc.node(t)).collect();
         let before = evaluate(&tg, &machine, &mapping).mc;
-        let (mc, _) = congestion_refine(
+        let (mc, _) = congestion_refine_scratch(
             &tg,
             &machine,
             &alloc,
             &mut mapping,
             &CongRefineConfig::volume(),
+            &mut CongScratch::new(),
         );
         let after = evaluate(&tg, &machine, &mapping).mc;
         assert!(after <= before + 1e-9, "case {case}");

@@ -562,6 +562,18 @@ fn sixteen_processors() -> (Machine, Allocation) {
 
 const TOO_HEAVY: &str = "total task weight exceeds the allocation's processors";
 
+/// A 16-task ring with one NaN, infinite or negative message volume.
+fn ring_with_volume(bad: f64) -> TaskGraph {
+    let ring = (0..16u32).map(|i| (i, (i + 1) % 16, if i == 5 { bad } else { 1.0 }));
+    TaskGraph::from_messages(16, ring, None)
+}
+
+const BAD_VOLUME: &str = "message volume is NaN, infinite or negative";
+
+/// An oversized job, and a job with a NaN or infinite message volume,
+/// are refused before the journal: no frame is appended, so recovery
+/// never meets a frame it cannot decode, and the resident job comes
+/// back as it was.
 #[test]
 fn oversized_job_is_refused_before_the_journal() {
     let (machine, alloc) = sixteen_processors();
@@ -578,14 +590,22 @@ fn oversized_job_is_refused_before_the_journal() {
             .len()
     };
     let len = journal_len();
-    let refused = catch_unwind(AssertUnwindSafe(|| {
-        service.install_job(Arc::new(task_graph(20, 1)))
-    }))
-    .unwrap_or_else(|_| panic!("install_job panicked on an oversized job"));
-    assert_eq!(refused, Err(ServiceError::InvalidJob { reason: TOO_HEAVY }));
-    assert_eq!(service.stats().journal_appends, appends);
-    assert_eq!(journal_len(), len, "a frame was appended");
-    assert_eq!(digest(&service), before, "state changed");
+    for (label, tasks, reason) in [
+        ("20 tasks", task_graph(20, 1), TOO_HEAVY),
+        ("NaN volume", ring_with_volume(f64::NAN), BAD_VOLUME),
+        (
+            "infinite volume",
+            ring_with_volume(f64::INFINITY),
+            BAD_VOLUME,
+        ),
+    ] {
+        let refused = catch_unwind(AssertUnwindSafe(|| service.install_job(Arc::new(tasks))))
+            .unwrap_or_else(|_| panic!("install_job panicked on {label}"));
+        assert_eq!(refused, Err(ServiceError::InvalidJob { reason }), "{label}");
+        assert_eq!(service.stats().journal_appends, appends, "{label}");
+        assert_eq!(journal_len(), len, "{label}: a frame was appended");
+        assert_eq!(digest(&service), before, "{label}: state changed");
+    }
     drop(service);
     let (recovered, report) = MappingService::recover(machine, alloc, durable_cfg(&dir, 64, None))
         .unwrap_or_else(|e| panic!("{e}"));

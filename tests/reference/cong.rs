@@ -110,7 +110,7 @@ impl LinkTaskSets {
 /// Runs the pre-rewrite congestion refinement (fresh internal buffers;
 /// the reference is a test oracle, not a serving path). Returns the
 /// final `(max, avg)` congestion like
-/// `umpa_core::cong_refine::congestion_refine`.
+/// `umpa_core::cong_refine::congestion_refine_scratch`.
 pub fn congestion_refine_reference(
     tg: &TaskGraph,
     machine: &Machine,

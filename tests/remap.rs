@@ -22,8 +22,7 @@ use std::time::Instant;
 
 use umpa::core::remap::{remap_incremental, ChurnEvent, RemapConfig, RemapOutcome};
 use umpa::core::{
-    is_valid_mapping, map_tasks, map_tasks_with, validate_mapping, MapperKind, MapperScratch,
-    PipelineConfig,
+    map_tasks, map_tasks_with, validate_mapping, MapperKind, MapperScratch, PipelineConfig,
 };
 use umpa::graph::TaskGraph;
 use umpa::matgen::churn::{churn_sequence, ChurnSpec};
@@ -112,8 +111,9 @@ fn differential_every_event_feasible_or_cleanly_infeasible() {
                 );
                 match out {
                     RemapOutcome::Repaired(stats) => {
-                        assert!(
-                            is_valid_mapping(&tg, &alloc, &mapping),
+                        assert_eq!(
+                            validate_mapping(&tg, &alloc, &mapping),
+                            Ok(()),
                             "{label} seed {seed} event {i}: repaired mapping invalid"
                         );
                         assert!(stats.frontier >= stats.displaced);
@@ -285,7 +285,7 @@ fn repair_is_faster_than_full_remap() {
         &mut scratch,
     );
     let full_time = t0.elapsed().as_secs_f64();
-    assert!(is_valid_mapping(&tg, &alloc, &full.fine_mapping));
+    assert_eq!(validate_mapping(&tg, &alloc, &full.fine_mapping), Ok(()));
     assert!(
         repair_worst * 3.0 < full_time,
         "worst repair {repair_worst}s not well below full re-map {full_time}s"
@@ -432,7 +432,7 @@ fn repair_under_hard_link_failure_stays_feasible() {
             &mut scratch,
         );
         assert!(out.is_repaired(), "{label}");
-        assert!(is_valid_mapping(&tg, &alloc, &mapping), "{label}");
+        assert_eq!(validate_mapping(&tg, &alloc, &mapping), Ok(()), "{label}");
         assert!(machine.has_failed_links());
         // Recover fully: the machine must behave as freshly built.
         let out = remap_incremental(
@@ -479,7 +479,9 @@ fn repeated_failures_to_zero_allocation_then_regrow() {
             &mut scratch,
         );
         match out {
-            RemapOutcome::Repaired(_) => assert!(is_valid_mapping(&tg, &alloc, &mapping)),
+            RemapOutcome::Repaired(_) => {
+                assert_eq!(validate_mapping(&tg, &alloc, &mapping), Ok(()));
+            }
             RemapOutcome::Infeasible { .. } => {
                 saw_infeasible = true;
                 assert_remainder_feasible(&tg, &alloc, &mapping);
@@ -537,7 +539,7 @@ fn refinement_polish_helps_or_ties() {
             &mut scratch,
         );
         let stats = *out.stats().expect("repairable");
-        assert!(is_valid_mapping(&tg, &alloc, &mapping));
+        assert_eq!(validate_mapping(&tg, &alloc, &mapping), Ok(()));
         results.push(stats.wh_after);
     }
     assert!(

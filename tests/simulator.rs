@@ -167,7 +167,6 @@ fn metrics_link_loads_agree_with_netsim_reconstruction() {
     // same mapping, on every topology family, for both the direct
     // pipeline and the multilevel engine.
     use umpa::core::multilevel::MultilevelConfig;
-    use umpa::core::pipeline::map_multilevel;
     use umpa::netsim::link_loads;
 
     let machines = vec![
@@ -195,7 +194,14 @@ fn metrics_link_loads_agree_with_netsim_reconstruction() {
     for m in &machines {
         let alloc = Allocation::generate(m, &AllocSpec::sparse(8, 5));
         let direct = map_tasks(&tg, m, &alloc, MapperKind::GreedyWh, &cfg);
-        let ml = map_multilevel(&tg, m, &alloc, MapperKind::GreedyWh, &cfg);
+        let ml = map_multilevel_with(
+            &tg,
+            m,
+            &alloc,
+            MapperKind::GreedyWh,
+            &cfg,
+            &mut MapperScratch::new(),
+        );
         for (label, mapping) in [
             ("direct", &direct.fine_mapping),
             ("multilevel", &ml.fine_mapping),
