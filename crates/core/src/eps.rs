@@ -43,3 +43,9 @@ pub const GAIN_EPS: f64 = 1e-9;
 /// than the accept tolerances because it bounds accumulated error over
 /// an entire refinement pass, not a single comparison.
 pub const DRIFT_EPS: f64 = 1e-6;
+
+/// The fraction of its starting value below which the WH refiner
+/// recomputes its incrementally maintained total: the accumulated
+/// rounding error scales with the starting value, so a total that
+/// cancels down past this fraction could drift outside `DRIFT_EPS`.
+pub(crate) const DRIFT_RESYNC: f64 = 1e-3;

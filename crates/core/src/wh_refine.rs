@@ -29,7 +29,7 @@ use umpa_ds::{IndexedMaxHeap, SlotBuckets};
 use umpa_graph::{Bfs, TaskGraph};
 use umpa_topology::{Allocation, Machine};
 
-use crate::eps::{DRIFT_EPS, GAIN_EPS};
+use crate::eps::{DRIFT_EPS, DRIFT_RESYNC, GAIN_EPS};
 use crate::gain::HopDist;
 use crate::greedy::weighted_hops;
 use crate::mapping::fits;
@@ -118,9 +118,18 @@ fn refine(
     assert_eq!(mapping.len(), tg.num_tasks());
     let mut r = Refiner::new(tg, machine, alloc, mapping, scratch);
     let mut wh = weighted_hops(tg, machine, r.mapping);
+    // The incremental total's rounding error scales with the total it
+    // started from, since no gain term exceeds it. When one message
+    // volume dwarfs the rest, the total can cancel down to a small
+    // fraction of that start and the error swamps it: recompute then.
+    let mut wh_base = wh;
     for _ in 0..cfg.max_passes {
         let improved = r.run_pass(cfg.delta, frontier);
-        let new_wh = wh - improved;
+        let mut new_wh = wh - improved;
+        if new_wh < DRIFT_RESYNC * wh_base {
+            new_wh = weighted_hops(tg, machine, r.mapping);
+            wh_base = new_wh;
+        }
         debug_assert!(
             (new_wh - weighted_hops(tg, machine, r.mapping)).abs() < DRIFT_EPS * (1.0 + new_wh),
             "incremental WH drifted"
@@ -423,6 +432,29 @@ mod tests {
             assert_eq!(warm, fresh, "seed {seed}: warm scratch diverged");
             assert_eq!(wh_warm, wh_fresh);
         }
+    }
+
+    /// One message volume dwarfs the rest, so refinement cancels the
+    /// total down to a tiny fraction of its start. The incremental total
+    /// has lost the small volumes to rounding by then; the returned one
+    /// must be the recomputed total.
+    #[test]
+    fn a_dominant_volume_returns_the_recomputed_total() {
+        let m = MachineConfig::small(&[8], 1, 2).build();
+        let alloc = umpa_topology::Allocation::generate(&m, &AllocSpec::contiguous(8));
+        let ring = (0..8u32).map(|i| (i, (i + 1) % 8, 1.0 + f64::from(i)));
+        let tg = TaskGraph::from_messages(8, ring.chain([(0, 4, 2f64.powi(70))]), None);
+        let mut mapping: Vec<u32> = (0..8usize).map(|t| alloc.node(t)).collect();
+        let after = refine_fresh(&tg, &m, &alloc, &mut mapping, &WhRefineConfig::default());
+        let exact = weighted_hops(&tg, &m, &mapping);
+        assert!(
+            exact < 2f64.powi(20),
+            "the heavy pair stayed apart: {exact}"
+        );
+        assert!(
+            (after - exact).abs() <= DRIFT_EPS * (1.0 + exact),
+            "{after} vs {exact}"
+        );
     }
 
     #[test]
