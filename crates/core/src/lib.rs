@@ -59,7 +59,9 @@ pub use cong_refine::{
 };
 pub use eps::{CONG_EPS, DRIFT_EPS, GAIN_EPS};
 pub use greedy::{greedy_map_into, GreedyConfig, GreedyRunStats, GreedyScratch};
-pub use mapping::{check_job, fits, validate_mapping, MappingError, CAPACITY_EPS};
+pub use mapping::{
+    check_job, check_job_values, fits, validate_mapping, MappingError, CAPACITY_EPS,
+};
 pub use metrics::{evaluate, MetricsReport};
 pub use multilevel::{multilevel_map_into, MultilevelConfig, MultilevelScratch, MultilevelStats};
 pub use pipeline::{

@@ -111,28 +111,36 @@ pub fn validate_mapping(
 }
 
 /// The one check a job must pass before it is mapped onto `alloc`:
-/// the allocation holds a node, every task weight and every message
-/// volume is finite and non-negative, and the total weight fits the
-/// allocation's processors under the tolerance greedy's own
-/// precondition uses ([`fits`]). The error names the reason. The
-/// service runs it on every install and map request before anything
-/// is journaled or mapped, and recovery replay runs it on every
-/// install frame.
+/// the allocation holds a node, the job passes [`check_job_values`],
+/// and the total weight fits the allocation's processors under the
+/// tolerance greedy's own precondition uses ([`fits`]). The error names
+/// the reason. The service runs it on every install and map request
+/// before anything is journaled or mapped, and recovery replay runs it
+/// on every install frame.
 pub fn check_job(tg: &TaskGraph, alloc: &Allocation) -> Result<(), &'static str> {
     if alloc.num_nodes() == 0 {
         return Err("allocation holds no node");
     }
-    let weights = (0..tg.num_tasks() as u32).map(|t| tg.task_weight(t));
-    if weights.clone().any(|w| !(w >= 0.0 && w.is_finite())) {
-        return Err("task weight is NaN, infinite or negative");
-    }
-    if tg.messages().any(|(_, _, c)| !(c >= 0.0 && c.is_finite())) {
-        return Err("message volume is NaN, infinite or negative");
-    }
+    check_job_values(tg)?;
     // Summed exactly as greedy sums it.
-    let total_weight: f64 = weights.sum();
+    let total_weight: f64 = (0..tg.num_tasks() as u32).map(|t| tg.task_weight(t)).sum();
     if !fits(f64::from(alloc.total_procs()), total_weight) {
         return Err("total task weight exceeds the allocation's processors");
+    }
+    Ok(())
+}
+
+/// The value rules of [`check_job`]: every task weight and every
+/// message volume is finite and non-negative. Recovery also runs them
+/// on a snapshot's resident job, whose total weight may exceed its
+/// allocation while a repair is pending.
+pub fn check_job_values(tg: &TaskGraph) -> Result<(), &'static str> {
+    let bad = |v: f64| !(v >= 0.0 && v.is_finite());
+    if (0..tg.num_tasks() as u32).any(|t| bad(tg.task_weight(t))) {
+        return Err("task weight is NaN, infinite or negative");
+    }
+    if tg.messages().any(|(_, _, c)| bad(c)) {
+        return Err("message volume is NaN, infinite or negative");
     }
     Ok(())
 }

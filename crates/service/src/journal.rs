@@ -9,14 +9,14 @@
 //! hot path) never touch the journal: durability costs land only on
 //! the churn/commit path.
 //!
-//! The format is hand-rolled std-only binary (the §9 shim rule — no
-//! serde): little-endian throughout, a 12-byte file header
-//! (`magic + version`), then frames of
-//! `[payload len: u32][crc32: u32][seq: u64][payload]` where the CRC
-//! (IEEE 802.3, table-driven, implemented in-tree) covers the sequence
-//! number and payload. Sequence numbers are monotonic from 1 and never
-//! reused, which is what lets recovery skip frames a snapshot already
-//! covers and detect any non-append corruption as a torn tail.
+//! Both files are written with the `codec` module's `Wire` encoding: a
+//! 12-byte file header `(magic, version)`, then frames whose head is
+//! `(payload len: u32, crc32: u32, seq: u64)` followed by the
+//! `JournalRecord` payload. The CRC (IEEE 802.3, table-driven,
+//! implemented in-tree) covers the sequence number and payload.
+//! Sequence numbers are monotonic from 1 and never reused, which is
+//! what lets recovery skip frames a snapshot already covers and detect
+//! any non-append corruption as a torn tail.
 //!
 //! Crash injection: [`CrashSwitch`] is the `ServiceClock`-style seam
 //! for the chaos harness. Armed with a [`CrashPoint`] and an
@@ -26,8 +26,9 @@
 //! ([`JournalError::Crashed`]), simulating a killed process whose
 //! surviving bytes are exactly the prefix flushed so far.
 
+use std::borrow::Cow;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -35,6 +36,7 @@ use std::sync::{Arc, Mutex};
 use umpa_core::ChurnEvent;
 use umpa_graph::TaskGraph;
 
+use crate::codec::Wire;
 use crate::config::DurabilityConfig;
 
 /// Journal file magic (8 bytes) followed by a `u32` format version.
@@ -43,10 +45,8 @@ pub(crate) const JOURNAL_MAGIC: &[u8; 8] = b"UMPAJNL\0";
 pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"UMPASNP\0";
 /// Current on-disk format version (journal and snapshot move together).
 pub(crate) const FORMAT_VERSION: u32 = 1;
-/// Bytes of `magic + version` at the head of both file kinds.
+/// Bytes of the journal's `(magic, version)` header.
 pub(crate) const HEADER_LEN: u64 = 12;
-/// Bytes of `[len][crc][seq]` in front of every frame payload.
-const FRAME_HEAD: usize = 16;
 /// Frames whose declared payload exceeds this are torn/corrupt by fiat
 /// (no legitimate record comes close; a flipped length byte must not
 /// make the scanner try to allocate gigabytes).
@@ -78,14 +78,22 @@ const fn crc32_table() -> [u32; 256] {
 
 static CRC32_TABLE: [u32; 256] = crc32_table();
 
-/// IEEE 802.3 CRC32 of `bytes` (the checksum protecting every journal
-/// frame and snapshot payload).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// IEEE 802.3 CRC32 of `bytes` (the checksum protecting every journal
+/// frame and snapshot payload).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
+}
+
+/// A frame's checksum: the CRC32 of its sequence number and payload.
+fn frame_crc(seq: u64, payload: &[u8]) -> u32 {
+    !crc32_update(crc32_update(!0, &seq.to_le_bytes()), payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -242,88 +250,21 @@ impl CrashSwitch {
 }
 
 // ---------------------------------------------------------------------------
-// Byte-level codec helpers (shared with `recovery`)
-// ---------------------------------------------------------------------------
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-/// A bounds-checked reader over a decode buffer: every read returns
-/// `None` past the end, so corrupt input can only ever be a typed
-/// decode failure — never a panic (the recovery never-panic contract).
-pub(crate) struct Cursor<'a> {
-    bytes: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, off: 0 }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.off >= self.bytes.len()
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.off.checked_add(n)?;
-        let s = self.bytes.get(self.off..end)?;
-        self.off = end;
-        Some(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
-    }
-
-    pub(crate) fn f64_bits(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Record codec
+// Records
 // ---------------------------------------------------------------------------
 
 /// One journaled state transition. The journal logs *operations*, not
 /// state: recovery replays each record through the same deterministic
 /// engine paths an uninterrupted run takes, which is what makes the
 /// recovered mapping bit-identical rather than merely equivalent.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum JournalRecord {
+/// A record borrows what it logs, so building one copies nothing.
+#[derive(Clone, Debug)]
+pub(crate) enum JournalRecord<'a> {
     /// `install_job`: the resident task graph, re-mapped from scratch
     /// on replay exactly as the original install did.
-    Install {
-        /// Task count of the graph.
-        num_tasks: usize,
-        /// Directed messages in CSR iteration order (`TaskGraph::
-        /// messages`) — re-building from these is a bit-exact fixed
-        /// point because CSR rows are dedup-merged and sorted.
-        messages: Vec<(u32, u32, f64)>,
-        /// Per-task weights.
-        weights: Vec<f64>,
-    },
+    Install(Arc<TaskGraph>),
     /// `apply_churn`: one accepted churn batch.
-    Churn(Vec<ChurnEvent>),
+    Churn(Cow<'a, [ChurnEvent]>),
     /// A retry of the pending infeasible repair actually executed.
     Retry,
     /// A forced supervisor pass (`polish_now`).
@@ -335,213 +276,30 @@ const REC_CHURN: u8 = 1;
 const REC_RETRY: u8 = 2;
 const REC_POLISH: u8 = 3;
 
-const EV_NODE_FAILED: u8 = 0;
-const EV_NODES_REMOVED: u8 = 1;
-const EV_NODES_ADDED: u8 = 2;
-const EV_LINK_DEGRADED: u8 = 3;
-
-fn put_node_list(out: &mut Vec<u8>, nodes: &[u32]) {
-    put_u32(out, nodes.len() as u32);
-    for &n in nodes {
-        put_u32(out, n);
-    }
-}
-
-fn take_node_list(cur: &mut Cursor<'_>) -> Option<Vec<u32>> {
-    let len = cur.u32()? as usize;
-    let mut nodes = Vec::with_capacity(len.min(1 << 20));
-    for _ in 0..len {
-        nodes.push(cur.u32()?);
-    }
-    Some(nodes)
-}
-
-pub(crate) fn encode_events(events: &[ChurnEvent], out: &mut Vec<u8>) {
-    put_u32(out, events.len() as u32);
-    for ev in events {
-        match ev {
-            ChurnEvent::NodeFailed { node } => {
-                out.push(EV_NODE_FAILED);
-                put_u32(out, *node);
-            }
-            ChurnEvent::NodesRemoved { nodes } => {
-                out.push(EV_NODES_REMOVED);
-                put_node_list(out, nodes);
-            }
-            ChurnEvent::NodesAdded { nodes } => {
-                out.push(EV_NODES_ADDED);
-                put_node_list(out, nodes);
-            }
-            ChurnEvent::LinkDegraded { link, factor } => {
-                out.push(EV_LINK_DEGRADED);
-                put_u32(out, *link);
-                put_f64(out, *factor);
-            }
-        }
-    }
-}
-
-pub(crate) fn decode_events(cur: &mut Cursor<'_>) -> Option<Vec<ChurnEvent>> {
-    let count = cur.u32()? as usize;
-    let mut events = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        let ev = match cur.u8()? {
-            EV_NODE_FAILED => ChurnEvent::NodeFailed { node: cur.u32()? },
-            EV_NODES_REMOVED => ChurnEvent::NodesRemoved {
-                nodes: take_node_list(cur)?,
-            },
-            EV_NODES_ADDED => ChurnEvent::NodesAdded {
-                nodes: take_node_list(cur)?,
-            },
-            // Range checks belong to `Machine::check_link_event`, which
-            // recovery runs on every decoded event before replay.
-            EV_LINK_DEGRADED => ChurnEvent::LinkDegraded {
-                link: cur.u32()?,
-                factor: cur.f64_bits()?,
-            },
-            _ => return None,
-        };
-        events.push(ev);
-    }
-    Some(events)
-}
-
-/// Serializes a task graph as `num_tasks`, per-task weights, and the
-/// directed messages in CSR iteration order. `f64`s travel as raw bits
-/// so decode → [`TaskGraph::from_messages`] reproduces the CSR arrays
-/// bit-exactly (rows are dedup-merged and sorted on build, and the
-/// serialized order is already sorted).
-pub(crate) fn encode_task_graph(tg: &TaskGraph, out: &mut Vec<u8>) {
-    let n = tg.num_tasks();
-    put_u64(out, n as u64);
-    for t in 0..n as u32 {
-        put_f64(out, tg.task_weight(t));
-    }
-    put_u64(out, tg.num_messages() as u64);
-    for (s, t, v) in tg.messages() {
-        put_u32(out, s);
-        put_u32(out, t);
-        put_f64(out, v);
-    }
-}
-
-/// Decoded-and-validated task-graph parts: endpoints in range, weights
-/// and volumes finite, so [`TaskGraphParts::build`] can hand them to
-/// graph construction without tripping its preconditions.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct TaskGraphParts {
-    pub num_tasks: usize,
-    pub messages: Vec<(u32, u32, f64)>,
-    pub weights: Vec<f64>,
-}
-
-impl TaskGraphParts {
-    /// Rebuilds the task graph. Bit-exact: the serialized message
-    /// order is the CSR iteration order, and CSR construction
-    /// dedup-merges and sorts rows, so the rebuilt arrays (and every
-    /// float accumulation order downstream) match the original.
-    pub(crate) fn build(self) -> TaskGraph {
-        TaskGraph::from_messages(self.num_tasks, self.messages, Some(self.weights))
-    }
-}
-
-/// Decodes and *validates* task-graph parts — corrupt bytes are a
-/// `None`, never a panic inside graph construction.
-pub(crate) fn decode_task_graph_parts(cur: &mut Cursor<'_>) -> Option<TaskGraphParts> {
-    let n = usize::try_from(cur.u64()?).ok()?;
-    if n > (u32::MAX as usize) {
-        return None;
-    }
-    let mut weights = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        let w = cur.f64_bits()?;
-        if !w.is_finite() {
-            return None;
-        }
-        weights.push(w);
-    }
-    let m = usize::try_from(cur.u64()?).ok()?;
-    let mut messages = Vec::with_capacity(m.min(1 << 24));
-    for _ in 0..m {
-        let s = cur.u32()?;
-        let t = cur.u32()?;
-        let v = cur.f64_bits()?;
-        if (s as usize) >= n || (t as usize) >= n || !v.is_finite() {
-            return None;
-        }
-        messages.push((s, t, v));
-    }
-    Some(TaskGraphParts {
-        num_tasks: n,
-        messages,
-        weights,
-    })
-}
-
-impl JournalRecord {
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+impl Wire for JournalRecord<'_> {
+    fn put(&self, out: &mut Vec<u8>) {
         match self {
-            JournalRecord::Install {
-                num_tasks,
-                messages,
-                weights,
-            } => {
-                out.push(REC_INSTALL);
-                put_u64(out, *num_tasks as u64);
-                for w in weights {
-                    put_f64(out, *w);
-                }
-                put_u64(out, messages.len() as u64);
-                for &(s, t, v) in messages {
-                    put_u32(out, s);
-                    put_u32(out, t);
-                    put_f64(out, v);
-                }
+            JournalRecord::Install(tasks) => {
+                REC_INSTALL.put(out);
+                tasks.put(out);
             }
             JournalRecord::Churn(events) => {
-                out.push(REC_CHURN);
-                encode_events(events, out);
+                REC_CHURN.put(out);
+                events.put(out);
             }
-            JournalRecord::Retry => out.push(REC_RETRY),
-            JournalRecord::Polish => out.push(REC_POLISH),
+            JournalRecord::Retry => REC_RETRY.put(out),
+            JournalRecord::Polish => REC_POLISH.put(out),
         }
     }
 
-    /// Decodes a record from a CRC-verified frame payload. `None`
-    /// means the payload is structurally invalid despite a valid
-    /// checksum — a format/version defect, reported by recovery as a
-    /// typed corrupt-record error.
-    pub(crate) fn decode(bytes: &[u8]) -> Option<JournalRecord> {
-        let mut cur = Cursor::new(bytes);
-        let rec = match cur.u8()? {
-            REC_INSTALL => {
-                let parts = decode_task_graph_parts(&mut cur)?;
-                JournalRecord::Install {
-                    num_tasks: parts.num_tasks,
-                    messages: parts.messages,
-                    weights: parts.weights,
-                }
-            }
-            REC_CHURN => JournalRecord::Churn(decode_events(&mut cur)?),
+    fn take(bytes: &mut &[u8]) -> Option<Self> {
+        Some(match u8::take(bytes)? {
+            REC_INSTALL => JournalRecord::Install(Wire::take(bytes)?),
+            REC_CHURN => JournalRecord::Churn(Wire::take(bytes)?),
             REC_RETRY => JournalRecord::Retry,
             REC_POLISH => JournalRecord::Polish,
             _ => return None,
-        };
-        if !cur.is_empty() {
-            return None; // trailing garbage inside a checksummed frame
-        }
-        Some(rec)
-    }
-
-    /// Builds the install record for a task graph.
-    pub(crate) fn install(tg: &TaskGraph) -> JournalRecord {
-        JournalRecord::Install {
-            num_tasks: tg.num_tasks(),
-            messages: tg.messages().collect(),
-            weights: (0..tg.num_tasks() as u32)
-                .map(|t| tg.task_weight(t))
-                .collect(),
-        }
+        })
     }
 }
 
@@ -597,6 +355,22 @@ fn snapshot_tmp_path(dir: &Path) -> PathBuf {
     dir.join("snapshot.tmp")
 }
 
+/// Creates `journal.bin` in `dir`, or truncates it, holding just the
+/// file header — the one writer of that header, for a fresh service
+/// and for recovery when the journal is missing or its header is torn.
+pub(crate) fn create_journal(dir: &Path) -> Result<File, JournalError> {
+    let mut file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(journal_path(dir))
+        .map_err(io_err("create journal"))?;
+    file.write_all(&(*JOURNAL_MAGIC, FORMAT_VERSION).to_bytes())
+        .and_then(|()| file.flush())
+        .map_err(io_err("write journal header"))?;
+    Ok(file)
+}
+
 impl Durability {
     /// Starts a **fresh** durability root for a brand-new service:
     /// creates the directory, truncates any previous journal to an
@@ -617,17 +391,7 @@ impl Durability {
                 Err(e) => return Err(io_err("remove stale snapshot")(e)),
             }
         }
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(journal_path(&cfg.dir))
-            .map_err(io_err("create journal"))?;
-        file.write_all(JOURNAL_MAGIC)
-            .and_then(|()| file.write_all(&FORMAT_VERSION.to_le_bytes()))
-            .and_then(|()| file.flush())
-            .map_err(io_err("write journal header"))?;
-        Ok(Self::assemble(cfg, file, 1, 0))
+        Ok(Self::assemble(cfg, create_journal(&cfg.dir)?, 1, 0))
     }
 
     /// Re-opens an existing journal for appending after recovery
@@ -667,49 +431,37 @@ impl Durability {
         self.next_seq - 1
     }
 
-    /// Fires the armed crash point if it matches; afterwards the sink
-    /// refuses every write.
+    /// Whether the sink is dead: it crashed earlier, or the armed crash
+    /// point matches `point` and fires now. A dead sink refuses every
+    /// write.
+    fn fires(&mut self, point: CrashPoint) -> bool {
+        self.crashed = self.crashed || self.crash.as_ref().is_some_and(|c| c.check(point));
+        self.crashed
+    }
+
     fn crash_check(&mut self, point: CrashPoint) -> Result<(), JournalError> {
-        if self.crash.as_ref().is_some_and(|c| c.check(point)) {
-            self.crashed = true;
-            return Err(JournalError::Crashed);
+        match self.fires(point) {
+            true => Err(JournalError::Crashed),
+            false => Ok(()),
         }
-        Ok(())
     }
 
     /// Appends one record: WAL discipline means callers invoke this
     /// **before** mutating in-memory state, and a frame is either
     /// fully flushed or (under an injected crash) a truncatable torn
     /// prefix.
-    pub(crate) fn append(&mut self, rec: &JournalRecord) -> Result<AppendInfo, JournalError> {
-        if self.crashed {
-            return Err(JournalError::Crashed);
-        }
+    pub(crate) fn append(&mut self, rec: &JournalRecord<'_>) -> Result<AppendInfo, JournalError> {
         self.crash_check(CrashPoint::BeforeFrame)?;
         let seq = self.next_seq;
         self.buf.clear();
-        rec.encode_into(&mut self.buf);
+        rec.put(&mut self.buf);
         self.frame.clear();
-        put_u32(&mut self.frame, self.buf.len() as u32);
-        let mut crc_input = Vec::with_capacity(8 + self.buf.len());
-        put_u64(&mut crc_input, seq);
-        crc_input.extend_from_slice(&self.buf);
-        put_u32(&mut self.frame, crc32(&crc_input));
-        put_u64(&mut self.frame, seq);
+        (self.buf.len() as u32, frame_crc(seq, &self.buf), seq).put(&mut self.frame);
         self.frame.extend_from_slice(&self.buf);
-        if self
-            .crash
-            .as_ref()
-            .is_some_and(|c| c.check(CrashPoint::MidFrame))
-        {
+        if self.fires(CrashPoint::MidFrame) {
             // Deterministic torn write: half the frame reaches disk.
-            let half = self.frame.len() / 2;
-            let partial: Vec<u8> = self.frame.iter().take(half).copied().collect();
-            let _ = self
-                .file
-                .write_all(&partial)
-                .and_then(|()| self.file.flush());
-            self.crashed = true;
+            let half = &self.frame[..self.frame.len() / 2];
+            let _ = self.file.write_all(half).and_then(|()| self.file.flush());
             return Err(JournalError::Crashed);
         }
         self.file
@@ -729,7 +481,7 @@ impl Durability {
     /// Appends a churn batch — the public entry the bench harness uses
     /// to measure steady-state journal overhead in isolation.
     pub fn append_churn(&mut self, events: &[ChurnEvent]) -> Result<AppendInfo, JournalError> {
-        self.append(&JournalRecord::Churn(events.to_vec()))
+        self.append(&JournalRecord::Churn(Cow::Borrowed(events)))
     }
 
     /// Whether the snapshot ration has elapsed (`snapshot_every`
@@ -746,25 +498,13 @@ impl Durability {
     /// snapshot, the rotated fallback, or the new one — never a
     /// half-written file under the live name.
     pub(crate) fn write_snapshot(&mut self, payload: &[u8]) -> Result<(), JournalError> {
-        if self.crashed {
-            return Err(JournalError::Crashed);
-        }
         self.crash_check(CrashPoint::BeforeSnapshot)?;
         self.frame.clear();
-        self.frame.extend_from_slice(SNAPSHOT_MAGIC);
-        put_u32(&mut self.frame, FORMAT_VERSION);
-        put_u32(&mut self.frame, crc32(payload));
+        (*SNAPSHOT_MAGIC, FORMAT_VERSION, crc32(payload)).put(&mut self.frame);
         self.frame.extend_from_slice(payload);
         let tmp = snapshot_tmp_path(&self.dir);
-        if self
-            .crash
-            .as_ref()
-            .is_some_and(|c| c.check(CrashPoint::MidSnapshot))
-        {
-            let half = self.frame.len() / 2;
-            let partial: Vec<u8> = self.frame.iter().take(half).copied().collect();
-            let _ = fs::write(&tmp, &partial);
-            self.crashed = true;
+        if self.fires(CrashPoint::MidSnapshot) {
+            let _ = fs::write(&tmp, &self.frame[..self.frame.len() / 2]);
             return Err(JournalError::Crashed);
         }
         let mut f = File::create(&tmp).map_err(io_err("create snapshot tmp"))?;
@@ -808,67 +548,45 @@ pub(crate) struct JournalScan {
 /// monotonicity; stops at the first invalid frame (everything after a
 /// bad frame is untrustworthy). `Ok(None)` when the file is absent.
 pub(crate) fn scan_journal(path: &Path) -> Result<Option<JournalScan>, JournalError> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes).map_err(io_err("read journal"))?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(io_err("open journal")(e)),
-    }
+    let Some(bytes) = read_file(path, "read journal")? else {
+        return Ok(None);
+    };
     let file_len = bytes.len() as u64;
-    let header = bytes.get(..HEADER_LEN as usize);
-    let Some(header) = header else {
+    let mut rest = bytes.as_slice();
+    let Some((magic, version)) = <([u8; 8], u32)>::take(&mut rest) else {
         // Shorter than a header: even the header is torn. Treat the
-        // whole file as tail; recovery truncates to zero and recreates.
+        // whole file as tail; recovery recreates it.
         return Ok(Some(JournalScan {
             frames: Vec::new(),
             valid_len: 0,
             file_len,
         }));
     };
-    if &header[..8] != JOURNAL_MAGIC {
+    if (magic, version) != (*JOURNAL_MAGIC, FORMAT_VERSION) {
         return Err(JournalError::ForeignFile {
-            context: "journal magic",
-        });
-    }
-    if header[8..12] != FORMAT_VERSION.to_le_bytes() {
-        return Err(JournalError::ForeignFile {
-            context: "journal version",
+            context: "journal magic or version",
         });
     }
     let mut frames = Vec::new();
-    let mut off = HEADER_LEN as usize;
+    let mut valid_len = HEADER_LEN;
     let mut prev_seq = 0u64;
-    // Loop ends on a torn frame head (or clean EOF when off == len).
-    while let Some(head) = bytes.get(off..off + FRAME_HEAD) {
-        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
-        let crc = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
-        let seq = u64::from_le_bytes([
-            head[8], head[9], head[10], head[11], head[12], head[13], head[14], head[15],
-        ]);
-        if len > MAX_FRAME_PAYLOAD {
+    // Ends on a torn frame head (or clean EOF), a torn payload, a
+    // corrupt frame, or a sequence number that is not an append of ours.
+    while let Some((len, crc, seq)) = <(u32, u32, u64)>::take(&mut rest) {
+        let Some((payload, after)) = rest.split_at_checked(len as usize) else {
             break;
-        }
-        let Some(payload) = bytes.get(off + FRAME_HEAD..off + FRAME_HEAD + len as usize) else {
-            break; // torn payload
         };
-        let mut crc_input = Vec::with_capacity(8 + payload.len());
-        put_u64(&mut crc_input, seq);
-        crc_input.extend_from_slice(payload);
-        if crc32(&crc_input) != crc {
-            break; // corrupt frame
-        }
-        if seq <= prev_seq {
-            break; // non-monotonic: not an append of ours
+        if len > MAX_FRAME_PAYLOAD || frame_crc(seq, payload) != crc || seq <= prev_seq {
+            break;
         }
         prev_seq = seq;
         frames.push((seq, payload.to_vec()));
-        off += FRAME_HEAD + len as usize;
+        rest = after;
+        valid_len = file_len - rest.len() as u64;
     }
     Ok(Some(JournalScan {
         frames,
-        valid_len: off as u64,
+        valid_len,
         file_len,
     }))
 }
@@ -885,30 +603,29 @@ pub(crate) enum SnapshotRead {
     Valid(Vec<u8>),
 }
 
+/// The bytes of `path`, or `None` when the file does not exist.
+fn read_file(path: &Path, context: &'static str) -> Result<Option<Vec<u8>>, JournalError> {
+    match fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(io_err(context)(e)),
+    }
+}
+
 /// Reads and checksum-verifies a snapshot file.
 pub(crate) fn read_snapshot(path: &Path) -> Result<SnapshotRead, JournalError> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes).map_err(io_err("read snapshot"))?;
+    let Some(bytes) = read_file(path, "read snapshot")? else {
+        return Ok(SnapshotRead::Missing);
+    };
+    let mut payload = bytes.as_slice();
+    match <([u8; 8], u32, u32)>::take(&mut payload) {
+        Some((magic, version, crc))
+            if magic == *SNAPSHOT_MAGIC && version == FORMAT_VERSION && crc32(payload) == crc =>
+        {
+            Ok(SnapshotRead::Valid(payload.to_vec()))
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(SnapshotRead::Missing),
-        Err(e) => return Err(io_err("open snapshot")(e)),
+        _ => Ok(SnapshotRead::Corrupt),
     }
-    let Some(header) = bytes.get(..16) else {
-        return Ok(SnapshotRead::Corrupt);
-    };
-    if &header[..8] != SNAPSHOT_MAGIC || header[8..12] != FORMAT_VERSION.to_le_bytes() {
-        return Ok(SnapshotRead::Corrupt);
-    }
-    let crc = u32::from_le_bytes([header[12], header[13], header[14], header[15]]);
-    let Some(payload) = bytes.get(16..) else {
-        return Ok(SnapshotRead::Corrupt);
-    };
-    if crc32(payload) != crc {
-        return Ok(SnapshotRead::Corrupt);
-    }
-    Ok(SnapshotRead::Valid(payload.to_vec()))
 }
 
 #[cfg(test)]
@@ -922,38 +639,38 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// `TaskGraph` has no `PartialEq`, so a record round-trips when
+    /// decoding its bytes and encoding the result gives the same bytes.
     #[test]
     fn record_round_trips() {
-        let records = [
-            JournalRecord::Install {
-                num_tasks: 3,
-                messages: vec![(0, 1, 2.5), (1, 2, 0.5)],
-                weights: vec![1.0, 2.0, 3.0],
+        let tasks =
+            TaskGraph::from_messages(3, [(0, 1, 2.5), (1, 2, 0.5)], Some(vec![1.0, 2.0, 3.0]));
+        let events = [
+            ChurnEvent::NodeFailed { node: 7 },
+            ChurnEvent::NodesRemoved { nodes: vec![1, 2] },
+            ChurnEvent::NodesAdded { nodes: vec![9] },
+            ChurnEvent::LinkDegraded {
+                link: 4,
+                factor: 0.25,
             },
-            JournalRecord::Churn(vec![
-                ChurnEvent::NodeFailed { node: 7 },
-                ChurnEvent::NodesRemoved { nodes: vec![1, 2] },
-                ChurnEvent::NodesAdded { nodes: vec![9] },
-                ChurnEvent::LinkDegraded {
-                    link: 4,
-                    factor: 0.25,
-                },
-            ]),
+        ];
+        let records = [
+            JournalRecord::Install(Arc::new(tasks)),
+            JournalRecord::Churn(Cow::Borrowed(&events)),
             JournalRecord::Retry,
             JournalRecord::Polish,
         ];
         for rec in &records {
-            let mut buf = Vec::new();
-            rec.encode_into(&mut buf);
-            assert_eq!(JournalRecord::decode(&buf).as_ref(), Some(rec));
+            let bytes = rec.to_bytes();
+            let decoded = JournalRecord::from_bytes(&bytes).expect("decodes");
+            assert_eq!(decoded.to_bytes(), bytes, "{rec:?}");
         }
         // Trailing garbage inside a frame is a decode failure.
-        let mut buf = Vec::new();
-        JournalRecord::Retry.encode_into(&mut buf);
+        let mut buf = JournalRecord::Retry.to_bytes();
         buf.push(0);
-        assert!(JournalRecord::decode(&buf).is_none());
-        assert!(JournalRecord::decode(&[]).is_none());
-        assert!(JournalRecord::decode(&[99]).is_none());
+        assert!(JournalRecord::from_bytes(&buf).is_none());
+        assert!(JournalRecord::from_bytes(&[]).is_none());
+        assert!(JournalRecord::from_bytes(&[99]).is_none());
     }
 
     #[test]

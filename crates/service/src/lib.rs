@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+mod codec;
 pub mod config;
 pub mod journal;
 pub mod ladder;

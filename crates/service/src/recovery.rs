@@ -16,24 +16,32 @@
 //! to the uninterrupted run over the surviving operation prefix: same
 //! mapping words, same `RemapDrift` bits, same fault mask.
 //!
+//! A snapshot is one `Snapshot` record, whose one `wire_struct!`
+//! field list both writes and reads it. Decoding checks only the
+//! encoding; a snapshot must then pass validation against the genesis
+//! machine — allocation, fault mask, and a resident job whose values
+//! pass [`check_job_values`] and whose placed tasks sit on allocated
+//! nodes within capacity — or it counts as corrupt and recovery falls
+//! back along the chain.
+//!
 //! Corrupt input is *never* a panic: checksum failures truncate
 //! (reported via [`RecoveryReport`]), structural failures inside
 //! checksum-valid bytes surface as a typed [`RecoveryError`].
 
-use std::fs::OpenOptions;
-use std::io::Write;
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use umpa_core::MapperScratch;
+use umpa_core::{check_job_values, fits, MapperScratch, RemapDrift};
+use umpa_graph::TaskGraph;
 use umpa_topology::{Allocation, FaultSnapshot, Machine};
 
 use crate::clock::ServiceClock;
+use crate::codec::{wire_struct, PerTask, Wire};
 use crate::config::ServiceConfig;
 use crate::journal::{
-    self, decode_task_graph_parts, encode_task_graph, journal_path, read_snapshot, scan_journal,
-    snapshot_old_path, snapshot_path, Cursor, Durability, JournalRecord, SnapshotRead,
-    FORMAT_VERSION, HEADER_LEN, JOURNAL_MAGIC,
+    self, create_journal, journal_path, read_snapshot, scan_journal, snapshot_old_path,
+    snapshot_path, Durability, JournalRecord, SnapshotRead, HEADER_LEN,
 };
 use crate::service::{
     first_invalid_event, MappingService, PendingRepair, ResidentJob, SharedState,
@@ -164,180 +172,108 @@ pub struct RecoveryReport {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot payload codec
+// Snapshots
 // ---------------------------------------------------------------------------
 
-/// Serializes the post-mutation service state for a snapshot:
-/// `(covers_seq, FaultSnapshot, Allocation, resident job)` with every
-/// `f64` as raw bits. Called under the state write lock.
-pub(crate) fn encode_snapshot_payload(st: &SharedState, covers_seq: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
-    journal::put_u64(&mut out, covers_seq);
-    st.machine.fault_snapshot().encode_into(&mut out);
-    let nodes = st.alloc.nodes();
-    journal::put_u32(&mut out, nodes.len() as u32);
-    for &n in nodes {
-        journal::put_u32(&mut out, n);
-    }
-    let procs = st.alloc.procs_all();
-    journal::put_u32(&mut out, procs.len() as u32);
-    for &p in procs {
-        journal::put_u32(&mut out, p);
-    }
-    match &st.job {
-        None => out.push(0),
-        Some(job) => {
-            out.push(1);
-            encode_task_graph(&job.tasks, &mut out);
-            journal::put_u64(&mut out, job.mapping.len() as u64);
-            for &node in &job.mapping {
-                journal::put_u32(&mut out, node);
-            }
-            journal::put_u64(&mut out, job.drift.repairs);
-            journal::put_u64(&mut out, job.drift.displaced_total);
-            journal::put_f64(&mut out, job.drift.wh_delta_total);
-            journal::put_f64(&mut out, job.drift.wh_last);
-            match &job.pending {
-                None => out.push(0),
-                Some(p) => {
-                    out.push(1);
-                    journal::put_u32(&mut out, p.attempts);
-                }
-            }
-            journal::put_u32(&mut out, job.supervisor.repairs_since_check());
-        }
-    }
-    out
-}
-
-/// Decoded snapshot, not yet validated against a machine.
-struct SnapshotState {
+/// The post-mutation service state a snapshot holds, and the journal
+/// sequence number it covers. Built under the state write lock, it
+/// borrows the allocation and the mapping and shares the task graph,
+/// so encoding copies nothing but the fault mask.
+pub(crate) struct Snapshot<'a> {
     covers_seq: u64,
     fault: FaultSnapshot,
-    alloc_nodes: Vec<u32>,
-    alloc_procs: Vec<u32>,
-    job: Option<SnapshotJob>,
+    alloc_nodes: Cow<'a, [u32]>,
+    alloc_procs: Cow<'a, [u32]>,
+    job: Option<SnapshotJob<'a>>,
 }
 
-struct SnapshotJob {
-    graph: journal::TaskGraphParts,
-    mapping: Vec<u32>,
-    drift_repairs: u64,
-    drift_displaced: u64,
-    drift_wh_delta: f64,
-    drift_wh_last: f64,
-    pending_attempts: Option<u32>,
+/// The resident job inside a [`Snapshot`].
+struct SnapshotJob<'a> {
+    tasks: Arc<TaskGraph>,
+    mapping: PerTask<'a, u32>,
+    drift: RemapDrift,
+    /// Attempts of a pending repair.
+    pending: Option<u32>,
     repairs_since_check: u32,
 }
 
-fn decode_snapshot_payload(bytes: &[u8]) -> Option<SnapshotState> {
-    let mut cur = Cursor::new(bytes);
-    let covers_seq = cur.u64()?;
-    let fault_bytes = bytes.get(8..)?;
-    let (fault, used) = FaultSnapshot::decode(fault_bytes)?;
-    let mut cur = Cursor::new(bytes.get(8 + used..)?);
-    let n_nodes = cur.u32()? as usize;
-    let mut alloc_nodes = Vec::with_capacity(n_nodes.min(1 << 20));
-    for _ in 0..n_nodes {
-        alloc_nodes.push(cur.u32()?);
-    }
-    let n_procs = cur.u32()? as usize;
-    if n_procs != n_nodes {
-        return None;
-    }
-    let mut alloc_procs = Vec::with_capacity(n_procs.min(1 << 20));
-    for _ in 0..n_procs {
-        alloc_procs.push(cur.u32()?);
-    }
-    let job = match cur.u8()? {
-        0 => None,
-        1 => {
-            let graph = decode_task_graph_parts(&mut cur)?;
-            let map_len = usize::try_from(cur.u64()?).ok()?;
-            if map_len != graph.num_tasks {
-                return None;
-            }
-            let mut mapping = Vec::with_capacity(map_len.min(1 << 24));
-            for _ in 0..map_len {
-                mapping.push(cur.u32()?);
-            }
-            let drift_repairs = cur.u64()?;
-            let drift_displaced = cur.u64()?;
-            let drift_wh_delta = cur.f64_bits()?;
-            let drift_wh_last = cur.f64_bits()?;
-            if !drift_wh_delta.is_finite() || !drift_wh_last.is_finite() {
-                return None;
-            }
-            let pending_attempts = match cur.u8()? {
-                0 => None,
-                1 => Some(cur.u32()?),
-                _ => return None,
-            };
-            let repairs_since_check = cur.u32()?;
-            Some(SnapshotJob {
-                graph,
-                mapping,
-                drift_repairs,
-                drift_displaced,
-                drift_wh_delta,
-                drift_wh_last,
-                pending_attempts,
-                repairs_since_check,
-            })
-        }
-        _ => return None,
-    };
-    if !cur.is_empty() {
-        return None;
-    }
-    Some(SnapshotState {
-        covers_seq,
-        fault,
-        alloc_nodes,
-        alloc_procs,
-        job,
-    })
-}
+wire_struct! { Snapshot<'a> { covers_seq, fault, alloc_nodes, alloc_procs, job } }
+wire_struct! { SnapshotJob<'a> { tasks, mapping, drift, pending, repairs_since_check } }
 
-/// Validates a decoded snapshot's allocation and job against the
-/// genesis machine (pure — nothing is mutated until every check passes,
-/// so a late failure can still fall back to the next snapshot in the
-/// chain). Its fault mask is checked by `Machine::apply_fault_snapshot`,
-/// which leaves the machine untouched when the mask does not fit.
-fn validate_snapshot(state: &SnapshotState, machine: &Machine) -> bool {
-    let num_nodes = machine.num_nodes();
-    let mut seen = vec![false; num_nodes];
-    for &n in &state.alloc_nodes {
-        let Some(slot) = seen.get_mut(n as usize) else {
+impl<'a> Snapshot<'a> {
+    /// The snapshot of `st` after the frame numbered `covers_seq`.
+    pub(crate) fn of(st: &'a SharedState, covers_seq: u64) -> Self {
+        Snapshot {
+            covers_seq,
+            fault: st.machine.fault_snapshot(),
+            alloc_nodes: Cow::Borrowed(st.alloc.nodes()),
+            alloc_procs: Cow::Borrowed(st.alloc.procs_all()),
+            job: st.job.as_ref().map(|job| SnapshotJob {
+                tasks: Arc::clone(&job.tasks),
+                mapping: PerTask(Cow::Borrowed(&job.mapping)),
+                drift: job.drift,
+                pending: job.pending.map(|p| p.attempts),
+                repairs_since_check: job.supervisor.repairs_since_check(),
+            }),
+        }
+    }
+
+    /// Whether the decoded snapshot fits the genesis machine (pure —
+    /// nothing is mutated until every check passes, so a late failure
+    /// can still fall back to the next snapshot in the chain). The
+    /// fault mask is checked by `Machine::apply_fault_snapshot`, which
+    /// leaves the machine untouched when the mask does not fit.
+    ///
+    /// The allocation's nodes must be unique and in range, with one
+    /// processor count each. A resident job's values must pass
+    /// [`check_job_values`], its drift must be finite, and every placed
+    /// task must sit on an allocated node whose load [`fits`] its
+    /// processors. Unplaced tasks (`u32::MAX`) are allowed: they are a
+    /// pending repair, whose total weight may exceed the allocation.
+    fn is_valid_for(&self, machine: &Machine) -> bool {
+        let mut slot_of = vec![None; machine.num_nodes()];
+        for (slot, &n) in self.alloc_nodes.iter().enumerate() {
+            match slot_of.get_mut(n as usize) {
+                Some(s @ None) => *s = Some(slot),
+                _ => return false, // out of range, or a duplicate
+            }
+        }
+        if self.alloc_procs.len() != self.alloc_nodes.len() {
             return false;
+        }
+        let Some(job) = &self.job else {
+            return true;
         };
-        if *slot {
-            return false; // duplicate node
+        let (tasks, mapping) = (&job.tasks, &job.mapping.0);
+        if mapping.len() != tasks.num_tasks()
+            || !(job.drift.wh_delta_total.is_finite() && job.drift.wh_last.is_finite())
+            || check_job_values(tasks).is_err()
+        {
+            return false;
         }
-        *slot = true;
-    }
-    if let Some(job) = &state.job {
-        for &node in &job.mapping {
-            if node != u32::MAX && (node as usize) >= num_nodes {
-                return false;
+        let mut load = vec![0.0f64; self.alloc_nodes.len()];
+        for (t, &node) in mapping.iter().enumerate() {
+            if node == u32::MAX {
+                continue;
             }
+            let slot = slot_of.get(node as usize).copied().flatten();
+            let Some(l) = slot.and_then(|s| load.get_mut(s)) else {
+                return false; // an unallocated node
+            };
+            *l += tasks.task_weight(t as u32);
         }
+        load.iter()
+            .zip(self.alloc_procs.iter())
+            .all(|(&l, &procs)| fits(f64::from(procs), l))
     }
-    true
 }
 
-fn restore_job(job: SnapshotJob) -> ResidentJob {
-    let drift = umpa_core::RemapDrift {
-        repairs: job.drift_repairs,
-        displaced_total: job.drift_displaced,
-        wh_delta_total: job.drift_wh_delta,
-        wh_last: job.drift_wh_last,
-    };
+fn restore_job(job: SnapshotJob<'_>) -> ResidentJob {
     ResidentJob {
-        tasks: Arc::new(job.graph.build()),
-        mapping: job.mapping,
-        drift,
-        pending: job.pending_attempts.map(|attempts| PendingRepair {
+        tasks: job.tasks,
+        mapping: job.mapping.0.into_owned(),
+        drift: job.drift,
+        pending: job.pending.map(|attempts| PendingRepair {
             attempts,
             // The pre-crash deadline is meaningless on the new clock:
             // an armed pending repair is due immediately.
@@ -367,25 +303,14 @@ impl MappingService {
     /// Journaling then resumes on the surviving file, so repeated
     /// crash/recover cycles compose.
     pub fn recover(
-        machine: Machine,
-        alloc: Allocation,
-        cfg: ServiceConfig,
-    ) -> Result<(Self, RecoveryReport), RecoveryError> {
-        Self::recover_with_clock(machine, alloc, cfg, ServiceClock::monotonic())
-    }
-
-    /// [`MappingService::recover`] on an explicit clock.
-    pub fn recover_with_clock(
         mut machine: Machine,
-        alloc: Allocation,
+        mut alloc: Allocation,
         cfg: ServiceConfig,
-        clock: ServiceClock,
     ) -> Result<(Self, RecoveryReport), RecoveryError> {
         let Some(dur_cfg) = cfg.durability.clone() else {
             return Err(RecoveryError::NotConfigured);
         };
         let mut report = RecoveryReport::default();
-        let mut alloc = alloc;
         let mut restored: Option<ResidentJob> = None;
 
         // 1. Newest valid snapshot wins: primary, then the rotated
@@ -404,27 +329,26 @@ impl MappingService {
                     continue;
                 }
                 SnapshotRead::Valid(payload) => {
-                    let Some(state) = decode_snapshot_payload(&payload) else {
-                        report.corrupt_snapshots += 1;
-                        continue;
+                    let snap = match Snapshot::from_bytes(&payload) {
+                        Some(snap)
+                            if snap.is_valid_for(&machine)
+                                && machine.apply_fault_snapshot(&snap.fault) =>
+                        {
+                            snap
+                        }
+                        _ => {
+                            report.corrupt_snapshots += 1;
+                            continue;
+                        }
                     };
-                    if !validate_snapshot(&state, &machine) {
-                        report.corrupt_snapshots += 1;
-                        continue;
-                    }
-                    if !machine.apply_fault_snapshot(&state.fault) {
-                        report.corrupt_snapshots += 1;
-                        continue;
-                    }
-                    let mut rebuilt = Allocation::from_nodes(
+                    alloc = Allocation::from_nodes(
                         &machine,
-                        state.alloc_nodes,
+                        snap.alloc_nodes.into_owned(),
                         machine.procs_per_node(),
                     );
-                    rebuilt.set_procs(state.alloc_procs);
-                    alloc = rebuilt;
-                    restored = state.job.map(restore_job);
-                    report.snapshot_seq = state.covers_seq;
+                    alloc.set_procs(snap.alloc_procs.into_owned());
+                    restored = snap.job.map(restore_job);
+                    report.snapshot_seq = snap.covers_seq;
                     report.snapshot_source = source;
                     break;
                 }
@@ -439,52 +363,22 @@ impl MappingService {
             None => {
                 // No journal at all (the snapshot carries everything):
                 // start a fresh one so appends can resume.
-                let mut f = OpenOptions::new()
-                    .write(true)
-                    .create(true)
-                    .truncate(true)
-                    .open(&jpath)
-                    .map_err(|source| RecoveryError::Io {
-                        context: "create journal",
-                        source,
-                    })?;
-                f.write_all(JOURNAL_MAGIC)
-                    .and_then(|()| f.write_all(&FORMAT_VERSION.to_le_bytes()))
-                    .map_err(|source| RecoveryError::Io {
-                        context: "write journal header",
-                        source,
-                    })?;
+                create_journal(&dur_cfg.dir)?;
                 (Vec::new(), HEADER_LEN, HEADER_LEN)
             }
         };
         if valid_len < file_len {
             report.truncated_bytes = file_len - valid_len;
-            let f = OpenOptions::new()
-                .write(true)
-                .open(&jpath)
-                .map_err(|source| RecoveryError::Io {
-                    context: "open journal for truncation",
-                    source,
-                })?;
-            f.set_len(valid_len.max(HEADER_LEN))
-                .map_err(|source| RecoveryError::Io {
-                    context: "truncate torn tail",
-                    source,
-                })?;
             if valid_len < HEADER_LEN {
                 // Even the header was torn: rewrite it.
-                let mut f = OpenOptions::new()
+                create_journal(&dur_cfg.dir)?;
+            } else {
+                std::fs::OpenOptions::new()
                     .write(true)
-                    .truncate(true)
                     .open(&jpath)
+                    .and_then(|f| f.set_len(valid_len))
                     .map_err(|source| RecoveryError::Io {
-                        context: "rewrite journal header",
-                        source,
-                    })?;
-                f.write_all(JOURNAL_MAGIC)
-                    .and_then(|()| f.write_all(&FORMAT_VERSION.to_le_bytes()))
-                    .map_err(|source| RecoveryError::Io {
-                        context: "rewrite journal header",
+                        context: "truncate torn tail",
                         source,
                     })?;
             }
@@ -502,7 +396,7 @@ impl MappingService {
                 report.frames_skipped += 1;
                 continue;
             }
-            let Some(rec) = JournalRecord::decode(payload) else {
+            let Some(rec) = JournalRecord::from_bytes(payload) else {
                 return Err(RecoveryError::CorruptRecord { seq: *seq });
             };
             if let JournalRecord::Churn(events) = &rec {
@@ -521,7 +415,7 @@ impl MappingService {
         //    racing the replay would fork history) and re-run the
         //    suffix through the real operation paths. The journal stays
         //    detached during replay so nothing is re-journaled.
-        let inner = Self::build_inner(machine, alloc, cfg, clock);
+        let inner = Self::build_inner(machine, alloc, cfg, ServiceClock::monotonic());
         {
             let mut st = inner.write_state();
             st.job = restored;
@@ -534,18 +428,9 @@ impl MappingService {
         }
         for (seq, rec) in replay {
             match rec {
-                JournalRecord::Install {
-                    num_tasks,
-                    messages,
-                    weights,
-                } => {
-                    let parts = journal::TaskGraphParts {
-                        num_tasks,
-                        messages,
-                        weights,
-                    };
+                JournalRecord::Install(tasks) => {
                     inner
-                        .install_job(Arc::new(parts.build()))
+                        .install_job(tasks)
                         .map_err(|context| RecoveryError::InvalidReplay { seq, context })?;
                 }
                 JournalRecord::Churn(events) => {

@@ -12,6 +12,7 @@
 //! request (already isolated by the worker's `catch_unwind`) must not
 //! wedge the service.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -26,10 +27,11 @@ use umpa_graph::TaskGraph;
 use umpa_topology::{Allocation, Machine};
 
 use crate::clock::ServiceClock;
+use crate::codec::Wire;
 use crate::config::{retry_backoff_ns, ServiceConfig, RETRY_MAX_ATTEMPTS};
 use crate::journal::{Durability, JournalRecord};
 use crate::ladder::{CostModel, LadderRung};
-use crate::recovery;
+use crate::recovery::Snapshot;
 use crate::request::{Envelope, MapJob, MapTicket, RepairReport, ServiceError, Submit};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use crate::supervisor::{PolishOutcome, Supervisor};
@@ -105,7 +107,7 @@ impl ServiceInner {
     /// acked mutation is always on disk first). Durability failures —
     /// a full disk, or the chaos harness's injected crash — are
     /// counted and absorbed: the service keeps serving from memory.
-    pub(crate) fn journal_append(&self, rec: &JournalRecord) {
+    pub(crate) fn journal_append(&self, rec: &JournalRecord<'_>) {
         let mut guard = self.journal.lock().unwrap_or_else(|e| e.into_inner());
         let Some(journal) = guard.as_mut() else {
             return;
@@ -140,7 +142,7 @@ impl ServiceInner {
         if !journal.should_snapshot() {
             return;
         }
-        let payload = recovery::encode_snapshot_payload(&st, journal.last_seq());
+        let payload = Snapshot::of(&st, journal.last_seq()).to_bytes();
         drop(st);
         match journal.write_snapshot(&payload) {
             Ok(()) => {
@@ -185,7 +187,7 @@ impl ServiceInner {
             applied_events: events.len(),
             ..RepairReport::default()
         };
-        self.journal_append(&JournalRecord::Churn(events.to_vec()));
+        self.journal_append(&JournalRecord::Churn(Cow::Borrowed(events)));
         let SharedState {
             machine,
             alloc,
@@ -353,7 +355,7 @@ impl ServiceInner {
         let mut scratch = MapperScratch::new();
         let mut st = self.write_state();
         check_job(&tasks, &st.alloc)?;
-        self.journal_append(&JournalRecord::install(&tasks));
+        self.journal_append(&JournalRecord::Install(Arc::clone(&tasks)));
         let outcome = map_tasks_with(
             &tasks,
             &st.machine,

@@ -135,71 +135,19 @@ pub struct FaultSnapshot {
 }
 
 impl FaultSnapshot {
-    /// Appends a canonical little-endian binary encoding of the
-    /// snapshot to `out`: `[count: u32][(link: u32, factor bits: u64)…]`.
-    /// `hard_failed` is not stored — it is derivable (factor == 0.0)
-    /// and recomputed on decode, so the two can never disagree.
-    /// Factors round-trip via [`f64::to_bits`] so a decode is
-    /// bit-identical to the encoded state (the crash-recovery
-    /// differential contract in `umpa-service`).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.degraded.len() as u32).to_le_bytes());
-        for &(link, factor) in &self.degraded {
-            out.extend_from_slice(&link.to_le_bytes());
-            out.extend_from_slice(&factor.to_bits().to_le_bytes());
-        }
-    }
-
-    /// Decodes a snapshot previously written by
-    /// [`FaultSnapshot::encode_into`] from the front of `bytes`.
-    /// Returns the snapshot and the number of bytes consumed, or `None`
-    /// if `bytes` is truncated or structurally invalid (factor not
-    /// finite / outside `[0, 1]`, link ids not strictly ascending).
-    /// Never panics: corrupt input is a decode failure, not a crash.
-    pub fn decode(bytes: &[u8]) -> Option<(Self, usize)> {
-        let head = bytes.get(..4)?;
-        let count = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-        let mut off = 4usize;
-        let mut degraded = Vec::with_capacity(count.min(bytes.len() / 12));
-        let mut hard_failed = 0usize;
-        let mut prev_link: Option<u32> = None;
-        for _ in 0..count {
-            let rec = bytes.get(off..off + 12)?;
-            let link = u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]);
-            let factor = f64::from_bits(u64::from_le_bytes([
-                rec[4], rec[5], rec[6], rec[7], rec[8], rec[9], rec[10], rec[11],
-            ]));
-            if !factor.is_finite() || !(0.0..=1.0).contains(&factor) || factor == 1.0 {
-                return None;
-            }
-            if prev_link.is_some_and(|p| p >= link) {
-                return None;
-            }
-            prev_link = Some(link);
-            if factor == 0.0 {
-                hard_failed += 1;
-            }
-            degraded.push((link, factor));
-            off += 12;
-        }
-        Some((
-            FaultSnapshot {
-                degraded,
-                hard_failed,
-            },
-            off,
-        ))
-    }
-
-    /// Whether every entry passes [`Machine::check_link_event`] on
-    /// `machine`. Decoded snapshots must pass this before
-    /// [`Machine::apply_fault_snapshot`] — a snapshot taken on a
-    /// different topology (or corrupted in storage) fails here instead
-    /// of panicking inside `degrade_link`.
+    /// Whether `machine` could have taken this snapshot: link ids
+    /// strictly ascending, every entry passes
+    /// [`Machine::check_link_event`] with a factor below `1.0` (a
+    /// healthy link is not listed), and `hard_failed` counts the zero
+    /// factors. [`Machine::apply_fault_snapshot`] runs it, so a
+    /// snapshot taken on a different topology (or corrupted in storage)
+    /// fails here instead of panicking inside `degrade_link`.
     pub fn is_valid_for(&self, machine: &Machine) -> bool {
-        self.degraded
-            .iter()
-            .all(|&(link, factor)| machine.check_link_event(link, factor).is_ok())
+        self.degraded.windows(2).all(|w| w[0].0 < w[1].0)
+            && self.degraded.iter().all(|&(link, factor)| {
+                factor < 1.0 && machine.check_link_event(link, factor).is_ok()
+            })
+            && self.hard_failed == self.degraded.iter().filter(|e| e.1 == 0.0).count()
     }
 }
 
@@ -521,9 +469,7 @@ impl Machine {
         }
         self.clear_faults();
         for &(link, factor) in &snap.degraded {
-            if factor != 1.0 {
-                self.degrade_link(link, factor);
-            }
+            self.degrade_link(link, factor);
         }
         true
     }
@@ -926,32 +872,6 @@ mod tests {
         assert!(m.dist_row(0).is_none());
         let analytic_hops: Vec<u32> = (0..128u32).map(|b| m.hops(0, b)).collect();
         assert_eq!(oracle_hops, analytic_hops);
-    }
-
-    #[test]
-    fn fault_snapshot_round_trips_bit_identical_and_rejects_corruption() {
-        let mut m = MachineConfig::small(&[4, 4], 2, 2).build();
-        m.degrade_link(3, 0.25);
-        m.degrade_link(9, 0.0);
-        let snap = m.fault_snapshot();
-
-        let mut bytes = Vec::new();
-        snap.encode_into(&mut bytes);
-        let (decoded, used) = FaultSnapshot::decode(&bytes).expect("round trip");
-        assert_eq!(used, bytes.len());
-        assert_eq!(decoded, snap);
-        for (&(la, fa), &(lb, fb)) in decoded.degraded.iter().zip(&snap.degraded) {
-            assert_eq!(la, lb);
-            assert_eq!(fa.to_bits(), fb.to_bits());
-        }
-
-        // Truncation and in-place corruption are decode failures, not
-        // panics: chop the buffer and flip a factor to a NaN pattern.
-        assert!(FaultSnapshot::decode(&bytes[..bytes.len() - 1]).is_none());
-        let mut bad = bytes.clone();
-        let factor_at = 4 + 4; // first record's factor bits
-        bad[factor_at..factor_at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        assert!(FaultSnapshot::decode(&bad).is_none());
     }
 
     #[test]

@@ -25,14 +25,16 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use umpa::core::ChurnEvent;
 use umpa::graph::TaskGraph;
 use umpa::matgen::churn::{churn_sequence, ChurnSpec};
 use umpa::matgen::corruption_points;
-use umpa::service::journal::Durability;
+use umpa::service::journal::{crc32, Durability};
 use umpa::service::{
-    CrashPoint, CrashSwitch, DurabilityConfig, MappingService, RecoveryError, ServiceConfig,
-    ServiceError, SnapshotSource,
+    CrashPoint, CrashSwitch, DurabilityConfig, MapJob, MappingService, RecoveryError,
+    ServiceConfig, ServiceError, SnapshotSource,
 };
 use umpa::topology::{
     AllocSpec, Allocation, DragonflyConfig, FatTreeConfig, FaultSnapshot, Machine, MachineConfig,
@@ -640,4 +642,139 @@ fn replay_refuses_an_oversized_install_with_a_typed_error() {
         ),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Splits a journal file into its header and its frames `(seq, payload)`.
+fn split_frames(journal: &[u8]) -> (Vec<u8>, Vec<(u64, Vec<u8>)>) {
+    let word = |at: usize| u32::from_le_bytes(journal[at..at + 4].try_into().unwrap());
+    let mut frames = Vec::new();
+    let mut off = 12;
+    while off < journal.len() {
+        let len = word(off) as usize;
+        let seq = u64::from(word(off + 8)) | (u64::from(word(off + 12)) << 32);
+        frames.push((seq, journal[off + 16..off + 16 + len].to_vec()));
+        off += 16 + len;
+    }
+    (journal[..12].to_vec(), frames)
+}
+
+/// Writes frames back with their lengths and checksums fixed up: a
+/// frame's CRC covers its sequence number and payload.
+fn join_frames(header: &[u8], frames: &[(u64, Vec<u8>)]) -> Vec<u8> {
+    let mut out = header.to_vec();
+    for (seq, payload) in frames {
+        let mut covered = seq.to_le_bytes().to_vec();
+        covered.extend_from_slice(payload);
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(&covered).to_le_bytes());
+        out.extend_from_slice(&seq.to_le_bytes());
+        out.extend_from_slice(payload);
+    }
+    out
+}
+
+/// Flips one bit, cuts at a random offset, or appends 1–8 bytes.
+fn mutate(bytes: &mut Vec<u8>, rng: &mut ChaCha8Rng) {
+    match rng.gen_range(0..3u32) {
+        0 if !bytes.is_empty() => {
+            let at = rng.gen_range(0..bytes.len());
+            bytes[at] ^= 1 << rng.gen_range(0..8u32);
+        }
+        1 if !bytes.is_empty() => {
+            let at = rng.gen_range(0..bytes.len());
+            bytes.truncate(at);
+        }
+        _ => {
+            for _ in 0..rng.gen_range(1..=8u32) {
+                bytes.push(rng.gen_range(0..=255u8));
+            }
+        }
+    }
+}
+
+/// Seeded mutations of snapshot and frame payloads, with the checksums
+/// fixed up so the bytes reach the decoder: `recover` returns `Ok` or a
+/// typed error, and a service it returns serves a map request and a
+/// churn batch without a panic. Corruption that passes the checksum
+/// must be refused by decoding or validation, never by a panic in the
+/// first repair. A mutated snapshot recovers with the journal behind
+/// it; a mutated frame recovers from the journal alone, so every frame
+/// is decoded and replayed.
+#[test]
+fn mutated_snapshots_and_frames_recover_or_fail_typed() {
+    let (_, tasks, machine, alloc) = backends().swap_remove(0);
+    let events = churn_sequence(&machine, &alloc, &ChurnSpec::new(14, 29));
+    let graph = Arc::new(task_graph(tasks, 1));
+    let source = fresh_dir("mutation-source");
+    let service = MappingService::new(
+        machine.clone(),
+        alloc.clone(),
+        durable_cfg(&source, 6, None),
+    );
+    run_ops(&service, &graph, &events);
+    drop(service);
+    let journal = std::fs::read(source.join("journal.bin")).expect("read journal");
+    let snapshot = std::fs::read(source.join("snapshot.bin")).expect("read snapshot");
+    let _ = std::fs::remove_dir_all(&source);
+    let (header, frames) = split_frames(&journal);
+    assert_eq!(frames.len(), events.len() + 1);
+
+    let serving_cfg = |dir: &Path| ServiceConfig {
+        workers: 1,
+        ..durable_cfg(dir, 6, None)
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5eed);
+    let (mut ok, mut typed, mut panics) = (0, 0, Vec::new());
+    for i in 0..600 {
+        let dir = fresh_dir("mutation");
+        std::fs::create_dir_all(&dir).expect("create dir");
+        let (mut journal, mut snapshot) = (journal.clone(), snapshot.clone());
+        let what = if i % 2 == 0 {
+            let mut payload = snapshot.split_off(16);
+            mutate(&mut payload, &mut rng);
+            snapshot.truncate(12);
+            snapshot.extend_from_slice(&crc32(&payload).to_le_bytes());
+            snapshot.extend_from_slice(&payload);
+            "snapshot".to_string()
+        } else {
+            let mut frames = frames.clone();
+            let k = rng.gen_range(0..frames.len());
+            mutate(&mut frames[k].1, &mut rng);
+            journal = join_frames(&header, &frames);
+            format!("frame {}", frames[k].0)
+        };
+        std::fs::write(dir.join("journal.bin"), &journal).expect("write journal");
+        if i % 2 == 0 {
+            std::fs::write(dir.join("snapshot.bin"), &snapshot).expect("write snapshot");
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let Ok((recovered, _)) =
+                MappingService::recover(machine.clone(), alloc.clone(), serving_cfg(&dir))
+            else {
+                return false;
+            };
+            let reply = recovered
+                .submit_map(MapJob::new(Arc::new(task_graph(16, 2))))
+                .accepted()
+                .expect("an idle queue admits")
+                .wait();
+            assert!(
+                !matches!(reply, Err(ServiceError::Panicked)),
+                "a map request panicked"
+            );
+            recovered.apply_churn(&[]);
+            true
+        }));
+        match outcome {
+            Ok(true) => ok += 1,
+            Ok(false) => typed += 1,
+            Err(_) => panics.push(format!("mutation {i} ({what})")),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    eprintln!(
+        "mutations: {ok} recovered, {typed} typed errors, {} panics",
+        panics.len()
+    );
+    assert!(panics.is_empty(), "panicked: {panics:?}");
 }
