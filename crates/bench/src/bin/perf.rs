@@ -35,8 +35,10 @@
 //! The metrics block records `oracle_enabled` and `oracle_build_ns` per
 //! backend so the perf trajectory distinguishes table-backed runs.
 //!
-//! Usage: `cargo run --release -p umpa-bench --bin perf [--preset tiny]
-//! [--topo torus|fattree|dragonfly|all] [--out PATH]`. The `tiny`
+//! Usage: `cargo run --release -p umpa-bench --bin perf [--preset
+//! tiny|default] [--topo torus|fattree|dragonfly|all] [--out PATH]`;
+//! any other argument, or a flag without its value, prints the usage
+//! and exits 2 before anything is measured or written. The `tiny`
 //! preset is the CI smoke configuration; CI runs it once per backend.
 //! The default preset is the regression-gate configuration (see
 //! `perf_gate`).
@@ -150,32 +152,56 @@ fn service_request_graph(n: u32, seed: u64) -> TaskGraph {
     TaskGraph::from_messages(n as usize, msgs, None)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let preset = if args.iter().any(|a| a == "--tiny") {
-        Preset::tiny()
-    } else if let Some(w) = args.windows(2).find(|w| w[0] == "--preset") {
-        match w[1].as_str() {
-            "tiny" => Preset::tiny(),
-            "default" => Preset::default(),
-            other => {
-                eprintln!("perf: unknown preset {other:?} (expected: tiny, default)");
-                std::process::exit(2);
-            }
-        }
-    } else {
-        Preset::default()
+const USAGE: &str =
+    "usage: perf [--preset tiny|default] [--topo torus|fattree|dragonfly|all] [--out PATH]";
+
+/// The command line, parsed.
+struct Args {
+    preset: Preset,
+    topo: String,
+    out: String,
+}
+
+/// Accepts exactly `--preset <tiny|default>`, `--topo
+/// <torus|fattree|dragonfly|all>` and `--out <path>`, each with its
+/// value; anything else is an error, so a mistyped flag cannot fall
+/// back to a default (`--out` defaults to the committed
+/// `BENCH_mapping.json`).
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        preset: Preset::default(),
+        topo: "all".to_string(),
+        out: "BENCH_mapping.json".to_string(),
     };
-    let topo_filter = args
-        .windows(2)
-        .find(|w| w[0] == "--topo")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "all".to_string());
-    let out_path = args
-        .windows(2)
-        .find(|w| w[0] == "--out")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "BENCH_mapping.json".to_string());
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        if !matches!(flag.as_str(), "--preset" | "--topo" | "--out") {
+            return Err(format!("unknown argument {flag:?}"));
+        }
+        let Some(value) = it.next().filter(|v| !v.starts_with("--")) else {
+            return Err(format!("{flag} needs a value"));
+        };
+        match (flag.as_str(), value.as_str()) {
+            ("--preset", "tiny") => parsed.preset = Preset::tiny(),
+            ("--preset", "default") => parsed.preset = Preset::default(),
+            ("--topo", "torus" | "fattree" | "dragonfly" | "all") => parsed.topo = value.clone(),
+            ("--out", _) => parsed.out = value.clone(),
+            _ => return Err(format!("unknown {flag} {value:?}")),
+        }
+    }
+    Ok(parsed)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        preset,
+        topo: topo_filter,
+        out: out_path,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("perf: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     eprintln!(
         "perf [{}]: grid {}x{}, {} parts, {} nodes, topo filter {topo_filter}",
         preset.name, preset.grid, preset.grid, preset.parts, preset.nodes
@@ -193,12 +219,6 @@ fn main() {
         .into_iter()
         .filter(|(name, _)| topo_filter == "all" || topo_filter == *name)
         .collect();
-    if machines.is_empty() {
-        eprintln!(
-            "perf: unknown --topo {topo_filter:?} (expected: torus, fattree, dragonfly, all)"
-        );
-        std::process::exit(2);
-    }
 
     for (backend, machine) in &machines {
         // Torus rows keep PR-1's unsuffixed names so the perf
@@ -706,4 +726,57 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn parser_accepts_the_ci_and_gate_command_lines() {
+        for topo in ["torus", "fattree", "dragonfly"] {
+            let args = parse(&format!(
+                "--preset tiny --topo {topo} --out bench_smoke_{topo}.json"
+            ))
+            .expect("CI's smoke line");
+            assert_eq!(args.preset.name, "tiny");
+            assert_eq!(args.topo, topo);
+            assert_eq!(args.out, format!("bench_smoke_{topo}.json"));
+        }
+        let args =
+            parse("--preset default --topo all --out bench_fresh.json").expect("CI's gate line");
+        assert_eq!((args.preset.name, args.topo.as_str()), ("default", "all"));
+        assert_eq!(args.out, "bench_fresh.json");
+        let args = parse("--preset default --topo fattree --out /tmp/retry.json")
+            .expect("perf_gate's retry line");
+        assert_eq!(args.topo, "fattree");
+        let args = parse("").expect("no arguments");
+        assert_eq!((args.preset.name, args.topo.as_str()), ("default", "all"));
+        assert_eq!(args.out, "BENCH_mapping.json");
+    }
+
+    #[test]
+    fn parser_refuses_unknown_flags_values_and_missing_values() {
+        for line in [
+            "--preset tiny --topo torus --outt mine.json",
+            "--tiny",
+            "--preset huge",
+            "--topo mesh",
+            "--out",
+            "--out --preset tiny",
+            "--preset",
+            "stray",
+        ] {
+            assert!(parse(line).is_err(), "{line:?} was accepted");
+        }
+    }
 }
