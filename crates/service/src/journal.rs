@@ -258,7 +258,7 @@ impl CrashSwitch {
 /// engine paths an uninterrupted run takes, which is what makes the
 /// recovered mapping bit-identical rather than merely equivalent.
 /// A record borrows what it logs, so building one copies nothing.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) enum JournalRecord<'a> {
     /// `install_job`: the resident task graph, re-mapped from scratch
     /// on replay exactly as the original install did.
