@@ -18,7 +18,11 @@
 //!   (`snapshot.old.bin`, then genesis + full replay) — a bad frame
 //!   or snapshot is never silently accepted;
 //! * recovery never panics — corrupt input surfaces as truncation
-//!   (reported) or a typed `RecoveryError`.
+//!   (reported) or a typed `RecoveryError`;
+//! * seeded mutations of snapshot and frame payloads, checksums fixed
+//!   up, are refused by decoding or validation, or recover into a
+//!   service that serves a map request and a churn batch — never a
+//!   panic in the first repair.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
