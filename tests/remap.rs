@@ -1,7 +1,7 @@
 //! Differential harness for fault-tolerant incremental remapping
 //! (DESIGN.md §14).
 //!
-//! Three promises are pinned here, across the backend × preset matrix
+//! Four promises are pinned here, across the backend × preset matrix
 //! (torus / fat-tree / dragonfly) and seeded churn streams from
 //! `umpa_matgen::churn`:
 //!
@@ -16,10 +16,15 @@
 //!   route cache are rebuilt, not served stale, when a link hard-fails
 //!   or recovers (the stale-cache bug class `Machine::degrade_link`'s
 //!   docs call out), and a restore returns distances and routes
-//!   byte-identical to the pristine machine.
+//!   byte-identical to the pristine machine;
+//! * **no event, no change** — after an infeasible repair, a repair
+//!   with an empty batch is infeasible again with the same unplaced
+//!   set and touches nothing, so only an event can make it succeed.
 
 use std::time::Instant;
 
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use umpa::core::remap::{remap_incremental, ChurnEvent, RemapConfig, RemapOutcome};
 use umpa::core::{
     map_tasks, map_tasks_with, validate_mapping, MapperKind, MapperScratch, PipelineConfig,
@@ -548,4 +553,144 @@ fn refinement_polish_helps_or_ties() {
         results[1],
         results[0]
     );
+}
+
+/// A repair with no events cannot turn an `Infeasible` outcome around:
+/// nothing but an event changes the machine or the allocation, and the
+/// tasks it re-tries already failed to fit a free capacity no smaller
+/// than today's. Over seeded uneven-weight jobs filling 60–94 % of
+/// 8–15 four-processor nodes on every backend, an allocation shrink
+/// that leaves tasks unplaced is followed by repairs with an empty
+/// batch: each returns `Infeasible` with the same unplaced set and
+/// leaves the mapping, the machine's fault state and the allocation
+/// as they were. The service's repair-on-events rule rests on this.
+#[test]
+fn eventless_repair_after_infeasible_changes_nothing() {
+    let backends = [
+        ("torus", MachineConfig::small(&[4, 4, 2], 1, 4).build()),
+        ("fat-tree", FatTreeConfig::small(4, 2, 4).build()),
+        (
+            "dragonfly",
+            DragonflyConfig {
+                procs_per_node: 4,
+                ..DragonflyConfig::small(3, 3, 2)
+            }
+            .build(),
+        ),
+    ];
+    let sorted = |ts: &[u32]| {
+        let mut ts = ts.to_vec();
+        ts.sort_unstable();
+        ts
+    };
+    let (mut infeasible, mut partial) = (0, 0);
+    for (label, machine0) in backends {
+        for seed in 0..100u64 {
+            let ctx = format!("{label} seed {seed}");
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let nodes = rng.gen_range(8..=15usize);
+            let mut alloc = Allocation::generate(&machine0, &AllocSpec::sparse(nodes, seed));
+            let mut machine = machine0.clone();
+            // Uneven weights in half-processor steps, up to a target fill.
+            let capacity = f64::from(alloc.total_procs());
+            let fill = rng.gen_range(0.60..0.94);
+            let mut weights = Vec::new();
+            let mut total = 0.0;
+            loop {
+                let w = 0.5 * f64::from(rng.gen_range(1..=4u32));
+                if total + w > fill * capacity {
+                    break;
+                }
+                total += w;
+                weights.push(w);
+            }
+            let n = weights.len() as u32;
+            let msgs = (0..n).flat_map(|i| {
+                let v = 1.0 + f64::from(i % 5);
+                [
+                    (i, (i + 1) % n, 2.0 * v),
+                    (i, (i + n / 3).max(i + 1) % n, v),
+                ]
+            });
+            let tg = TaskGraph::from_messages(n as usize, msgs, Some(weights));
+            let mut scratch = MapperScratch::new();
+            let mut mapping = map_tasks_with(
+                &tg,
+                &machine,
+                &alloc,
+                MapperKind::Greedy,
+                &PipelineConfig::default(),
+                &mut scratch,
+            )
+            .fine_mapping;
+            validate_mapping(&tg, &alloc, &mapping).unwrap();
+
+            // Remove up to half of the nodes and degrade a link.
+            let mut held = alloc.nodes().to_vec();
+            let mut doomed = Vec::new();
+            for _ in 0..rng.gen_range(1..=nodes / 2) {
+                doomed.push(held.swap_remove(rng.gen_range(0..held.len())));
+            }
+            let displaced = mapping.iter().filter(|n| doomed.contains(n)).count();
+            let link = rng.gen_range(0..(machine.num_links() / 2) as u32);
+            let shrink = [
+                ChurnEvent::LinkDegraded { link, factor: 0.5 },
+                ChurnEvent::NodesRemoved { nodes: doomed },
+            ];
+            let out = remap_incremental(
+                &tg,
+                &mut machine,
+                &mut alloc,
+                &mut mapping,
+                &shrink,
+                &RemapConfig::default(),
+                &mut scratch,
+            );
+            let RemapOutcome::Infeasible { unplaced } = out else {
+                continue;
+            };
+            infeasible += 1;
+            // Fewer unplaced than displaced: the repair placed some
+            // tasks before one failed to fit.
+            partial += usize::from(unplaced.len() < displaced);
+            let unplaced = sorted(&unplaced);
+            let state = (
+                mapping.clone(),
+                machine.fault_snapshot(),
+                alloc.nodes().to_vec(),
+                alloc.procs_all().to_vec(),
+            );
+            for attempt in 1..=3 {
+                let again = remap_incremental(
+                    &tg,
+                    &mut machine,
+                    &mut alloc,
+                    &mut mapping,
+                    &[],
+                    &RemapConfig::default(),
+                    &mut scratch,
+                );
+                match again {
+                    RemapOutcome::Infeasible { unplaced: now } => {
+                        assert_eq!(sorted(&now), unplaced, "{ctx} attempt {attempt}");
+                    }
+                    RemapOutcome::Repaired(_) => {
+                        panic!("{ctx} attempt {attempt}: an event-less repair succeeded")
+                    }
+                }
+                let now = (
+                    mapping.clone(),
+                    machine.fault_snapshot(),
+                    alloc.nodes().to_vec(),
+                    alloc.procs_all().to_vec(),
+                );
+                assert_eq!(now, state, "{ctx} attempt {attempt}: state changed");
+            }
+        }
+    }
+    assert!(
+        infeasible >= 150 && partial >= 25,
+        "{infeasible} infeasible shrinks, {partial} partly placed: too few to probe the case"
+    );
+    eprintln!("{infeasible} infeasible shrinks ({partial} partly placed) re-tried without events");
 }
