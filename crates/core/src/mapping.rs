@@ -112,18 +112,33 @@ pub fn validate_mapping(
 
 /// The one check a job must pass before it is mapped onto `alloc`:
 /// the allocation holds a node, the job passes [`check_job_values`],
-/// and the total weight fits the allocation's processors under the
-/// tolerance greedy's own precondition uses ([`fits`]). The error names
-/// the reason. The service runs it on every install and map request
-/// before anything is journaled or mapped, and recovery replay runs it
-/// on every install frame.
+/// every task weight fits the allocation's largest node, and the total
+/// weight fits the allocation's processors, both under the tolerance
+/// greedy's own precondition uses ([`fits`]). A job that fails a
+/// capacity rule cannot be mapped at all. The error names the reason.
+/// The service runs it on every install and map request before
+/// anything is journaled or mapped, and recovery replay runs it on
+/// every install frame.
 pub fn check_job(tg: &TaskGraph, alloc: &Allocation) -> Result<(), &'static str> {
     if alloc.num_nodes() == 0 {
         return Err("allocation holds no node");
     }
     check_job_values(tg)?;
-    // Summed exactly as greedy sums it.
-    let total_weight: f64 = (0..tg.num_tasks() as u32).map(|t| tg.task_weight(t)).sum();
+    let largest = alloc
+        .procs_all()
+        .iter()
+        .copied()
+        .max()
+        .map_or(0.0, f64::from);
+    // Summed in task order, as greedy sums it.
+    let mut total_weight = 0.0;
+    for t in 0..tg.num_tasks() as u32 {
+        let w = tg.task_weight(t);
+        if !fits(largest, w) {
+            return Err("a task weight exceeds every node's processors");
+        }
+        total_weight += w;
+    }
     if !fits(f64::from(alloc.total_procs()), total_weight) {
         return Err("total task weight exceeds the allocation's processors");
     }
@@ -185,6 +200,19 @@ mod tests {
         assert_eq!(
             check_job(&ring(9), &alloc),
             Err("total task weight exceeds the allocation's processors")
+        );
+        // 8 nodes × 4 procs: ten ring tasks of weight 2 fit, but not
+        // when one of them weighs 5, though the total (23) still fits.
+        let m = MachineConfig::small(&[4, 4, 2], 1, 4).build();
+        let alloc = Allocation::generate(&m, &AllocSpec::sparse(8, 3));
+        let ring = |heavy: f64| {
+            let weights = (0..10).map(|t| if t == 4 { heavy } else { 2.0 }).collect();
+            TaskGraph::from_messages(10, (0..10).map(|i| (i, (i + 1) % 10, 1.0)), Some(weights))
+        };
+        assert_eq!(check_job(&ring(4.0), &alloc), Ok(()));
+        assert_eq!(
+            check_job(&ring(5.0), &alloc),
+            Err("a task weight exceeds every node's processors")
         );
     }
 

@@ -107,6 +107,13 @@ fn plain_cfg() -> ServiceConfig {
     }
 }
 
+/// Length of the journal in `dir`.
+fn journal_len(dir: &Path) -> u64 {
+    std::fs::metadata(dir.join("journal.bin"))
+        .expect("journal exists")
+        .len()
+}
+
 /// Everything the bit-identity contract covers, with floats as raw
 /// bits so `==` is exact.
 #[derive(Debug, PartialEq)]
@@ -495,12 +502,7 @@ fn malformed_link_events_are_refused_before_the_journal() {
         service.install_job(Arc::clone(&graph)).expect("job fits");
         let before = digest(&service);
         let appends = service.stats().journal_appends;
-        let journal_len = || {
-            std::fs::metadata(dir.join("journal.bin"))
-                .expect("journal exists")
-                .len()
-        };
-        let len = journal_len();
+        let len = journal_len(&dir);
         for (batch, index) in [
             (vec![bad.clone()], 0),
             (vec![valid.clone(), bad.clone()], 1),
@@ -514,7 +516,7 @@ fn malformed_link_events_are_refused_before_the_journal() {
                 "{bad:?}"
             );
             assert_eq!(service.stats().journal_appends, appends, "{bad:?}");
-            assert_eq!(journal_len(), len, "{bad:?}: a frame was appended");
+            assert_eq!(journal_len(&dir), len, "{bad:?}: a frame was appended");
             assert_eq!(digest(&service), before, "{bad:?}: state changed");
         }
         drop(service);
@@ -568,6 +570,8 @@ fn sixteen_processors() -> (Machine, Allocation) {
 
 const TOO_HEAVY: &str = "total task weight exceeds the allocation's processors";
 
+const TOO_BIG_TASK: &str = "a task weight exceeds every node's processors";
+
 /// A 16-task ring with one NaN, infinite or negative message volume.
 fn ring_with_volume(bad: f64) -> TaskGraph {
     let ring = (0..16u32).map(|i| (i, (i + 1) % 16, if i == 5 { bad } else { 1.0 }));
@@ -576,10 +580,10 @@ fn ring_with_volume(bad: f64) -> TaskGraph {
 
 const BAD_VOLUME: &str = "message volume is NaN, infinite or negative";
 
-/// An oversized job, and a job with a NaN or infinite message volume,
-/// are refused before the journal: no frame is appended, so recovery
-/// never meets a frame it cannot decode, and the resident job comes
-/// back as it was.
+/// An oversized job, a job with a NaN or infinite message volume, and
+/// a job with a task no node can hold are refused before the journal:
+/// no frame is appended, so recovery never meets a frame it cannot
+/// decode or replay, and the resident job comes back as it was.
 #[test]
 fn oversized_job_is_refused_before_the_journal() {
     let (machine, alloc) = sixteen_processors();
@@ -590,12 +594,7 @@ fn oversized_job_is_refused_before_the_journal() {
         .expect("16 tasks fit 16 processors");
     let before = digest(&service);
     let appends = service.stats().journal_appends;
-    let journal_len = || {
-        std::fs::metadata(dir.join("journal.bin"))
-            .expect("journal exists")
-            .len()
-    };
-    let len = journal_len();
+    let len = journal_len(&dir);
     for (label, tasks, reason) in [
         ("20 tasks", task_graph(20, 1), TOO_HEAVY),
         ("NaN volume", ring_with_volume(f64::NAN), BAD_VOLUME),
@@ -609,9 +608,47 @@ fn oversized_job_is_refused_before_the_journal() {
             .unwrap_or_else(|_| panic!("install_job panicked on {label}"));
         assert_eq!(refused, Err(ServiceError::InvalidJob { reason }), "{label}");
         assert_eq!(service.stats().journal_appends, appends, "{label}");
-        assert_eq!(journal_len(), len, "{label}: a frame was appended");
+        assert_eq!(journal_len(&dir), len, "{label}: a frame was appended");
         assert_eq!(digest(&service), before, "{label}: state changed");
     }
+    drop(service);
+    let (recovered, report) = MappingService::recover(machine, alloc, durable_cfg(&dir, 64, None))
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(report.last_seq, 1);
+    assert_eq!(digest(&recovered), before);
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Eight nodes of four processors: a task of weight 5 fits no node,
+    // though the job's total (23 of 32) fits the allocation.
+    let machine = MachineConfig::small(&[4, 4, 2], 1, 4).build();
+    let alloc = Allocation::generate(&machine, &AllocSpec::sparse(8, 3));
+    let ring = |heavy: f64| {
+        let weights = (0..10).map(|t| if t == 4 { heavy } else { 2.0 }).collect();
+        TaskGraph::from_messages(
+            10,
+            (0..10u32).map(|i| (i, (i + 1) % 10, 1.0)),
+            Some(weights),
+        )
+    };
+    let dir = fresh_dir("heavy-task");
+    let service = MappingService::new(machine.clone(), alloc.clone(), durable_cfg(&dir, 64, None));
+    service
+        .install_job(Arc::new(ring(4.0)))
+        .expect("a task of weight 4 fits a node");
+    let before = digest(&service);
+    let len = journal_len(&dir);
+    let refused = catch_unwind(AssertUnwindSafe(|| {
+        service.install_job(Arc::new(ring(5.0)))
+    }))
+    .unwrap_or_else(|_| panic!("install_job panicked on a task no node holds"));
+    assert_eq!(
+        refused,
+        Err(ServiceError::InvalidJob {
+            reason: TOO_BIG_TASK
+        })
+    );
+    assert_eq!(journal_len(&dir), len, "a frame was appended");
     drop(service);
     let (recovered, report) = MappingService::recover(machine, alloc, durable_cfg(&dir, 64, None))
         .unwrap_or_else(|e| panic!("{e}"));

@@ -436,4 +436,39 @@ fn oversized_map_request_gets_a_typed_error() {
         .expect("a fitting job is served");
     assert_eq!(reply.mapping.len(), 16);
     assert_eq!(service.shutdown().panics, 0);
+
+    // Eight nodes of four processors: a task of weight 5 fits no node,
+    // though the job's total (23 of 32) fits the allocation.
+    let (machine, alloc) = four_processor_nodes();
+    let service = MappingService::new(machine, alloc, ServiceConfig::default());
+    let reply = service
+        .submit_map(MapJob::new(Arc::new(ring_with_heavy_task(5.0))))
+        .accepted()
+        .expect("queue empty, must admit")
+        .wait();
+    assert_eq!(
+        reply.map(|r| r.mapping),
+        Err(ServiceError::InvalidJob {
+            reason: "a task weight exceeds every node's processors"
+        })
+    );
+    assert_eq!(service.shutdown().panics, 0);
+}
+
+/// A 4×4×2 torus with one node per router and four processors per
+/// node, and an 8-node allocation (32 processors).
+fn four_processor_nodes() -> (Machine, Allocation) {
+    let machine = MachineConfig::small(&[4, 4, 2], 1, 4).build();
+    let alloc = Allocation::generate(&machine, &AllocSpec::sparse(8, 3));
+    (machine, alloc)
+}
+
+/// Ten ring tasks of weight 2, except task 4, which weighs `heavy`.
+fn ring_with_heavy_task(heavy: f64) -> TaskGraph {
+    let weights = (0..10).map(|t| if t == 4 { heavy } else { 2.0 }).collect();
+    TaskGraph::from_messages(
+        10,
+        (0..10u32).map(|i| (i, (i + 1) % 10, 1.0)),
+        Some(weights),
+    )
 }
