@@ -19,10 +19,11 @@
 //! A snapshot is one `Snapshot` record, whose one `wire_struct!`
 //! field list both writes and reads it. Decoding checks only the
 //! encoding; a snapshot must then pass validation against the genesis
-//! machine — allocation, fault mask, and a resident job whose values
-//! pass [`check_job_values`] and whose placed tasks sit on allocated
-//! nodes within capacity — or it counts as corrupt and recovery falls
-//! back along the chain.
+//! machine and allocation — allocation nodes with processor counts a
+//! node can hold, fault mask, and a resident job whose values pass
+//! [`check_job_values`] and whose placed tasks sit on allocated nodes
+//! within capacity — or it counts as corrupt and recovery falls back
+//! along the chain.
 //!
 //! Corrupt input is *never* a panic: checksum failures truncate
 //! (reported via [`RecoveryReport`]), structural failures inside
@@ -225,21 +226,33 @@ impl<'a> Snapshot<'a> {
     /// leaves the machine untouched when the mask does not fit.
     ///
     /// The allocation's nodes must be unique and in range, with one
-    /// processor count each. A resident job's values must pass
-    /// [`check_job_values`], its drift must be finite, and every placed
-    /// task must sit on an allocated node whose load [`fits`] its
-    /// processors. Unplaced tasks (`u32::MAX`) are allowed: they are a
-    /// pending repair, whose total weight may exceed the allocation.
-    fn is_valid_for(&self, machine: &Machine) -> bool {
+    /// processor count each, and that count one a node can hold: the
+    /// `genesis` allocation's for that node, or the machine's per-node
+    /// count, which `NodesAdded` grants. A resident job's values must
+    /// pass [`check_job_values`], its drift must be finite, and every
+    /// placed task must sit on an allocated node whose load [`fits`]
+    /// its processors. Unplaced tasks (`u32::MAX`) are allowed: they
+    /// are a pending repair, whose total weight may exceed the
+    /// allocation.
+    fn is_valid_for(&self, machine: &Machine, genesis: &Allocation) -> bool {
+        if self.alloc_procs.len() != self.alloc_nodes.len() {
+            return false;
+        }
         let mut slot_of = vec![None; machine.num_nodes()];
-        for (slot, &n) in self.alloc_nodes.iter().enumerate() {
+        for (slot, (&n, &procs)) in self
+            .alloc_nodes
+            .iter()
+            .zip(self.alloc_procs.iter())
+            .enumerate()
+        {
             match slot_of.get_mut(n as usize) {
                 Some(s @ None) => *s = Some(slot),
                 _ => return false, // out of range, or a duplicate
             }
-        }
-        if self.alloc_procs.len() != self.alloc_nodes.len() {
-            return false;
+            let genesis_procs = genesis.slot_of(n).map(|s| genesis.procs(s as usize));
+            if procs != machine.procs_per_node() && Some(procs) != genesis_procs {
+                return false;
+            }
         }
         let Some(job) = &self.job else {
             return true;
@@ -331,7 +344,7 @@ impl MappingService {
                 SnapshotRead::Valid(payload) => {
                     let snap = match Snapshot::from_bytes(&payload) {
                         Some(snap)
-                            if snap.is_valid_for(&machine)
+                            if snap.is_valid_for(&machine, &alloc)
                                 && machine.apply_fault_snapshot(&snap.fault) =>
                         {
                             snap

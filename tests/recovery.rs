@@ -359,6 +359,53 @@ fn corrupt_snapshot_falls_back_and_replays() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A snapshot whose allocation gives a node a processor count it can
+/// never hold (2^30 on a machine with two per node), with its checksum
+/// fixed up, is refused: a legitimate count is the genesis
+/// allocation's for that node, or the machine's per-node count that
+/// `NodesAdded` grants. Recovery falls back and replays the journal to
+/// the full-history state.
+#[test]
+fn snapshot_with_a_foreign_processor_count_falls_back() {
+    let (_, tasks, machine, alloc) = backends().swap_remove(0);
+    // Node events only, so the snapshot's fault mask is empty.
+    let events = churn_sequence(&machine, &alloc, &ChurnSpec::nodes_only(10, 61));
+    let graph = Arc::new(task_graph(tasks, 1));
+    let dir = fresh_dir("snapprocs");
+    let service = MappingService::new(machine.clone(), alloc.clone(), durable_cfg(&dir, 3, None));
+    run_ops(&service, &graph, &events);
+    drop(service);
+
+    // Payload: covers_seq (u64), fault mask (u32 count + 12 B each),
+    // allocation nodes (u32 count + u32 each), then their processor
+    // counts (u32 count + u32 each).
+    let spath = dir.join("snapshot.bin");
+    let bytes = std::fs::read(&spath).expect("read snapshot");
+    let (header, mut payload) = (bytes[..12].to_vec(), bytes[16..].to_vec());
+    let word = |p: &[u8], at: usize| u32::from_le_bytes(p[at..at + 4].try_into().unwrap());
+    assert_eq!(word(&payload, 8), 0, "the fault mask is empty");
+    let nodes = word(&payload, 12) as usize;
+    let procs_at = 16 + 4 * nodes;
+    assert_eq!(word(&payload, procs_at) as usize, nodes);
+    assert_eq!(word(&payload, procs_at + 4), machine.procs_per_node());
+    payload[procs_at + 4..procs_at + 8].copy_from_slice(&(1u32 << 30).to_le_bytes());
+    let mut forged = header;
+    forged.extend_from_slice(&crc32(&payload).to_le_bytes());
+    forged.extend_from_slice(&payload);
+    std::fs::write(&spath, &forged).expect("write forged snapshot");
+
+    let (recovered, report) =
+        MappingService::recover(machine.clone(), alloc.clone(), durable_cfg(&dir, 3, None))
+            .expect("recovery with a forged snapshot");
+    assert_eq!(report.corrupt_snapshots, 1);
+    assert_eq!(report.snapshot_source, SnapshotSource::Fallback);
+    assert_eq!(report.last_seq, events.len() as u64 + 1);
+    let expect = reference_digest(&machine, &alloc, &graph, &events, report.last_seq);
+    assert_eq!(digest(&recovered), expect);
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Retry and polish mutations are journaled and replayed through the
 /// same paths, so a history containing infeasible repairs, forced
 /// retries, capacity restoration and an explicit polish recovers
