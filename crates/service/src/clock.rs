@@ -1,11 +1,10 @@
 //! Service time source.
 //!
-//! Every deadline, backoff and latency in the service is measured
-//! against one [`ServiceClock`] so tests can substitute a manually
-//! advanced counter for the wall clock: the ladder, the retry
-//! scheduler and the latency stats then become fully deterministic
-//! (seed + event stream ⇒ same decisions), which is what the
-//! determinism soak asserts.
+//! Every deadline and latency in the service is measured against one
+//! [`ServiceClock`] so tests can substitute a manually advanced
+//! counter for the wall clock: the ladder and the latency stats then
+//! become fully deterministic (seed + event stream ⇒ same decisions),
+//! which is what the determinism soak asserts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -283,7 +283,7 @@ mod tests {
     use super::*;
     use crate::journal::JournalRecord;
     use crate::recovery::Snapshot;
-    use crate::service::{PendingRepair, ResidentJob, SharedState};
+    use crate::service::{ResidentJob, SharedState};
     use crate::supervisor::Supervisor;
     use umpa_core::MapperScratch;
     use umpa_topology::{Allocation, MachineConfig};
@@ -338,7 +338,6 @@ mod tests {
             JournalRecord::Install(Arc::clone(&odd)),
             JournalRecord::Churn(Cow::Borrowed(&events)),
             JournalRecord::Churn(Cow::Borrowed(&[])),
-            JournalRecord::Retry,
             JournalRecord::Polish,
         ] {
             round_trips(&rec);
@@ -351,7 +350,7 @@ mod tests {
         let machine = MachineConfig::small(&[4, 4], 2, 2).build();
         let mut alloc = Allocation::from_nodes(&machine, vec![5, 0, 9], 2);
         alloc.set_procs(vec![2, 0, u32::MAX]);
-        let job = |tasks: &Arc<TaskGraph>, mapping: Vec<u32>, pending| ResidentJob {
+        let job = |tasks: &Arc<TaskGraph>, mapping: Vec<u32>| ResidentJob {
             tasks: Arc::clone(tasks),
             mapping,
             drift: RemapDrift {
@@ -360,20 +359,15 @@ mod tests {
                 wh_delta_total: f64::NAN,
                 wh_last: -1.5,
             },
-            pending,
             supervisor: Supervisor::restored(7),
             scratch: MapperScratch::new(),
         };
-        let pending = Some(PendingRepair {
-            attempts: u32::MAX,
-            next_due_ns: 0,
-        });
         for job in [
             None,
-            Some(job(&empty, vec![], None)),
-            Some(job(&odd, vec![u32::MAX, 40, 0], pending)),
+            Some(job(&empty, vec![])),
+            Some(job(&odd, vec![u32::MAX, 40, 0])),
             // A mapping whose length is not the task count.
-            Some(job(&odd, vec![1], None)),
+            Some(job(&odd, vec![1])),
         ] {
             let st = SharedState {
                 machine: machine.clone(),

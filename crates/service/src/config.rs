@@ -1,5 +1,5 @@
 //! Service configuration: admission, deadlines, supervision and
-//! durability, plus the fixed retry policy.
+//! durability.
 
 use std::path::PathBuf;
 
@@ -39,27 +39,6 @@ impl DurabilityConfig {
             crash: None,
         }
     }
-}
-
-/// Repair attempts before an infeasible repair surfaces a typed
-/// [`ServiceError::RepairExhausted`](crate::ServiceError::RepairExhausted)
-/// (never a panic). Capacity-restoring events (`NodesAdded`) still
-/// re-arm the repair afterwards.
-pub const RETRY_MAX_ATTEMPTS: u32 = 8;
-
-/// Backoff before the first timed retry: 1 ms.
-const RETRY_BASE_BACKOFF_NS: u64 = 1_000_000;
-
-/// Backoff cap: 100 ms.
-const RETRY_MAX_BACKOFF_NS: u64 = 100_000_000;
-
-/// Backoff before retry attempt `attempt` (1-based), doubling from the
-/// base and saturating at the cap.
-pub(crate) fn retry_backoff_ns(attempt: u32) -> u64 {
-    let shift = attempt.saturating_sub(1).min(32);
-    RETRY_BASE_BACKOFF_NS
-        .saturating_mul(1u64 << shift)
-        .min(RETRY_MAX_BACKOFF_NS)
 }
 
 /// Churn-drift supervisor policy: how often to compare the live
@@ -112,20 +91,5 @@ impl Default for ServiceConfig {
             supervisor: SupervisorPolicy::default(),
             durability: None,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backoff_doubles_and_saturates() {
-        assert_eq!(retry_backoff_ns(1), 1_000_000);
-        assert_eq!(retry_backoff_ns(2), 2_000_000);
-        assert_eq!(retry_backoff_ns(3), 4_000_000);
-        assert_eq!(retry_backoff_ns(7), 64_000_000);
-        assert_eq!(retry_backoff_ns(8), 100_000_000); // capped
-        assert_eq!(retry_backoff_ns(64), 100_000_000); // shift clamped, no overflow
     }
 }

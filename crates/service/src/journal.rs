@@ -2,8 +2,7 @@
 //! plus periodic checksummed snapshots (DESIGN.md §18).
 //!
 //! Every state *mutation* the service performs — job install, churn
-//! application, retry of a pending repair, supervisor polish — is
-//! appended to an on-disk journal **before** the in-memory state is
+//! application, supervisor polish — is appended to an on-disk journal **before** the in-memory state is
 //! touched, while the state write lock is held, so the journal's frame
 //! order is exactly the execution order. Map requests (the read-locked
 //! hot path) never touch the journal: durability costs land only on
@@ -44,7 +43,9 @@ pub(crate) const JOURNAL_MAGIC: &[u8; 8] = b"UMPAJNL\0";
 /// Snapshot file magic (8 bytes) followed by a `u32` format version.
 pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"UMPASNP\0";
 /// Current on-disk format version (journal and snapshot move together).
-pub(crate) const FORMAT_VERSION: u32 = 1;
+/// Version 2 dropped version 1's retry record and the snapshot's
+/// pending-repair field; a version-1 file is refused, not misread.
+pub(crate) const FORMAT_VERSION: u32 = 2;
 /// Bytes of the journal's `(magic, version)` header.
 pub(crate) const HEADER_LEN: u64 = 12;
 /// Frames whose declared payload exceeds this are torn/corrupt by fiat
@@ -265,15 +266,13 @@ pub(crate) enum JournalRecord<'a> {
     Install(Arc<TaskGraph>),
     /// `apply_churn`: one accepted churn batch.
     Churn(Cow<'a, [ChurnEvent]>),
-    /// A retry of the pending infeasible repair actually executed.
-    Retry,
     /// A forced supervisor pass (`polish_now`).
     Polish,
 }
 
 const REC_INSTALL: u8 = 0;
 const REC_CHURN: u8 = 1;
-const REC_RETRY: u8 = 2;
+// Tag 2 was version 1's retry record; it decodes as unknown.
 const REC_POLISH: u8 = 3;
 
 impl Wire for JournalRecord<'_> {
@@ -287,7 +286,6 @@ impl Wire for JournalRecord<'_> {
                 REC_CHURN.put(out);
                 events.put(out);
             }
-            JournalRecord::Retry => REC_RETRY.put(out),
             JournalRecord::Polish => REC_POLISH.put(out),
         }
     }
@@ -296,7 +294,6 @@ impl Wire for JournalRecord<'_> {
         Some(match u8::take(bytes)? {
             REC_INSTALL => JournalRecord::Install(Wire::take(bytes)?),
             REC_CHURN => JournalRecord::Churn(Wire::take(bytes)?),
-            REC_RETRY => JournalRecord::Retry,
             REC_POLISH => JournalRecord::Polish,
             _ => return None,
         })
@@ -657,7 +654,6 @@ mod tests {
         let records = [
             JournalRecord::Install(Arc::new(tasks)),
             JournalRecord::Churn(Cow::Borrowed(&events)),
-            JournalRecord::Retry,
             JournalRecord::Polish,
         ];
         for rec in &records {
@@ -666,11 +662,13 @@ mod tests {
             assert_eq!(decoded.to_bytes(), bytes, "{rec:?}");
         }
         // Trailing garbage inside a frame is a decode failure.
-        let mut buf = JournalRecord::Retry.to_bytes();
+        let mut buf = JournalRecord::Polish.to_bytes();
         buf.push(0);
         assert!(JournalRecord::from_bytes(&buf).is_none());
         assert!(JournalRecord::from_bytes(&[]).is_none());
         assert!(JournalRecord::from_bytes(&[99]).is_none());
+        // The retired retry tag is unknown.
+        assert!(JournalRecord::from_bytes(&[2]).is_none());
     }
 
     #[test]

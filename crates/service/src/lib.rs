@@ -20,15 +20,16 @@
 //!   overload degrades quality instead of latency. Panicking requests
 //!   are isolated with `catch_unwind` and answered with a typed
 //!   [`ServiceError::Panicked`].
-//! * **Churn repair with bounded retry and a drift supervisor** —
-//!   churn events repair the resident job via `remap_incremental`;
-//!   transient `Infeasible` outcomes are retried on a bounded
-//!   exponential backoff (converging when `NodesAdded` restores
-//!   capacity, surfacing [`ServiceError::RepairExhausted`] after the
-//!   budget — never a panic), and a supervisor tracks the live
-//!   mapping's WH drift against a periodically refreshed from-scratch
-//!   baseline, polishing (or adopting the baseline) when drift
-//!   crosses the bound.
+//! * **Churn repair on events and a drift supervisor** — every churn
+//!   batch repairs the resident job via `remap_incremental`. An
+//!   `Infeasible` outcome reports its unplaced tasks in the
+//!   [`RepairReport`] (never a panic); they stay unplaced until a
+//!   later batch's repair places them, which converges once
+//!   `NodesAdded` restores capacity. Nothing retries on a timer: a
+//!   repair of unchanged state fails again. A supervisor tracks the
+//!   live mapping's WH drift against a periodically refreshed
+//!   from-scratch baseline, polishing (or adopting the baseline) when
+//!   drift crosses the bound.
 //!
 //! A fourth layer makes the state crash-safe: every accepted mutation
 //! is written ahead to an on-disk journal with in-tree CRC32 framing,

@@ -8,8 +8,7 @@
 //! any torn or corrupt journal tail in place, and replays the
 //! surviving frame suffix through the same engine entry points an
 //! uninterrupted run uses (`install` → from-scratch map, `churn` →
-//! `remap_incremental`, `retry`/`polish` → the identical write-lock
-//! paths). Because every replayed step is deterministic — CSR rebuild
+//! `remap_incremental`, `polish` → the identical write-lock path). Because every replayed step is deterministic — CSR rebuild
 //! is a bit-exact fixed point, repair is scratch-warmth-independent,
 //! and the supervisor baseline is a pure function of the fault state
 //! it is keyed on — the recovered resident job is **bit-identical**
@@ -44,9 +43,7 @@ use crate::journal::{
     self, create_journal, journal_path, read_snapshot, scan_journal, snapshot_old_path,
     snapshot_path, Durability, JournalRecord, SnapshotRead, HEADER_LEN,
 };
-use crate::service::{
-    first_invalid_event, MappingService, PendingRepair, ResidentJob, SharedState,
-};
+use crate::service::{first_invalid_event, MappingService, ResidentJob, SharedState};
 use crate::supervisor::Supervisor;
 
 /// Why recovery could not complete. Torn tails and corrupt snapshots
@@ -193,13 +190,11 @@ struct SnapshotJob<'a> {
     tasks: Arc<TaskGraph>,
     mapping: PerTask<'a, u32>,
     drift: RemapDrift,
-    /// Attempts of a pending repair.
-    pending: Option<u32>,
     repairs_since_check: u32,
 }
 
 wire_struct! { Snapshot<'a> { covers_seq, fault, alloc_nodes, alloc_procs, job } }
-wire_struct! { SnapshotJob<'a> { tasks, mapping, drift, pending, repairs_since_check } }
+wire_struct! { SnapshotJob<'a> { tasks, mapping, drift, repairs_since_check } }
 
 impl<'a> Snapshot<'a> {
     /// The snapshot of `st` after the frame numbered `covers_seq`.
@@ -213,7 +208,6 @@ impl<'a> Snapshot<'a> {
                 tasks: Arc::clone(&job.tasks),
                 mapping: PerTask(Cow::Borrowed(&job.mapping)),
                 drift: job.drift,
-                pending: job.pending.map(|p| p.attempts),
                 repairs_since_check: job.supervisor.repairs_since_check(),
             }),
         }
@@ -231,9 +225,9 @@ impl<'a> Snapshot<'a> {
     /// count, which `NodesAdded` grants. A resident job's values must
     /// pass [`check_job_values`], its drift must be finite, and every
     /// placed task must sit on an allocated node whose load [`fits`]
-    /// its processors. Unplaced tasks (`u32::MAX`) are allowed: they
-    /// are a pending repair, whose total weight may exceed the
-    /// allocation.
+    /// its processors. Unplaced tasks (`u32::MAX`) are allowed: an
+    /// infeasible repair left them, and the job's total weight may
+    /// then exceed the allocation.
     fn is_valid_for(&self, machine: &Machine, genesis: &Allocation) -> bool {
         if self.alloc_procs.len() != self.alloc_nodes.len() {
             return false;
@@ -286,12 +280,6 @@ fn restore_job(job: SnapshotJob<'_>) -> ResidentJob {
         tasks: job.tasks,
         mapping: job.mapping.0.into_owned(),
         drift: job.drift,
-        pending: job.pending.map(|attempts| PendingRepair {
-            attempts,
-            // The pre-crash deadline is meaningless on the new clock:
-            // an armed pending repair is due immediately.
-            next_due_ns: 0,
-        }),
         supervisor: Supervisor::restored(job.repairs_since_check),
         scratch: MapperScratch::new(),
     }
@@ -424,19 +412,16 @@ impl MappingService {
         }
         report.last_seq = last_seq;
 
-        // 4. Assemble the inner state (no workers yet — a timed retry
-        //    racing the replay would fork history) and re-run the
-        //    suffix through the real operation paths. The journal stays
-        //    detached during replay so nothing is re-journaled.
+        // 4. Assemble the inner state (no workers or admission yet)
+        //    and re-run the suffix through the real operation paths.
+        //    The journal stays detached during replay so nothing is
+        //    re-journaled.
         let inner = Self::build_inner(machine, alloc, cfg, ServiceClock::monotonic());
         {
             let mut st = inner.write_state();
             st.job = restored;
             if let Some(job) = &st.job {
                 inner.mirror_drift(&job.drift);
-                if job.pending.is_some() {
-                    inner.pending_due_ns.store(0, Ordering::Release);
-                }
             }
         }
         for (seq, rec) in replay {
@@ -448,9 +433,6 @@ impl MappingService {
                 }
                 JournalRecord::Churn(events) => {
                     inner.apply_churn(&events);
-                }
-                JournalRecord::Retry => {
-                    inner.retry_pending(true);
                 }
                 JournalRecord::Polish => {
                     inner.polish_now();

@@ -96,15 +96,6 @@ pub enum ServiceError {
     Panicked,
     /// The service shut down before replying.
     Disconnected,
-    /// Incremental repair stayed infeasible through the whole retry
-    /// budget; the listed tasks remain unplaced until capacity
-    /// returns (a later `NodesAdded` re-arms the repair).
-    RepairExhausted {
-        /// Tasks still unplaced.
-        unplaced: usize,
-        /// Retry attempts consumed.
-        attempts: u32,
-    },
     /// A churn batch was refused whole, before any journal write or
     /// mutation, because one of its events does not fit the machine.
     InvalidEvent {
@@ -126,10 +117,6 @@ impl fmt::Display for ServiceError {
         match self {
             ServiceError::Panicked => write!(f, "request panicked in worker (isolated)"),
             ServiceError::Disconnected => write!(f, "service shut down before reply"),
-            ServiceError::RepairExhausted { unplaced, attempts } => write!(
-                f,
-                "repair still infeasible after {attempts} attempts ({unplaced} tasks unplaced)"
-            ),
             ServiceError::InvalidEvent { index, reason } => {
                 write!(f, "churn batch refused: event {index}: {reason}")
             }
@@ -177,7 +164,11 @@ pub struct RepairReport {
     pub fully_placed: bool,
     /// Tasks displaced by this repair.
     pub displaced: usize,
-    /// Tasks still unplaced (pending retry) after this call.
+    /// Tasks unplaced after this call, because the repair found no
+    /// room for them. Nothing retries them on a timer: a repair of
+    /// unchanged state fails again. Every later `apply_churn` repairs
+    /// them along with its batch, so they are placed once an event
+    /// (`NodesAdded`) brings the capacity back.
     pub unplaced: usize,
     /// Whether the drift supervisor ran its check during this call.
     pub drift_checked: bool,
@@ -186,9 +177,9 @@ pub struct RepairReport {
     /// Whether the supervisor replaced the live mapping with the
     /// from-scratch baseline (polish alone could not close the gap).
     pub adopted_baseline: bool,
-    /// Terminal retry failure, if the retry budget ran out; or
     /// [`ServiceError::InvalidEvent`] for a refused churn batch, whose
-    /// report is otherwise the default (nothing was applied).
+    /// report is otherwise the default (nothing was applied). An
+    /// infeasible repair is not an error: it reports `unplaced`.
     pub error: Option<ServiceError>,
 }
 

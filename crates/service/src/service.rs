@@ -1,10 +1,10 @@
 //! The long-running [`MappingService`]: shared state, bounded
-//! admission, churn repair with bounded-backoff retry, and the drift
-//! supervisor's trigger points.
+//! admission, churn repair on events, and the drift supervisor's
+//! trigger points.
 //!
 //! Concurrency shape: one `RwLock` around the machine/allocation/job
 //! state. Map requests are read-locked (many in flight at once, they
-//! never mutate); churn repair, retries and supervisor polish are
+//! never mutate); churn repair and supervisor polish are
 //! write-locked. Admission is a bounded `sync_channel` plus an atomic
 //! depth counter — `try_send` full means the caller gets
 //! [`Submit::Rejected`] with the observed depth, never an unbounded
@@ -13,7 +13,7 @@
 //! wedge the service.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
@@ -28,7 +28,7 @@ use umpa_topology::{Allocation, Machine};
 
 use crate::clock::ServiceClock;
 use crate::codec::Wire;
-use crate::config::{retry_backoff_ns, ServiceConfig, RETRY_MAX_ATTEMPTS};
+use crate::config::ServiceConfig;
 use crate::journal::{Durability, JournalRecord};
 use crate::ladder::{CostModel, LadderRung};
 use crate::recovery::Snapshot;
@@ -37,22 +37,12 @@ use crate::stats::{ServiceStats, StatsSnapshot};
 use crate::supervisor::{PolishOutcome, Supervisor};
 use crate::worker;
 
-/// An infeasible repair awaiting capacity: retried on a bounded
-/// exponential backoff by idle workers, and immediately by any later
-/// churn application.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PendingRepair {
-    pub attempts: u32,
-    pub next_due_ns: u64,
-}
-
 /// The resident application whose live mapping the service repairs
 /// through churn.
 pub(crate) struct ResidentJob {
     pub tasks: Arc<TaskGraph>,
     pub mapping: Vec<u32>,
     pub drift: RemapDrift,
-    pub pending: Option<PendingRepair>,
     pub supervisor: Supervisor,
     /// Warm scratch for repairs/polish; lives under the write lock.
     pub scratch: MapperScratch,
@@ -77,10 +67,6 @@ pub(crate) struct ServiceInner {
     pub state: RwLock<SharedState>,
     /// Current admission-queue depth.
     pub depth: AtomicUsize,
-    /// When the pending repair's next timed retry is due
-    /// (`u64::MAX` = no timed retry scheduled) — lets idle workers
-    /// check without touching the lock.
-    pub pending_due_ns: AtomicU64,
     pub costs: CostModel,
     pub stats: ServiceStats,
     /// Write-ahead durability sink (DESIGN.md §18); `None` while
@@ -169,10 +155,12 @@ impl ServiceInner {
         report.adopted_baseline = out.adopted;
     }
 
-    /// Applies churn events and repairs the resident job. Always
-    /// attempts the repair (even past the retry budget): new events
-    /// may have restored capacity, which is exactly how an exhausted
-    /// repair converges. A batch with an event that does not fit the
+    /// Applies churn events and repairs the resident job. Every batch
+    /// attempts the repair, so tasks an earlier infeasible repair left
+    /// unplaced are placed as soon as an event (`NodesAdded`) brings
+    /// the capacity back. Nothing else re-tries them: only an event
+    /// changes the machine or the allocation, and a repair of unchanged
+    /// state fails again. A batch with an event that does not fit the
     /// machine is refused whole before the journal append:
     /// `applied_events: 0` and [`ServiceError::InvalidEvent`].
     pub(crate) fn apply_churn(&self, events: &[ChurnEvent]) -> RepairReport {
@@ -199,10 +187,6 @@ impl ServiceInner {
             self.maybe_snapshot(st);
             return report;
         };
-        let was_pending = job.pending.is_some();
-        if was_pending {
-            self.stats.retries.fetch_add(1, Ordering::AcqRel);
-        }
         let outcome = remap_incremental(
             &job.tasks,
             machine,
@@ -212,86 +196,8 @@ impl ServiceInner {
             &self.remap,
             &mut job.scratch,
         );
-        self.settle_repair(machine, alloc, job, outcome, &mut report);
-        self.maybe_snapshot(st);
-        report
-    }
-
-    /// Retries a pending infeasible repair if its backoff elapsed
-    /// (`force` skips the due/attempt gate — the `retry_now` test
-    /// hook). Returns `None` when there was nothing to do.
-    pub(crate) fn retry_pending(&self, force: bool) -> Option<RepairReport> {
-        let now = self.clock.now_ns();
-        if !force && self.pending_due_ns.load(Ordering::Acquire) > now {
-            return None;
-        }
-        let mut st = self.write_state();
-        {
-            let job = st.job.as_mut()?;
-            let due = match &job.pending {
-                Some(p) if force => Some(*p),
-                Some(p) if p.attempts < RETRY_MAX_ATTEMPTS && p.next_due_ns <= now => Some(*p),
-                _ => None,
-            };
-            due?;
-        }
-        // The retry will run: journal it so replay re-executes it at
-        // the same point in the op sequence.
-        self.journal_append(&JournalRecord::Retry);
-        let SharedState {
-            machine,
-            alloc,
-            job,
-        } = &mut *st;
-        let job = job.as_mut()?;
-        self.stats.retries.fetch_add(1, Ordering::AcqRel);
-        let mut report = RepairReport::default();
-        let outcome = remap_incremental(
-            &job.tasks,
-            machine,
-            alloc,
-            &mut job.mapping,
-            &[],
-            &self.remap,
-            &mut job.scratch,
-        );
-        self.settle_repair(machine, alloc, job, outcome, &mut report);
-        self.maybe_snapshot(st);
-        Some(report)
-    }
-
-    /// Publishes the resident job's cumulative drift into the atomic
-    /// stats mirror (readable without the state lock).
-    pub(crate) fn mirror_drift(&self, drift: &RemapDrift) {
-        self.stats
-            .drift_repairs
-            .store(drift.repairs, Ordering::Release);
-        self.stats
-            .drift_displaced_total
-            .store(drift.displaced_total, Ordering::Release);
-        self.stats
-            .drift_wh_delta_bits
-            .store(drift.wh_delta_total.to_bits(), Ordering::Release);
-        self.stats
-            .drift_wh_last_bits
-            .store(drift.wh_last.to_bits(), Ordering::Release);
-    }
-
-    /// Common post-repair bookkeeping: drift stats and the supervisor
-    /// on success, backoff scheduling (or the typed exhaustion error)
-    /// on continued infeasibility.
-    fn settle_repair(
-        &self,
-        machine: &mut Machine,
-        alloc: &mut Allocation,
-        job: &mut ResidentJob,
-        outcome: RemapOutcome,
-        report: &mut RepairReport,
-    ) {
         match outcome {
             RemapOutcome::Repaired(stats) => {
-                job.pending = None;
-                self.pending_due_ns.store(u64::MAX, Ordering::Release);
                 job.drift.note(&stats);
                 self.stats.repairs.fetch_add(1, Ordering::AcqRel);
                 self.mirror_drift(&job.drift);
@@ -314,36 +220,32 @@ impl ServiceInner {
                     scratch,
                     false,
                 );
-                self.note_polish(&polish, report);
+                self.note_polish(&polish, &mut report);
             }
             RemapOutcome::Infeasible { unplaced } => {
                 self.stats.infeasible.fetch_add(1, Ordering::AcqRel);
-                report.fully_placed = false;
                 report.unplaced = unplaced.len();
-                let pending = job.pending.get_or_insert(PendingRepair {
-                    attempts: 0,
-                    next_due_ns: 0,
-                });
-                pending.attempts += 1;
-                if pending.attempts >= RETRY_MAX_ATTEMPTS {
-                    // Typed give-up: timed retries stop, but any later
-                    // capacity-restoring event still re-attempts.
-                    self.stats.retry_exhausted.fetch_add(1, Ordering::AcqRel);
-                    self.pending_due_ns.store(u64::MAX, Ordering::Release);
-                    report.error = Some(ServiceError::RepairExhausted {
-                        unplaced: unplaced.len(),
-                        attempts: pending.attempts,
-                    });
-                } else {
-                    let due = self
-                        .clock
-                        .now_ns()
-                        .saturating_add(retry_backoff_ns(pending.attempts));
-                    pending.next_due_ns = due;
-                    self.pending_due_ns.store(due, Ordering::Release);
-                }
             }
         }
+        self.maybe_snapshot(st);
+        report
+    }
+
+    /// Publishes the resident job's cumulative drift into the atomic
+    /// stats mirror (readable without the state lock).
+    pub(crate) fn mirror_drift(&self, drift: &RemapDrift) {
+        self.stats
+            .drift_repairs
+            .store(drift.repairs, Ordering::Release);
+        self.stats
+            .drift_displaced_total
+            .store(drift.displaced_total, Ordering::Release);
+        self.stats
+            .drift_wh_delta_bits
+            .store(drift.wh_delta_total.to_bits(), Ordering::Release);
+        self.stats
+            .drift_wh_last_bits
+            .store(drift.wh_last.to_bits(), Ordering::Release);
     }
 
     /// Installs (or replaces) the resident job; the write-lock core of
@@ -369,11 +271,9 @@ impl ServiceInner {
             tasks,
             mapping: outcome.fine_mapping,
             drift: RemapDrift::default(),
-            pending: None,
             supervisor: Supervisor::default(),
             scratch,
         });
-        self.pending_due_ns.store(u64::MAX, Ordering::Release);
         self.maybe_snapshot(st);
         Ok(wh)
     }
@@ -485,8 +385,8 @@ impl MappingService {
 
     /// Builds the shared inner state with no workers, no admission
     /// channel and no journal attached — the common base of
-    /// [`MappingService::with_clock`] and crash recovery (which must
-    /// replay the journal before any worker can race a timed retry).
+    /// [`MappingService::with_clock`] and crash recovery (which replays
+    /// the journal before the service opens for requests).
     pub(crate) fn build_inner(
         machine: Machine,
         alloc: Allocation,
@@ -504,7 +404,6 @@ impl MappingService {
                 job: None,
             }),
             depth: AtomicUsize::new(0),
-            pending_due_ns: AtomicU64::new(u64::MAX),
             costs: CostModel::seeded(),
             stats: ServiceStats::default(),
             journal: Mutex::new(None),
@@ -601,12 +500,6 @@ impl MappingService {
     /// [`ServiceError::InvalidEvent`] naming the first such event.
     pub fn apply_churn(&self, events: &[ChurnEvent]) -> RepairReport {
         self.inner.apply_churn(events)
-    }
-
-    /// Forces an immediate retry of a pending infeasible repair,
-    /// ignoring the backoff gate. `None` when nothing is pending.
-    pub fn retry_now(&self) -> Option<RepairReport> {
-        self.inner.retry_pending(true)
     }
 
     /// Forces a drift-supervisor pass on the resident job regardless

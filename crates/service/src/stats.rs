@@ -14,8 +14,6 @@ pub(crate) struct ServiceStats {
     pub panics: AtomicU64,
     pub repairs: AtomicU64,
     pub infeasible: AtomicU64,
-    pub retries: AtomicU64,
-    pub retry_exhausted: AtomicU64,
     pub drift_checks: AtomicU64,
     pub polishes: AtomicU64,
     pub baseline_adoptions: AtomicU64,
@@ -54,8 +52,6 @@ impl ServiceStats {
             panics: load(&self.panics),
             repairs: load(&self.repairs),
             infeasible: load(&self.infeasible),
-            retries: load(&self.retries),
-            retry_exhausted: load(&self.retry_exhausted),
             drift_checks: load(&self.drift_checks),
             polishes: load(&self.polishes),
             baseline_adoptions: load(&self.baseline_adoptions),
@@ -88,12 +84,8 @@ pub struct StatsSnapshot {
     pub panics: u64,
     /// Successful incremental repairs of the resident job.
     pub repairs: u64,
-    /// Repairs that came back infeasible (entered the retry path).
+    /// Repairs that came back infeasible, leaving tasks unplaced.
     pub infeasible: u64,
-    /// Retry attempts performed for infeasible repairs.
-    pub retries: u64,
-    /// Retry budgets exhausted (typed error surfaced).
-    pub retry_exhausted: u64,
     /// Drift-supervisor checks run.
     pub drift_checks: u64,
     /// Supervisor polish passes (WH ± congestion) on the live mapping.

@@ -88,7 +88,7 @@ fn main() {
 
     let mut lat_us: Vec<f64> = Vec::new();
     let mut pending: Vec<MapTicket> = Vec::new();
-    let mut repair_errors = 0usize;
+    let mut refused = 0usize;
     let (mut reqs, mut churns) = (0usize, 0usize);
     for ev in &stream {
         // Pace arrivals, yielding the core to the workers.
@@ -101,7 +101,7 @@ fn main() {
                 churns += 1;
                 let report = svc.apply_churn(std::slice::from_ref(event));
                 if report.error.is_some() {
-                    repair_errors += 1;
+                    refused += 1;
                 }
             }
             LoadEvent::Request { tasks, seed, .. } => {
@@ -127,10 +127,8 @@ fn main() {
         }
     }
 
-    // 4. Settle any pending repair and force one supervisor pass, then
-    //    compare the live mapping against mapping the *final* machine
-    //    state from scratch.
-    svc.retry_now();
+    // 4. Force one supervisor pass, then compare the live mapping
+    //    against mapping the *final* machine state from scratch.
     svc.polish_now();
     let live_wh = svc.live_wh();
     let scratch_wh = svc.with_state(|m, a| {
@@ -188,8 +186,8 @@ fn main() {
         rungs[3].0
     );
     println!(
-        "churn: {} events, {} repairs, {} infeasible ({} retries, {} exhausted, {} typed errors)",
-        churns, snap.repairs, snap.infeasible, snap.retries, snap.retry_exhausted, repair_errors
+        "churn: {} events, {} repairs, {} infeasible, {} batches refused",
+        churns, snap.repairs, snap.infeasible, refused
     );
     println!(
         "supervisor: {} drift checks, {} polishes, {} baseline adoptions",

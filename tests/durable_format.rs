@@ -15,13 +15,16 @@
 //! by one bit fails here with the new figures printed; a journal or
 //! snapshot written before such a change would no longer recover.
 //! Recovering the directory must then give back the live mapping.
+//!
+//! The files are at format version 2; a journal written at version 1,
+//! which held a retry record type, is refused whole.
 
 use std::sync::Arc;
 
 use umpa::core::ChurnEvent;
 use umpa::graph::TaskGraph;
 use umpa::matgen::churn::{churn_sequence, ChurnSpec};
-use umpa::service::{DurabilityConfig, MappingService, ServiceConfig};
+use umpa::service::{DurabilityConfig, MappingService, RecoveryError, ServiceConfig};
 use umpa::topology::{AllocSpec, Allocation, MachineConfig};
 
 /// 64-bit FNV-1a over bytes.
@@ -105,9 +108,9 @@ fn durable_bytes_are_pinned() {
         })
         .collect();
     let want: [(&str, usize, u64); 3] = [
-        ("journal.bin", 2301, 0xd09d_c577_189d_4cb2),
-        ("snapshot.bin", 2190, 0xc2ca_5db2_5e20_f4b9),
-        ("snapshot.old.bin", 2198, 0x626a_14c8_5b0d_bc9a),
+        ("journal.bin", 2301, 0xe694_2618_cf85_552b),
+        ("snapshot.bin", 2185, 0x016e_0f11_91c0_e5ac),
+        ("snapshot.old.bin", 2193, 0xb96e_a984_57ce_ec48),
     ];
     if got != want {
         for (name, len, digest) in &got {
@@ -120,5 +123,35 @@ fn durable_bytes_are_pinned() {
     assert_eq!(recovery.last_seq, events.len() as u64 + 3);
     assert_eq!(recovered.live_mapping(), Some(live));
     drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journal whose header carries format version 1 is refused with
+/// `RecoveryError::ForeignJournal`, before any frame is read: its
+/// records may include a type version 2 no longer has.
+#[test]
+fn version_1_journal_is_refused() {
+    let machine = MachineConfig::small(&[4, 4, 4], 2, 2).build();
+    let alloc = Allocation::generate(&machine, &AllocSpec::sparse(24, 7));
+    let dir = std::env::temp_dir().join(format!("umpa-durable-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServiceConfig {
+        workers: 0,
+        durability: Some(DurabilityConfig::new(&dir)),
+        ..ServiceConfig::default()
+    };
+    let service = MappingService::new(machine.clone(), alloc.clone(), cfg.clone());
+    service.install_job(Arc::new(job())).expect("job fits");
+    drop(service);
+
+    let path = dir.join("journal.bin");
+    let mut bytes = std::fs::read(&path).expect("journal exists");
+    assert_eq!(&bytes[..12], b"UMPAJNL\0\x02\0\0\0", "a version-2 header");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write journal");
+    assert!(matches!(
+        MappingService::recover(machine, alloc, cfg),
+        Err(RecoveryError::ForeignJournal)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
 }

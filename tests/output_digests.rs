@@ -24,7 +24,6 @@ use umpa::core::{
     map_multilevel_with, map_tasks_with, ChurnEvent, MapperKind, MapperScratch, PipelineConfig,
 };
 use umpa::graph::TaskGraph;
-use umpa::service::clock::ServiceClock;
 use umpa::service::{MappingService, RepairReport, ServiceConfig};
 use umpa::topology::{
     AllocSpec, Allocation, DragonflyConfig, FatTreeConfig, Machine, MachineConfig,
@@ -186,12 +185,11 @@ fn service_repairs_are_pinned() {
         // Three quarters full: single failures stay repairable, losing
         // half the nodes does not.
         let tasks = Arc::new(task_graph(alloc.total_procs() * 3 / 4, 1.0, false));
-        let (clock, _handle) = ServiceClock::manual();
         let cfg = ServiceConfig {
             workers: 0,
             ..ServiceConfig::default()
         };
-        let service = MappingService::with_clock(machine, alloc, cfg, clock);
+        let service = MappingService::new(machine, alloc, cfg);
         let mut h = Fnv::new();
         h.f64(service.install_job(Arc::clone(&tasks)).expect("job fits"));
 

@@ -406,31 +406,38 @@ fn snapshot_with_a_foreign_processor_count_falls_back() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Retry and polish mutations are journaled and replayed through the
-/// same paths, so a history containing infeasible repairs, forced
-/// retries, capacity restoration and an explicit polish recovers
-/// bit-identically — including across a snapshot boundary mid-stream.
+/// An infeasible shrink, an event that brings no capacity back, the
+/// `NodesAdded` that converges the repair and a forced polish are
+/// journaled and replayed through the same paths. The snapshot lands
+/// while tasks are unplaced, so recovery restores that state and
+/// replays the convergence and the polish from the journal, and the
+/// result is bit-identical to an uninterrupted run.
 #[test]
-fn retry_and_polish_frames_replay_bit_identical() {
+fn infeasible_shrink_and_polish_replay_bit_identical() {
     let machine = FatTreeConfig::small(4, 2, 1).build();
     let alloc = Allocation::generate(&machine, &AllocSpec::sparse(6, 3));
     let graph = Arc::new(task_graph(6, 2));
     let doomed: Vec<u32> = alloc.nodes()[..2].to_vec();
-    let dir = fresh_dir("retry");
+    let dir = fresh_dir("infeasible");
 
     let drive = |service: &MappingService| {
         service.install_job(Arc::clone(&graph)).expect("job fits");
-        // Shrink below capacity: repair goes Infeasible, pending arms.
-        service.apply_churn(&[ChurnEvent::NodesRemoved {
+        // Shrink below capacity: the repair leaves tasks unplaced.
+        let report = service.apply_churn(&[ChurnEvent::NodesRemoved {
             nodes: doomed.clone(),
         }]);
-        // Forced retry while still infeasible (journals a retry frame).
-        service.retry_now();
-        // Capacity back; the forced retry now succeeds.
-        service.apply_churn(&[ChurnEvent::NodesAdded {
+        assert!(report.unplaced > 0, "the shrink must be infeasible");
+        // No capacity back: still unplaced (frame 3, then a snapshot).
+        let report = service.apply_churn(&[ChurnEvent::LinkDegraded {
+            link: 1,
+            factor: 0.5,
+        }]);
+        assert!(report.unplaced > 0);
+        // Capacity back: this batch's repair places them.
+        let report = service.apply_churn(&[ChurnEvent::NodesAdded {
             nodes: doomed.clone(),
         }]);
-        service.retry_now();
+        assert!(report.fully_placed);
         // Explicit polish (journals a polish frame).
         service.polish_now();
     };
@@ -443,6 +450,9 @@ fn retry_and_polish_frames_replay_bit_identical() {
         MappingService::recover(machine.clone(), alloc.clone(), durable_cfg(&dir, 3, None))
             .expect("recovery");
     assert!(report.had_job);
+    assert_eq!(report.snapshot_source, SnapshotSource::Primary);
+    assert_eq!(report.snapshot_seq, 3);
+    assert_eq!(report.frames_replayed, 2);
     let reference = MappingService::new(machine.clone(), alloc.clone(), plain_cfg());
     drive(&reference);
     assert_eq!(digest(&recovered), digest(&reference));

@@ -9,10 +9,10 @@
 //!   degrades quality instead), queue depth never exceeds the
 //!   configured bound, and overload shows up as explicit
 //!   `Submit::Rejected`;
-//! * **isolate, don't crash** — infeasible repairs retry on a bounded
-//!   backoff and surface `ServiceError::RepairExhausted`, and a job
-//!   that fails the job check gets a typed `ServiceError::InvalidJob`,
-//!   never a panic (the poisoned-request, poisoned-lock and
+//! * **isolate, don't crash** — an infeasible repair reports its
+//!   unplaced tasks, keeps them through unrelated events and places
+//!   them once capacity returns, and a job that fails the job check
+//!   gets a typed `ServiceError::InvalidJob`, never a panic (the poisoned-request, poisoned-lock and
 //!   closed-intake cases need test hooks, so they are `umpa-service`'s
 //!   own unit tests);
 //! * **supervise drift** — after a 500+-event churn+load stream, the
@@ -26,7 +26,6 @@ use umpa::core::{greedy_map_into, wh_refine_scratch, ChurnEvent, MapperKind, Map
 use umpa::graph::TaskGraph;
 use umpa::matgen::churn::{load_sequence, ChurnSpec, LoadEvent, LoadSpec};
 use umpa::service::clock::ServiceClock;
-use umpa::service::config::RETRY_MAX_ATTEMPTS;
 use umpa::service::{
     LadderRung, MapJob, MappingService, ServiceConfig, ServiceError, Submit, SupervisorPolicy,
 };
@@ -155,18 +154,13 @@ fn soak_500_events_sheds_survives_and_bounds_drift() {
         assert!(reply.mapping.iter().all(|&n| n != u32::MAX));
     }
 
-    // Transient infeasibility is allowed; exhaustion is not (the churn
-    // generator caps removals so capacity always suffices).
+    // The generator's events all fit the machine, so no batch is
+    // refused (an infeasible repair reports unplaced tasks, not an
+    // error).
     assert!(
         repair_errors.is_empty(),
-        "unexpected terminal repair errors: {repair_errors:?}"
+        "unexpected refused churn batches: {repair_errors:?}"
     );
-    if service
-        .live_mapping()
-        .is_some_and(|m| m.contains(&u32::MAX))
-    {
-        service.retry_now();
-    }
 
     // Drift bound: after a forced supervisor pass, live WH is within
     // 15 % of mapping the final machine state from scratch.
@@ -235,52 +229,54 @@ fn backpressure_rejects_with_observed_depth_when_queue_fills() {
 }
 
 #[test]
-fn infeasible_repair_retries_exhausts_typed_then_converges_on_capacity() {
+fn infeasible_repair_reports_unplaced_tasks_until_capacity_returns() {
     let machine = MachineConfig::small(&[4, 4], 1, 2).build();
     let alloc = Allocation::generate(&machine, &AllocSpec::sparse(8, 3));
-    let (clock, _handle) = ServiceClock::manual();
     let cfg = ServiceConfig {
-        workers: 0, // retries driven explicitly, deterministic
+        workers: 0,
         ..ServiceConfig::default()
     };
-    let max_attempts = RETRY_MAX_ATTEMPTS;
-    let service = MappingService::with_clock(machine, alloc, cfg, clock);
+    let service = MappingService::new(machine, alloc, cfg);
     // 14 unit tasks on 8 nodes × 2 procs = 16 slots: nearly full.
     service
         .install_job(Arc::new(task_graph(14, 5)))
         .expect("job fits");
+    let unplaced_tasks = || {
+        let mapping = service.live_mapping().expect("job installed");
+        (0..mapping.len())
+            .filter(|&t| mapping[t] == u32::MAX)
+            .collect::<Vec<_>>()
+    };
 
-    // Remove 4 nodes (8 slots): 14 tasks cannot fit 8 slots.
+    // Remove 4 nodes (8 slots): 14 tasks cannot fit 8 slots. The
+    // report names the unplaced tasks; that is not an error.
     let doomed: Vec<u32> = service.with_state(|_, a| a.nodes()[..4].to_vec());
     let report = service.apply_churn(&[ChurnEvent::NodesRemoved {
         nodes: doomed.clone(),
     }]);
     assert!(!report.fully_placed);
     assert!(report.unplaced > 0);
-    assert!(report.error.is_none(), "first attempt is not exhaustion");
+    assert_eq!(report.error, None);
+    let unplaced = unplaced_tasks();
+    assert_eq!(unplaced.len(), report.unplaced);
 
-    // Burn the retry budget: still infeasible, so the typed error
-    // surfaces — never a panic, and the service stays up.
-    let mut last = None;
-    for _ in 0..max_attempts {
-        last = service.retry_now();
-    }
-    let last = last.expect("pending repair must be retryable");
-    assert!(matches!(
-        last.error,
-        Some(ServiceError::RepairExhausted { unplaced, .. }) if unplaced > 0
-    ));
-    let stats = service.stats();
-    assert!(stats.retry_exhausted >= 1);
-    assert!(stats.retries >= u64::from(max_attempts));
+    // An event that brings no capacity back repairs again and leaves
+    // the same tasks unplaced.
+    let report = service.apply_churn(&[ChurnEvent::LinkDegraded {
+        link: 1,
+        factor: 0.5,
+    }]);
+    assert_eq!(report.applied_events, 1);
+    assert!(!report.fully_placed);
+    assert_eq!(report.error, None);
+    assert_eq!(unplaced_tasks(), unplaced);
+    assert_eq!(service.stats().infeasible, 2);
 
-    // Capacity returns: the event-driven attempt converges even after
-    // exhaustion.
+    // Capacity returns: the repair of that batch converges.
     let report = service.apply_churn(&[ChurnEvent::NodesAdded { nodes: doomed }]);
     assert!(report.fully_placed, "NodesAdded must converge the repair");
     assert_eq!(report.unplaced, 0);
-    let mapping = service.live_mapping().expect("job installed");
-    assert!(mapping.iter().all(|&n| n != u32::MAX));
+    assert!(unplaced_tasks().is_empty());
     assert_eq!(service.stats().panics, 0);
 }
 
