@@ -8,10 +8,11 @@
 //! any torn or corrupt journal tail in place, and replays the
 //! surviving frame suffix through the same engine entry points an
 //! uninterrupted run uses (`install` → from-scratch map, `churn` →
-//! `remap_incremental`, `polish` → the identical write-lock path). Because every replayed step is deterministic — CSR rebuild
-//! is a bit-exact fixed point, repair is scratch-warmth-independent,
-//! and the supervisor baseline is a pure function of the fault state
-//! it is keyed on — the recovered resident job is **bit-identical**
+//! `remap_incremental`, `polish` → the identical write-lock path).
+//! Because every replayed step is deterministic — CSR rebuild is a
+//! bit-exact fixed point, repair is scratch-warmth-independent, and
+//! the supervisor baseline is a pure function of the fault state it
+//! is keyed on — the recovered resident job is **bit-identical**
 //! to the uninterrupted run over the surviving operation prefix: same
 //! mapping words, same `RemapDrift` bits, same fault mask.
 //!

@@ -165,10 +165,9 @@ pub struct RepairReport {
     /// Tasks displaced by this repair.
     pub displaced: usize,
     /// Tasks unplaced after this call, because the repair found no
-    /// room for them. Nothing retries them on a timer: a repair of
-    /// unchanged state fails again. Every later `apply_churn` repairs
-    /// them along with its batch, so they are placed once an event
-    /// (`NodesAdded`) brings the capacity back.
+    /// room for them. Every later `apply_churn` repairs them along
+    /// with its batch, so they are placed once an event (`NodesAdded`)
+    /// brings the capacity back.
     pub unplaced: usize,
     /// Whether the drift supervisor ran its check during this call.
     pub drift_checked: bool,
