@@ -124,12 +124,7 @@ pub fn check_job(tg: &TaskGraph, alloc: &Allocation) -> Result<(), &'static str>
         return Err("allocation holds no node");
     }
     check_job_values(tg)?;
-    let largest = alloc
-        .procs_all()
-        .iter()
-        .copied()
-        .max()
-        .map_or(0.0, f64::from);
+    let largest = f64::from(alloc.procs_all().iter().copied().max().unwrap_or(0));
     // Summed in task order, as greedy sums it.
     let mut total_weight = 0.0;
     for t in 0..tg.num_tasks() as u32 {

@@ -2,11 +2,11 @@
 //! plus periodic checksummed snapshots (DESIGN.md §18).
 //!
 //! Every state *mutation* the service performs — job install, churn
-//! application, supervisor polish — is appended to an on-disk journal **before** the in-memory state is
-//! touched, while the state write lock is held, so the journal's frame
-//! order is exactly the execution order. Map requests (the read-locked
-//! hot path) never touch the journal: durability costs land only on
-//! the churn/commit path.
+//! application, supervisor polish — is appended to an on-disk journal
+//! **before** the in-memory state is touched, while the state write
+//! lock is held, so the journal's frame order is exactly the execution
+//! order. Map requests (the read-locked hot path) never touch the
+//! journal: durability costs land only on the churn/commit path.
 //!
 //! Both files are written with the `codec` module's `Wire` encoding: a
 //! 12-byte file header `(magic, version)`, then frames whose head is

@@ -12,9 +12,9 @@
 //! * **isolate, don't crash** — an infeasible repair reports its
 //!   unplaced tasks, keeps them through unrelated events and places
 //!   them once capacity returns, and a job that fails the job check
-//!   gets a typed `ServiceError::InvalidJob`, never a panic (the poisoned-request, poisoned-lock and
-//!   closed-intake cases need test hooks, so they are `umpa-service`'s
-//!   own unit tests);
+//!   gets a typed `ServiceError::InvalidJob`, never a panic (the
+//!   poisoned-request, poisoned-lock and closed-intake cases need test
+//!   hooks, so they are `umpa-service`'s own unit tests);
 //! * **supervise drift** — after a 500+-event churn+load stream, the
 //!   drift supervisor keeps the resident job's live WH within 15 % of
 //!   a from-scratch re-map of the final machine state.
