@@ -166,8 +166,11 @@ pub fn weighted_hops(tg: &TaskGraph, machine: &Machine, mapping: &[u32]) -> f64 
 
 /// Runs Algorithm 1 for every `NBFS` in the config, writes the mapping
 /// with the lowest WH into `out` (ties toward the earlier candidate)
-/// and returns its WH. Allocation-free once `scratch` and `out` are
-/// warm.
+/// and returns its WH. Returns `None`, leaving `out` untouched, when no
+/// candidate places every task: the allocation is too small, or the
+/// placement order strands a task that no node with room left can
+/// hold. A full packing check is bin packing, so this is where a
+/// caller learns it. Allocation-free once `scratch` and `out` are warm.
 pub fn greedy_map_into(
     tg: &TaskGraph,
     machine: &Machine,
@@ -175,21 +178,23 @@ pub fn greedy_map_into(
     cfg: &GreedyConfig,
     scratch: &mut GreedyScratch,
     out: &mut Vec<u32>,
-) -> f64 {
-    // tidy-allow: panic-freedom (API precondition on entry: an empty candidate list has no defined result)
-    assert!(!cfg.nbfs_candidates.is_empty());
+) -> Option<f64> {
     prepare(machine, alloc, scratch);
-    let mut best_wh = f64::INFINITY;
+    let mut best_wh: Option<f64> = None;
     for &nbfs in &cfg.nbfs_candidates {
-        let wh = run_greedy(tg, machine, alloc, nbfs, cfg.heavy_first_fraction, scratch);
-        if wh < best_wh {
-            best_wh = wh;
+        let Some(wh) = run_greedy(tg, machine, alloc, nbfs, cfg.heavy_first_fraction, scratch)
+        else {
+            continue;
+        };
+        if best_wh.is_none_or(|best| wh < best) {
+            best_wh = Some(wh);
             std::mem::swap(&mut scratch.best, &mut scratch.mapping);
         }
     }
+    let wh = best_wh?;
     out.clear();
     out.extend_from_slice(&scratch.best);
-    best_wh
+    Some(wh)
 }
 
 /// Per-call setup shared by every entry point: reset the kernel
@@ -205,7 +210,7 @@ fn prepare(machine: &Machine, alloc: &Allocation, scratch: &mut GreedyScratch) {
 }
 
 /// One full greedy run; leaves the mapping in `scratch.mapping` and
-/// returns its WH.
+/// returns its WH, or `None` once a task finds no node with room.
 fn run_greedy(
     tg: &TaskGraph,
     machine: &Machine,
@@ -213,26 +218,23 @@ fn run_greedy(
     nbfs: u32,
     heavy_first_fraction: f64,
     scratch: &mut GreedyScratch,
-) -> f64 {
+) -> Option<f64> {
     let n = tg.num_tasks();
     let mut state = State::new(tg, machine, alloc, scratch);
     if n == 0 {
-        return 0.0;
+        return Some(0.0);
     }
     let total_weight: f64 = (0..n as u32).map(|t| tg.task_weight(t)).sum();
-    // tidy-allow: panic-freedom (API precondition checked on entry, before any placement: an undersized allocation cannot host a valid mapping)
-    assert!(
-        fits(f64::from(alloc.total_procs()), total_weight),
-        "allocation too small: task weight {total_weight} > {} procs",
-        alloc.total_procs()
-    );
+    if !fits(f64::from(alloc.total_procs()), total_weight) {
+        return None;
+    }
     // Heterogeneity pre-pass (Section III-A): with non-uniform node
     // capacities, heavy tasks fit fewer and fewer nodes as the mapping
     // fills up, so they are placed first in descending weight order.
     let caps = alloc.procs_all();
     let non_uniform = caps.windows(2).any(|w| w[0] != w[1]);
     if non_uniform {
-        // tidy-allow: panic-freedom (unreachable: the weight invariant above guarantees at least one slot)
+        // tidy-allow: panic-freedom (unreachable: non-uniform capacities need at least two slots)
         let max_cap = f64::from(*caps.iter().max().unwrap());
         let threshold = heavy_first_fraction * max_cap;
         state.heavy.clear();
@@ -249,7 +251,7 @@ fn run_greedy(
         });
         for i in 0..state.heavy.len() {
             let t = state.heavy[i];
-            let (node, slot) = state.best_node_for(t);
+            let (node, slot) = state.best_node_for(t)?;
             state.place_prepared(t, node, slot);
         }
     }
@@ -262,9 +264,7 @@ fn run_greedy(
         let w0 = tg.task_weight(t0);
         let first_slot = (0..alloc.num_nodes())
             .filter(|&s| fits(state.free[s], w0))
-            .max_by_key(|&s| (alloc.procs(s), std::cmp::Reverse(s)))
-            // tidy-allow: panic-freedom (unreachable: the entry weight check proved total capacity covers all tasks)
-            .expect("allocation has room for t0 by the weight invariant");
+            .max_by_key(|&s| (alloc.procs(s), std::cmp::Reverse(s)))?;
         state.place_fresh(t0, alloc.node(first_slot), first_slot as u32);
     }
     let mut seeds_placed = 0u32;
@@ -275,10 +275,10 @@ fn run_greedy(
         } else {
             state.most_connected_task()
         };
-        let (node, slot) = state.best_node_for(tbest);
+        let (node, slot) = state.best_node_for(tbest)?;
         state.place_prepared(tbest, node, slot);
     }
-    state.final_wh()
+    Some(state.final_wh())
 }
 
 /// Working state of one greedy run, borrowing all buffers from a
@@ -516,8 +516,9 @@ impl<'a> State<'a> {
     }
 
     /// `GETBESTNODE` of Algorithm 1, on the batch gain kernel. Returns
-    /// the chosen `(node, slot)`.
-    fn best_node_for(&mut self, t: u32) -> (u32, u32) {
+    /// the chosen `(node, slot)`, or `None` when no reachable node has
+    /// room for `t`.
+    fn best_node_for(&mut self, t: u32) -> Option<(u32, u32)> {
         let w = self.tg.task_weight(t);
         // One pass over the pivot's edges gathers the BFS seed routers
         // and the unmapped neighbors the commit will feed to the
@@ -621,14 +622,17 @@ impl<'a> State<'a> {
 
     /// Scores the gathered candidate batch with the shared kernel and
     /// returns the minimum-cost `(node, slot)` (first of equals,
-    /// matching the reference's strict-`<` scan in BFS order). A
-    /// single-candidate batch short-circuits: its cost cannot affect
-    /// the argmin, so the neighbor panel is never even gathered.
-    fn pick_best_candidate(&mut self, t: u32) -> (u32, u32) {
-        debug_assert!(!self.cand_keys.is_empty());
+    /// matching the reference's strict-`<` scan in BFS order), or
+    /// `None` for an empty batch. A single-candidate batch
+    /// short-circuits: its cost cannot affect the argmin, so the
+    /// neighbor panel is never even gathered.
+    fn pick_best_candidate(&mut self, t: u32) -> Option<(u32, u32)> {
+        if self.cand_keys.is_empty() {
+            return None;
+        }
         self.stats.probes += self.cand_keys.len() as u64;
         if self.cand_keys.len() == 1 {
-            return (self.cand_nodes[0], self.cand_slots[0]);
+            return Some((self.cand_nodes[0], self.cand_slots[0]));
         }
         // Lazily gather the kernel's neighbor panel: position (slot in
         // panel mode, router in fallback mode) and weight per mapped
@@ -673,21 +677,18 @@ impl<'a> State<'a> {
                 best = i;
             }
         }
-        (self.cand_nodes[best], self.cand_slots[best])
+        Some((self.cand_nodes[best], self.cand_slots[best]))
     }
 
     /// For tasks with no mapped neighbor: one of the farthest free
     /// allocated nodes from the non-empty set (multi-source BFS on the
     /// router graph). The first feasible node of the deepest feasible
-    /// level is returned.
-    fn farthest_free_node(&mut self, w: f64) -> (u32, u32) {
+    /// level is returned; `None` when no reachable node has room.
+    fn farthest_free_node(&mut self, w: f64) -> Option<(u32, u32)> {
         if self.nonempty_slots.is_empty() {
             // No placement context at all: first feasible slot.
-            let slot = (0..self.alloc.num_nodes())
-                .find(|&s| fits(self.free[s], w))
-                // tidy-allow: panic-freedom (unreachable: the entry weight check proved a feasible slot remains for every pivot)
-                .expect("allocation has free capacity");
-            return (self.alloc.node(slot), slot as u32);
+            let slot = (0..self.alloc.num_nodes()).find(|&s| fits(self.free[s], w))?;
+            return Some((self.alloc.node(slot), slot as u32));
         }
         // Mark the routers that still host a feasible slot, so the BFS
         // below tests feasibility with one load instead of a node scan
@@ -732,8 +733,6 @@ impl<'a> State<'a> {
             }
         }
         best.map(|(_, n, s)| (n, s))
-            // tidy-allow: panic-freedom (unreachable: the entry weight check proved a feasible slot remains for every pivot)
-            .expect("allocation has free capacity by the weight invariant")
     }
 
     /// WH of the finished mapping — panel rows when available. The
@@ -1023,11 +1022,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "allocation too small")]
-    fn oversubscription_panics() {
+    fn oversubscription_returns_none() {
         let m = machine();
         let alloc = umpa_topology::Allocation::generate(&m, &AllocSpec::contiguous(2));
         let tg = chain();
-        greedy_fresh(&tg, &m, &alloc, &GreedyConfig::default());
+        let mut out = vec![7];
+        let cfg = GreedyConfig::default();
+        let wh = greedy_map_into(&tg, &m, &alloc, &cfg, &mut GreedyScratch::new(), &mut out);
+        assert_eq!(wh, None);
+        assert_eq!(out, [7], "a failed run leaves `out` untouched");
+    }
+
+    #[test]
+    fn unpackable_job_returns_none() {
+        // Eight four-processor nodes hold 32 processors, and ten ring
+        // tasks of weight 3 (30 in all, each fitting a node) pass the
+        // weight checks; but a node holds one such task, so two are
+        // left over.
+        let m = MachineConfig::small(&[4, 4, 2], 1, 4).build();
+        let alloc = umpa_topology::Allocation::generate(&m, &AllocSpec::sparse(8, 3));
+        let tg = TaskGraph::from_messages(
+            10,
+            (0..10u32).map(|i| (i, (i + 1) % 10, 1.0)),
+            Some(vec![3.0; 10]),
+        );
+        let mut out = Vec::new();
+        let cfg = GreedyConfig::default();
+        let wh = greedy_map_into(&tg, &m, &alloc, &cfg, &mut GreedyScratch::new(), &mut out);
+        assert_eq!(wh, None);
+        for nbfs in [0, 1] {
+            let mut scratch = GreedyScratch::new();
+            prepare(&m, &alloc, &mut scratch);
+            assert_eq!(run_greedy(&tg, &m, &alloc, nbfs, 0.5, &mut scratch), None);
+        }
     }
 }

@@ -29,6 +29,8 @@ pub(crate) struct Refinements {
 /// `out`, then the kind's one refinement at the pipeline's full budget.
 /// `cnt` is the message-count view of the same graph; only `UMMC`
 /// reads it. Allocation-free once the scratches and `out` are warm.
+/// Panics when greedy cannot place every task: the one such site of the
+/// entry points that return a plain mapping (the service catches it).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn greedy_then_refine(
     kind: MapperKind,
@@ -42,7 +44,9 @@ pub(crate) fn greedy_then_refine(
     cong: &mut CongScratch,
     out: &mut Vec<u32>,
 ) {
-    greedy_map_into(vol, machine, alloc, &cfg.greedy, greedy, out);
+    if greedy_map_into(vol, machine, alloc, &cfg.greedy, greedy, out).is_none() {
+        panic!("greedy could not place every task on the allocation");
+    }
     let full = Refinements {
         wh: cfg.wh,
         cong_volume: cfg.cong_volume,

@@ -188,7 +188,11 @@ pub fn map_tasks(
 /// [`map_tasks`] with a caller-owned [`MapperScratch`]: phase 2 (the
 /// timed mapping algorithm) reuses the scratch's buffers and performs
 /// no heap allocations once the scratch is warm — the steady-state
-/// serving path. Results are bit-identical to [`map_tasks`].
+/// serving path. Results are bit-identical to [`map_tasks`]. Panics
+/// when greedy cannot place every task ([`greedy_map_into`] returns
+/// `None`), which [`check_job`](crate::check_job) cannot rule out.
+///
+/// [`greedy_map_into`]: crate::greedy::greedy_map_into
 pub fn map_tasks_with(
     fine: &TaskGraph,
     machine: &Machine,
@@ -310,7 +314,8 @@ pub fn map_tasks_with(
 /// [`MapperScratch`], so a warm scratch makes the whole run
 /// allocation-free apart from materializing the outcome (use
 /// [`multilevel_map_into`] directly for the fully allocation-free
-/// serving path); a warm run is bit-identical to a fresh one.
+/// serving path); a warm run is bit-identical to a fresh one. Panics
+/// where [`map_tasks_with`] does.
 pub fn map_multilevel_with(
     fine: &TaskGraph,
     machine: &Machine,

@@ -1,5 +1,4 @@
-//! Service configuration: admission, deadlines, supervision and
-//! durability.
+//! Service configuration: admission, deadlines and durability.
 
 use std::path::PathBuf;
 
@@ -41,21 +40,6 @@ impl DurabilityConfig {
     }
 }
 
-/// Churn-drift supervisor policy: how often to compare the live
-/// (repaired) mapping against a from-scratch baseline.
-#[derive(Clone, Debug)]
-pub struct SupervisorPolicy {
-    /// Repairs between drift checks (`K`). The check itself may cost a
-    /// from-scratch baseline re-map, so it is rationed.
-    pub check_every: u32,
-}
-
-impl Default for SupervisorPolicy {
-    fn default() -> Self {
-        Self { check_every: 16 }
-    }
-}
-
 /// Full service configuration.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
@@ -74,8 +58,6 @@ pub struct ServiceConfig {
     /// the time budget would allow more (overload degrades quality,
     /// not latency).
     pub pressure_depth: usize,
-    /// Drift-supervisor policy.
-    pub supervisor: SupervisorPolicy,
     /// Crash-safe durability (write-ahead journal + snapshots);
     /// `None` (the default) keeps all state in memory.
     pub durability: Option<DurabilityConfig>,
@@ -88,7 +70,6 @@ impl Default for ServiceConfig {
             queue_capacity: 64,
             default_deadline_ns: 50_000_000, // 50 ms
             pressure_depth: 32,
-            supervisor: SupervisorPolicy::default(),
             durability: None,
         }
     }

@@ -19,17 +19,27 @@
 //!   ([`LadderRung`]), recording which rung served the request, so
 //!   overload degrades quality instead of latency. Panicking requests
 //!   are isolated with `catch_unwind` and answered with a typed
-//!   [`ServiceError::Panicked`].
+//!   [`ServiceError::Panicked`]. `install_job` maps the resident job
+//!   before it journals it, under the same `catch_unwind`, so a job the
+//!   mapper cannot place is refused with that error and never reaches
+//!   the journal.
 //! * **Churn repair on events and a drift supervisor** — every churn
 //!   batch repairs the resident job via `remap_incremental`. An
 //!   `Infeasible` outcome reports its unplaced tasks in the
 //!   [`RepairReport`] (never a panic); they stay unplaced until a
 //!   later batch's repair places them, which converges once
 //!   `NodesAdded` restores capacity. Nothing retries on a timer: a
-//!   repair of unchanged state fails again. A supervisor tracks the
-//!   live mapping's WH drift against a periodically refreshed
-//!   from-scratch baseline, polishing (or adopting the baseline) when
-//!   drift crosses the bound.
+//!   repair of unchanged state fails again. A supervisor checks the
+//!   live mapping's WH every 16 repairs against a from-scratch
+//!   baseline, polishing (or adopting the baseline) when drift crosses
+//!   the bound, and keeping the live mapping when greedy cannot build
+//!   a baseline. The resident job's cumulative repair drift is read
+//!   through [`MappingService::drift`].
+//!
+//! The counters are one [`StatsSnapshot`] behind a mutex that is a
+//! leaf (nothing else is locked while it is held);
+//! [`MappingService::stats`] copies it out whole, so one copy is
+//! consistent across all its fields.
 //!
 //! A fourth layer makes the state crash-safe: every accepted mutation
 //! is written ahead to an on-disk journal with in-tree CRC32 framing,
@@ -62,7 +72,7 @@ mod supervisor;
 mod worker;
 
 pub use clock::{ManualClock, ServiceClock};
-pub use config::{DurabilityConfig, ServiceConfig, SupervisorPolicy};
+pub use config::{DurabilityConfig, ServiceConfig};
 pub use journal::{CrashPoint, CrashSwitch, JournalError};
 pub use ladder::LadderRung;
 pub use recovery::{RecoveryError, RecoveryReport, SnapshotSource};
@@ -73,7 +83,7 @@ pub use stats::StatsSnapshot;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::clock::{ManualClock, ServiceClock};
-    pub use crate::config::{DurabilityConfig, ServiceConfig, SupervisorPolicy};
+    pub use crate::config::{DurabilityConfig, ServiceConfig};
     pub use crate::journal::{CrashPoint, CrashSwitch, JournalError};
     pub use crate::ladder::LadderRung;
     pub use crate::recovery::{RecoveryError, RecoveryReport, SnapshotSource};

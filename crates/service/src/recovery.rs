@@ -30,7 +30,6 @@
 //! checksum-valid bytes surface as a typed [`RecoveryError`].
 
 use std::borrow::Cow;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use umpa_core::{check_job_values, fits, MapperScratch, RemapDrift};
@@ -44,6 +43,7 @@ use crate::journal::{
     self, create_journal, journal_path, read_snapshot, scan_journal, snapshot_old_path,
     snapshot_path, Durability, JournalRecord, SnapshotRead, HEADER_LEN,
 };
+use crate::request::ServiceError;
 use crate::service::{first_invalid_event, MappingService, ResidentJob, SharedState};
 use crate::supervisor::Supervisor;
 
@@ -77,7 +77,7 @@ pub enum RecoveryError {
     /// have (e.g. a link id past the topology) — the journal belongs
     /// to a different machine shape — or installs a job that fails
     /// [`check_job`](umpa_core::check_job) on the allocation replay has
-    /// reached.
+    /// reached, or that the mapper cannot place there.
     InvalidReplay {
         /// Sequence number of the offending frame.
         seq: u64,
@@ -418,19 +418,17 @@ impl MappingService {
         //    The journal stays detached during replay so nothing is
         //    re-journaled.
         let inner = Self::build_inner(machine, alloc, cfg, ServiceClock::monotonic());
-        {
-            let mut st = inner.write_state();
-            st.job = restored;
-            if let Some(job) = &st.job {
-                inner.mirror_drift(&job.drift);
-            }
-        }
+        inner.write_state().job = restored;
         for (seq, rec) in replay {
             match rec {
                 JournalRecord::Install(tasks) => {
-                    inner
-                        .install_job(tasks)
-                        .map_err(|context| RecoveryError::InvalidReplay { seq, context })?;
+                    inner.install_job(tasks).map_err(|e| {
+                        let context = match e {
+                            ServiceError::InvalidJob { reason } => reason,
+                            _ => "the mapper cannot place the job",
+                        };
+                        RecoveryError::InvalidReplay { seq, context }
+                    })?;
                 }
                 JournalRecord::Churn(events) => {
                     inner.apply_churn(&events);
@@ -449,9 +447,7 @@ impl MappingService {
             Ok(journal) => {
                 *inner.journal.lock().unwrap_or_else(|e| e.into_inner()) = Some(journal);
             }
-            Err(_) => {
-                inner.stats.journal_errors.fetch_add(1, Ordering::AcqRel);
-            }
+            Err(_) => inner.with_stats(|s| s.journal_errors += 1),
         }
         Ok((Self::start(inner), report))
     }

@@ -4,7 +4,6 @@ use std::fmt;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 
-use umpa_core::MapperKind;
 use umpa_graph::TaskGraph;
 
 use crate::ladder::LadderRung;
@@ -65,10 +64,8 @@ impl<T> Submit<T> {
 pub struct MapReply {
     /// Node id per task.
     pub mapping: Vec<u32>,
-    /// Mapper that actually served the request (after ladder
-    /// degradation).
-    pub served_with: MapperKind,
-    /// Ladder rung of `served_with`.
+    /// Ladder rung that served the request (after degradation); each
+    /// rung runs one mapper, named in [`LadderRung`]'s docs.
     pub rung: LadderRung,
     /// Time spent queued before a worker picked the request up, ns.
     pub queue_ns: u64,
@@ -91,8 +88,11 @@ impl MapReply {
 /// the service down: panics are caught and surfaced here.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The request panicked inside a worker; the worker caught it and
-    /// kept serving.
+    /// The mapper panicked, and the panic was caught: inside a worker,
+    /// which kept serving, or inside `install_job`, which then refused
+    /// the job before journaling it and left the resident job as it
+    /// was. A job whose tasks each fit a node but which greedy cannot
+    /// pack ends here.
     Panicked,
     /// The service shut down before replying.
     Disconnected,
@@ -169,12 +169,17 @@ pub struct RepairReport {
     /// with its batch, so they are placed once an event (`NodesAdded`)
     /// brings the capacity back.
     pub unplaced: usize,
-    /// Whether the drift supervisor ran its check during this call.
+    /// Whether the drift supervisor compared the live mapping with its
+    /// from-scratch baseline during this call. It checks once per 16
+    /// successful repairs and on every `polish_now`, but not while
+    /// tasks are unplaced, nor when greedy cannot place the job on the
+    /// current machine state (no baseline; the live mapping is kept).
     pub drift_checked: bool,
-    /// Whether the supervisor polished the live mapping.
+    /// Whether the check found the live mapping past the drift bound
+    /// and polished it in place.
     pub polished: bool,
-    /// Whether the supervisor replaced the live mapping with the
-    /// from-scratch baseline (polish alone could not close the gap).
+    /// Whether the polish could not close the gap, so the supervisor
+    /// replaced the live mapping with the baseline (implies `polished`).
     pub adopted_baseline: bool,
     /// [`ServiceError::InvalidEvent`] for a refused churn batch, whose
     /// report is otherwise the default (nothing was applied). An

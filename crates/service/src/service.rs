@@ -8,11 +8,12 @@
 //! write-locked. Admission is a bounded `sync_channel` plus an atomic
 //! depth counter — `try_send` full means the caller gets
 //! [`Submit::Rejected`] with the observed depth, never an unbounded
-//! queue. Lock poisoning is absorbed with `into_inner`: a panicked
-//! request (already isolated by the worker's `catch_unwind`) must not
-//! wedge the service.
+//! queue. The counters sit behind their own leaf mutex. Lock poisoning
+//! is absorbed with `into_inner`: a panicked request (already isolated
+//! by the worker's `catch_unwind`) must not wedge the service.
 
 use std::borrow::Cow;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -33,8 +34,8 @@ use crate::journal::{Durability, JournalRecord};
 use crate::ladder::{CostModel, LadderRung};
 use crate::recovery::Snapshot;
 use crate::request::{Envelope, MapJob, MapTicket, RepairReport, ServiceError, Submit};
-use crate::stats::{ServiceStats, StatsSnapshot};
-use crate::supervisor::{PolishOutcome, Supervisor};
+use crate::stats::StatsSnapshot;
+use crate::supervisor::Supervisor;
 use crate::worker;
 
 /// The resident application whose live mapping the service repairs
@@ -68,7 +69,9 @@ pub(crate) struct ServiceInner {
     /// Current admission-queue depth.
     pub depth: AtomicUsize,
     pub costs: CostModel,
-    pub stats: ServiceStats,
+    /// The counters. A leaf lock: nothing else is locked while it is
+    /// held, so it adds nothing to the state → journal lock order.
+    pub stats: Mutex<StatsSnapshot>,
     /// Write-ahead durability sink (DESIGN.md §18); `None` while
     /// durability is off — including during recovery replay, which
     /// must not re-journal the frames it replays. Only ever locked
@@ -88,6 +91,12 @@ impl ServiceInner {
         self.state.write().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Applies `f` to the counters under their lock, absorbing poison
+    /// as the state lock does.
+    pub(crate) fn with_stats<R>(&self, f: impl FnOnce(&mut StatsSnapshot) -> R) -> R {
+        f(&mut self.stats.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+
     /// Appends one record to the write-ahead journal (callers hold
     /// the state write lock and append **before** mutating, so an
     /// acked mutation is always on disk first). Durability failures —
@@ -99,15 +108,11 @@ impl ServiceInner {
             return;
         };
         match journal.append(rec) {
-            Ok(info) => {
-                self.stats.journal_appends.fetch_add(1, Ordering::AcqRel);
-                self.stats
-                    .journal_bytes
-                    .fetch_add(info.bytes, Ordering::AcqRel);
-            }
-            Err(_) => {
-                self.stats.journal_errors.fetch_add(1, Ordering::AcqRel);
-            }
+            Ok(info) => self.with_stats(|s| {
+                s.journal_appends += 1;
+                s.journal_bytes += info.bytes;
+            }),
+            Err(_) => self.with_stats(|s| s.journal_errors += 1),
         }
     }
 
@@ -131,28 +136,9 @@ impl ServiceInner {
         let payload = Snapshot::of(&st, journal.last_seq()).to_bytes();
         drop(st);
         match journal.write_snapshot(&payload) {
-            Ok(()) => {
-                self.stats.snapshots_written.fetch_add(1, Ordering::AcqRel);
-            }
-            Err(_) => {
-                self.stats.journal_errors.fetch_add(1, Ordering::AcqRel);
-            }
+            Ok(()) => self.with_stats(|s| s.snapshots_written += 1),
+            Err(_) => self.with_stats(|s| s.journal_errors += 1),
         }
-    }
-
-    fn note_polish(&self, out: &PolishOutcome, report: &mut RepairReport) {
-        if out.checked {
-            self.stats.drift_checks.fetch_add(1, Ordering::AcqRel);
-        }
-        if out.polished {
-            self.stats.polishes.fetch_add(1, Ordering::AcqRel);
-        }
-        if out.adopted {
-            self.stats.baseline_adoptions.fetch_add(1, Ordering::AcqRel);
-        }
-        report.drift_checked = out.checked;
-        report.polished = out.polished;
-        report.adopted_baseline = out.adopted;
     }
 
     /// Applies churn events and repairs the resident job. Every batch
@@ -199,8 +185,6 @@ impl ServiceInner {
         match outcome {
             RemapOutcome::Repaired(stats) => {
                 job.drift.note(&stats);
-                self.stats.repairs.fetch_add(1, Ordering::AcqRel);
-                self.mirror_drift(&job.drift);
                 report.fully_placed = true;
                 report.displaced = stats.displaced;
                 let ResidentJob {
@@ -210,8 +194,7 @@ impl ServiceInner {
                     scratch,
                     ..
                 } = job;
-                let polish = supervisor.after_repair(
-                    &self.cfg.supervisor,
+                supervisor.after_repair(
                     &self.pipeline,
                     tasks,
                     machine,
@@ -219,11 +202,15 @@ impl ServiceInner {
                     mapping,
                     scratch,
                     false,
+                    &mut report,
                 );
-                self.note_polish(&polish, &mut report);
+                self.with_stats(|s| {
+                    s.repairs += 1;
+                    count_polish(s, &report);
+                });
             }
             RemapOutcome::Infeasible { unplaced } => {
-                self.stats.infeasible.fetch_add(1, Ordering::AcqRel);
+                self.with_stats(|s| s.infeasible += 1);
                 report.unplaced = unplaced.len();
             }
         }
@@ -231,45 +218,35 @@ impl ServiceInner {
         report
     }
 
-    /// Publishes the resident job's cumulative drift into the atomic
-    /// stats mirror (readable without the state lock).
-    pub(crate) fn mirror_drift(&self, drift: &RemapDrift) {
-        self.stats
-            .drift_repairs
-            .store(drift.repairs, Ordering::Release);
-        self.stats
-            .drift_displaced_total
-            .store(drift.displaced_total, Ordering::Release);
-        self.stats
-            .drift_wh_delta_bits
-            .store(drift.wh_delta_total.to_bits(), Ordering::Release);
-        self.stats
-            .drift_wh_last_bits
-            .store(drift.wh_last.to_bits(), Ordering::Release);
-    }
-
     /// Installs (or replaces) the resident job; the write-lock core of
     /// [`MappingService::install_job`], shared with recovery replay
-    /// (which re-runs the same from-scratch map deterministically). A
-    /// job that fails [`check_job`] is refused with its reason before
-    /// anything is journaled or mutated.
-    pub(crate) fn install_job(&self, tasks: Arc<TaskGraph>) -> Result<f64, &'static str> {
+    /// (which re-runs the same from-scratch map deterministically). The
+    /// job is checked and mapped before its Install frame is appended,
+    /// so a job that fails [`check_job`] ([`ServiceError::InvalidJob`])
+    /// or that the mapper cannot place (its panic is caught:
+    /// [`ServiceError::Panicked`]) leaves journal and resident job as
+    /// they were.
+    pub(crate) fn install_job(&self, tasks: Arc<TaskGraph>) -> Result<f64, ServiceError> {
         let mut scratch = MapperScratch::new();
         let mut st = self.write_state();
-        check_job(&tasks, &st.alloc)?;
+        check_job(&tasks, &st.alloc).map_err(|reason| ServiceError::InvalidJob { reason })?;
+        let mapping = catch_unwind(AssertUnwindSafe(|| {
+            map_tasks_with(
+                &tasks,
+                &st.machine,
+                &st.alloc,
+                LadderRung::Full.kind(),
+                &self.pipeline,
+                &mut scratch,
+            )
+            .fine_mapping
+        }))
+        .map_err(|_| ServiceError::Panicked)?;
         self.journal_append(&JournalRecord::Install(Arc::clone(&tasks)));
-        let outcome = map_tasks_with(
-            &tasks,
-            &st.machine,
-            &st.alloc,
-            LadderRung::Full.kind(),
-            &self.pipeline,
-            &mut scratch,
-        );
-        let wh = weighted_hops(&tasks, &st.machine, &outcome.fine_mapping);
+        let wh = weighted_hops(&tasks, &st.machine, &mapping);
         st.job = Some(ResidentJob {
             tasks,
-            mapping: outcome.fine_mapping,
+            mapping,
             drift: RemapDrift::default(),
             supervisor: Supervisor::default(),
             scratch,
@@ -304,8 +281,7 @@ impl ServiceInner {
             scratch,
             ..
         } = job;
-        let polish = supervisor.after_repair(
-            &self.cfg.supervisor,
+        supervisor.after_repair(
             &self.pipeline,
             tasks,
             machine,
@@ -313,11 +289,19 @@ impl ServiceInner {
             mapping,
             scratch,
             true,
+            &mut report,
         );
-        self.note_polish(&polish, &mut report);
+        self.with_stats(|s| count_polish(s, &report));
         self.maybe_snapshot(st);
         report
     }
+}
+
+/// Counts the supervisor pass that `report` records.
+fn count_polish(s: &mut StatsSnapshot, report: &RepairReport) {
+    s.drift_checks += u64::from(report.drift_checked);
+    s.polishes += u64::from(report.polished);
+    s.baseline_adoptions += u64::from(report.adopted_baseline);
 }
 
 /// The first event of `events` that fails
@@ -375,9 +359,7 @@ impl MappingService {
                 Ok(journal) => {
                     *inner.journal.lock().unwrap_or_else(|e| e.into_inner()) = Some(journal);
                 }
-                Err(_) => {
-                    inner.stats.journal_errors.fetch_add(1, Ordering::AcqRel);
-                }
+                Err(_) => inner.with_stats(|s| s.journal_errors += 1),
             }
         }
         Self::start(inner)
@@ -405,7 +387,7 @@ impl MappingService {
             }),
             depth: AtomicUsize::new(0),
             costs: CostModel::seeded(),
-            stats: ServiceStats::default(),
+            stats: Mutex::default(),
             journal: Mutex::new(None),
         })
     }
@@ -429,14 +411,14 @@ impl MappingService {
     /// with the ladder's top-rung mapper (`UMC`) and returns the
     /// initial WH.
     /// Subsequent churn repairs and the drift supervisor operate on
-    /// this job's live mapping. A job that fails [`check_job`] on the
-    /// current allocation is refused before anything is journaled or
-    /// mutated, with [`ServiceError::InvalidJob`]; the resident job
-    /// stays as it was.
+    /// this job's live mapping. The job is mapped before its Install
+    /// frame is journaled. A job that fails [`check_job`] on the
+    /// current allocation is refused with [`ServiceError::InvalidJob`],
+    /// and one whose mapping panics (greedy cannot pack it) with
+    /// [`ServiceError::Panicked`]; either way nothing is journaled and
+    /// the resident job stays as it was.
     pub fn install_job(&self, tasks: Arc<TaskGraph>) -> Result<f64, ServiceError> {
-        self.inner
-            .install_job(tasks)
-            .map_err(|reason| ServiceError::InvalidJob { reason })
+        self.inner.install_job(tasks)
     }
 
     /// Submits a map request through the bounded admission queue.
@@ -464,12 +446,12 @@ impl MappingService {
             // observed at rejection time — in-flight work may not have
             // drained yet, and callers size their backoff on this.
             let queue_depth = inner.depth.load(Ordering::Acquire);
-            inner.stats.rejected.fetch_add(1, Ordering::AcqRel);
+            inner.with_stats(|s| s.rejected += 1);
             return Submit::Rejected { queue_depth };
         };
         let depth = inner.depth.load(Ordering::Acquire);
         if depth >= inner.cfg.queue_capacity.max(1) {
-            inner.stats.rejected.fetch_add(1, Ordering::AcqRel);
+            inner.with_stats(|s| s.rejected += 1);
             return Submit::Rejected { queue_depth: depth };
         }
         // Count the slot *before* sending: a worker may dequeue (and
@@ -477,13 +459,15 @@ impl MappingService {
         let now_depth = inner.depth.fetch_add(1, Ordering::AcqRel) + 1;
         match tx.try_send(env) {
             Ok(()) => {
-                inner.stats.note_depth(now_depth);
-                inner.stats.accepted.fetch_add(1, Ordering::AcqRel);
+                inner.with_stats(|s| {
+                    s.max_queue_depth = s.max_queue_depth.max(now_depth);
+                    s.accepted += 1;
+                });
                 Submit::Accepted(MapTicket { rx })
             }
             Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
                 let observed = inner.depth.fetch_sub(1, Ordering::AcqRel) - 1;
-                inner.stats.rejected.fetch_add(1, Ordering::AcqRel);
+                inner.with_stats(|s| s.rejected += 1);
                 Submit::Rejected {
                     queue_depth: observed,
                 }
@@ -503,7 +487,7 @@ impl MappingService {
     }
 
     /// Forces a drift-supervisor pass on the resident job regardless
-    /// of the `check_every` ration.
+    /// of the check interval.
     pub fn polish_now(&self) -> RepairReport {
         self.inner.polish_now()
     }
@@ -519,7 +503,8 @@ impl MappingService {
         Some(weighted_hops(&job.tasks, &st.machine, &job.mapping))
     }
 
-    /// Cumulative repair-drift statistics of the resident job.
+    /// Cumulative repair-drift statistics of the resident job — the
+    /// one place to read them.
     pub fn drift(&self) -> Option<RemapDrift> {
         self.inner.read_state().job.as_ref().map(|j| j.drift)
     }
@@ -551,16 +536,16 @@ impl MappingService {
         self.inner.clock.now_ns()
     }
 
-    /// Snapshot of the lifetime counters.
+    /// A copy of the lifetime counters, all read at one instant.
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats.snapshot()
+        self.inner.with_stats(|s| *s)
     }
 
     /// Drains the queue (replying to every accepted request), joins
     /// the workers, and returns the final counters.
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.finish();
-        self.inner.stats.snapshot()
+        self.stats()
     }
 
     fn finish(&mut self) {

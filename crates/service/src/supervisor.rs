@@ -4,7 +4,7 @@
 //! leaves a little WH on the table, and under *sustained* churn the
 //! live mapping drifts away from what a from-scratch map of the
 //! current (post-churn) machine would achieve — the PR-6 caveat. The
-//! supervisor closes it: every `check_every` repairs (or on demand) it
+//! supervisor closes it: every `CHECK_EVERY` repairs (or on demand) it
 //! compares the live mapping's WH against a cached from-scratch
 //! baseline — refreshed only when the fault state or allocation
 //! actually changed, detected via
@@ -12,7 +12,9 @@
 //! drift exceeds `MAX_DRIFT` it polishes the live mapping in place
 //! (full WH refinement, then a congestion polish). If polish alone
 //! cannot close the gap it adopts the baseline mapping outright,
-//! restoring the bound by construction.
+//! restoring the bound by construction. When greedy cannot place the
+//! job on the current machine there is no baseline: the check is
+//! skipped and the live mapping kept.
 
 use umpa_core::greedy::weighted_hops;
 use umpa_core::{
@@ -21,10 +23,14 @@ use umpa_core::{
 use umpa_graph::TaskGraph;
 use umpa_topology::{Allocation, FaultSnapshot, Machine};
 
-use crate::config::SupervisorPolicy;
+use crate::request::RepairReport;
 
 /// Tolerated live-vs-baseline WH drift (15 %).
 const MAX_DRIFT: f64 = 0.15;
+
+/// Repairs between drift checks. The check may cost a from-scratch
+/// baseline re-map, so it is rationed.
+const CHECK_EVERY: u32 = 16;
 
 /// Cached from-scratch reference mapping for the current machine
 /// state.
@@ -38,17 +44,6 @@ struct Baseline {
     wh: f64,
     /// Baseline mapping (adopted when polish cannot close the gap).
     mapping: Vec<u32>,
-}
-
-/// What one supervisor pass did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct PolishOutcome {
-    /// The drift check ran (baseline available, mapping fully placed).
-    pub checked: bool,
-    /// The live mapping was polished in place.
-    pub polished: bool,
-    /// The baseline mapping was adopted wholesale.
-    pub adopted: bool,
 }
 
 /// Drift-supervisor state for one resident job.
@@ -78,13 +73,13 @@ impl Supervisor {
     }
 
     /// Called after each successful repair (and by `polish_now` with
-    /// `force`). Rations the drift check to every
-    /// `policy.check_every` repairs; a partial (infeasible) mapping is
-    /// never checked — there is no full placement to compare.
+    /// `force`). Rations the drift check to every `CHECK_EVERY`
+    /// repairs; a partial (infeasible) mapping is never checked — there
+    /// is no full placement to compare. Writes what the pass did into
+    /// `report`'s `drift_checked`, `polished` and `adopted_baseline`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn after_repair(
         &mut self,
-        policy: &SupervisorPolicy,
         pipeline: &PipelineConfig,
         tasks: &TaskGraph,
         machine: &Machine,
@@ -92,13 +87,14 @@ impl Supervisor {
         mapping: &mut [u32],
         scratch: &mut MapperScratch,
         force: bool,
-    ) -> PolishOutcome {
+        report: &mut RepairReport,
+    ) {
         self.repairs_since_check += 1;
-        if !force && self.repairs_since_check < policy.check_every.max(1) {
-            return PolishOutcome::default();
+        if !force && self.repairs_since_check < CHECK_EVERY {
+            return;
         }
         if mapping.contains(&u32::MAX) {
-            return PolishOutcome::default();
+            return;
         }
         self.repairs_since_check = 0;
 
@@ -111,11 +107,8 @@ impl Supervisor {
             Some(b) if b.snapshot == snapshot && b.alloc_nodes == alloc.nodes()
         );
         if !fresh {
-            let mut base_map = match self.baseline.take() {
-                Some(b) => b.mapping,
-                None => Vec::new(),
-            };
-            greedy_map_into(
+            let mut base_map = self.baseline.take().map(|b| b.mapping).unwrap_or_default();
+            let placed = greedy_map_into(
                 tasks,
                 machine,
                 alloc,
@@ -123,6 +116,11 @@ impl Supervisor {
                 &mut scratch.greedy,
                 &mut base_map,
             );
+            if placed.is_none() {
+                // Greedy cannot pack the job on this machine state: no
+                // baseline, so the live mapping stays unchecked.
+                return;
+            }
             wh_refine_scratch(
                 tasks,
                 machine,
@@ -139,18 +137,17 @@ impl Supervisor {
             });
         }
         let Some(base) = &self.baseline else {
-            return PolishOutcome::default();
+            return;
         };
 
+        report.drift_checked = true;
         let bound = base.wh * (1.0 + MAX_DRIFT);
         if weighted_hops(tasks, machine, mapping) <= bound {
-            return PolishOutcome {
-                checked: true,
-                ..PolishOutcome::default()
-            };
+            return;
         }
 
         // Over the bound: polish the live mapping in place.
+        report.polished = true;
         wh_refine_scratch(
             tasks,
             machine,
@@ -168,21 +165,13 @@ impl Supervisor {
             &mut scratch.cong,
         );
         if weighted_hops(tasks, machine, mapping) <= bound {
-            return PolishOutcome {
-                checked: true,
-                polished: true,
-                adopted: false,
-            };
+            return;
         }
 
         // Polish could not close the gap: adopt the baseline, which
         // satisfies the bound by construction (its WH *is* the
         // reference).
         mapping.copy_from_slice(&base.mapping);
-        PolishOutcome {
-            checked: true,
-            polished: true,
-            adopted: true,
-        }
+        report.adopted_baseline = true;
     }
 }

@@ -79,7 +79,6 @@ fn serve(inner: &ServiceInner, env: Envelope, scratch: &mut MapperScratch) {
             let budget_ns = deadline_ns.saturating_sub(queue_ns);
             let depth = inner.depth.load(Ordering::Acquire);
             let rung = select_rung(budget_ns, depth, &inner.cfg, &inner.costs);
-            let kind = rung.kind();
             let tasks = job.tasks;
             let computed = catch_unwind(AssertUnwindSafe(|| {
                 let st = inner.read_state();
@@ -88,7 +87,7 @@ fn serve(inner: &ServiceInner, env: Envelope, scratch: &mut MapperScratch) {
                     &tasks,
                     &st.machine,
                     &st.alloc,
-                    kind,
+                    rung.kind(),
                     &inner.pipeline,
                     scratch,
                 )
@@ -100,13 +99,12 @@ fn serve(inner: &ServiceInner, env: Envelope, scratch: &mut MapperScratch) {
             match computed {
                 Ok(Ok(mapping)) => {
                     inner.costs.observe(rung, service_ns);
-                    inner.stats.served_by_rung[rung.index()].fetch_add(1, Ordering::AcqRel);
-                    if total_ns > deadline_ns {
-                        inner.stats.deadline_misses.fetch_add(1, Ordering::AcqRel);
-                    }
+                    inner.with_stats(|s| {
+                        s.served_by_rung[rung.index()] += 1;
+                        s.deadline_misses += u64::from(total_ns > deadline_ns);
+                    });
                     let _ = reply.send(Ok(MapReply {
                         mapping,
-                        served_with: kind,
                         rung,
                         queue_ns,
                         service_ns,
@@ -118,7 +116,7 @@ fn serve(inner: &ServiceInner, env: Envelope, scratch: &mut MapperScratch) {
                     let _ = reply.send(Err(ServiceError::InvalidJob { reason }));
                 }
                 Err(_) => {
-                    inner.stats.panics.fetch_add(1, Ordering::AcqRel);
+                    inner.with_stats(|s| s.panics += 1);
                     let _ = reply.send(Err(ServiceError::Panicked));
                 }
             }
@@ -130,7 +128,7 @@ fn serve(inner: &ServiceInner, env: Envelope, scratch: &mut MapperScratch) {
                 panic!("poisoned request (isolation test)");
             });
             debug_assert!(poisoned.is_err());
-            inner.stats.panics.fetch_add(1, Ordering::AcqRel);
+            inner.with_stats(|s| s.panics += 1);
             let _ = reply.send(Err(ServiceError::Panicked));
         }
     }

@@ -131,6 +131,7 @@ fn main() {
     //    against mapping the *final* machine state from scratch.
     svc.polish_now();
     let live_wh = svc.live_wh();
+    let drift = svc.drift().unwrap_or_default();
     let scratch_wh = svc.with_state(|m, a| {
         let mut scratch = MapperScratch::new();
         let mut mapping = Vec::new();
@@ -195,10 +196,7 @@ fn main() {
     );
     println!(
         "repair drift: {} repairs, {} tasks displaced total, ΔWH {:+.0} cumulative ({:+.0} last)",
-        snap.drift_repairs,
-        snap.drift_displaced_total,
-        snap.drift_wh_delta_total,
-        snap.drift_wh_last
+        drift.repairs, drift.displaced_total, drift.wh_delta_total, drift.wh_last
     );
     if snap.journal_appends > 0 || snap.journal_errors > 0 {
         println!(

@@ -22,13 +22,17 @@
 //! * seeded mutations of snapshot and frame payloads, checksums fixed
 //!   up, are refused by decoding or validation, or recover into a
 //!   service that serves a map request and a churn batch — never a
-//!   panic in the first repair.
+//!   panic in the first repair;
+//! * a job the mapper cannot place is refused before the journal, and
+//!   churn on jobs that greedy can only just pack never panics a
+//!   repair, the supervisor or recovery.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use umpa::core::ChurnEvent;
@@ -740,6 +744,169 @@ fn replay_refuses_an_oversized_install_with_a_typed_error() {
         ),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Eight four-processor nodes (32 processors) on a 4×4×2 torus with
+/// one node per router.
+fn four_processor_nodes() -> (Machine, Allocation) {
+    let machine = MachineConfig::small(&[4, 4, 2], 1, 4).build();
+    let alloc = Allocation::generate(&machine, &AllocSpec::sparse(8, 3));
+    (machine, alloc)
+}
+
+/// A ten-task ring whose tasks all weigh `weight`.
+fn ring_of_ten(weight: f64) -> TaskGraph {
+    TaskGraph::from_messages(
+        10,
+        (0..10u32).map(|i| (i, (i + 1) % 10, 1.0)),
+        Some(vec![weight; 10]),
+    )
+}
+
+/// Ten tasks of weight 3 pass the job check on eight four-processor
+/// nodes (each fits a node, 30 of 32 processors), but a node holds only
+/// one of them, so greedy cannot place the job. The install is refused
+/// before the journal: the journal keeps only its header, recovery
+/// comes back with no job, and the recovered service installs a job
+/// that fits and keeps it when the unplaceable one is offered again.
+#[test]
+fn unplaceable_job_is_refused_before_the_journal() {
+    let (machine, alloc) = four_processor_nodes();
+    let dir = fresh_dir("unplaceable");
+    let service = MappingService::new(machine.clone(), alloc.clone(), durable_cfg(&dir, 64, None));
+    let header = journal_len(&dir);
+    let refused = catch_unwind(AssertUnwindSafe(|| {
+        service.install_job(Arc::new(ring_of_ten(3.0)))
+    }))
+    .unwrap_or_else(|_| panic!("install_job panicked on an unplaceable job"));
+    assert_eq!(refused, Err(ServiceError::Panicked));
+    assert_eq!(journal_len(&dir), header, "a frame was appended");
+    assert_eq!(service.stats().journal_appends, 0);
+    assert_eq!(service.live_mapping(), None);
+    drop(service);
+
+    let recovered = catch_unwind(AssertUnwindSafe(|| {
+        MappingService::recover(machine.clone(), alloc.clone(), durable_cfg(&dir, 64, None))
+    }))
+    .unwrap_or_else(|_| panic!("recover panicked"));
+    let (recovered, report) = recovered.unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(report.last_seq, 0);
+    assert_eq!(report.frames_replayed, 0);
+    assert!(!report.had_job);
+    recovered
+        .install_job(Arc::new(ring_of_ten(2.0)))
+        .expect("ten tasks of weight 2 fit");
+    let before = digest(&recovered);
+    let len = journal_len(&dir);
+    assert_eq!(
+        recovered.install_job(Arc::new(ring_of_ten(3.0))),
+        Err(ServiceError::Panicked)
+    );
+    assert_eq!(journal_len(&dir), len, "a frame was appended");
+    assert_eq!(digest(&recovered), before, "the resident job changed");
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An install frame whose job passes the job check on the allocation
+/// replay starts from, but which greedy cannot place there, fails
+/// recovery with a typed error, never a panic.
+#[test]
+fn replay_refuses_an_unplaceable_install_with_a_typed_error() {
+    let (machine, alloc) = four_processor_nodes();
+    let dir = fresh_dir("unplaceable-replay");
+    let wider = Allocation::generate(&machine, &AllocSpec::sparse(16, 3));
+    let service = MappingService::new(machine.clone(), wider, durable_cfg(&dir, 64, None));
+    service
+        .install_job(Arc::new(ring_of_ten(3.0)))
+        .expect("sixteen nodes hold ten tasks of weight 3");
+    drop(service);
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        MappingService::recover(machine.clone(), alloc, durable_cfg(&dir, 64, None))
+    }))
+    .unwrap_or_else(|_| panic!("recover panicked on an unplaceable install frame"));
+    match result {
+        Err(RecoveryError::InvalidReplay { seq: 1, .. }) => {}
+        other => panic!(
+            "expected InvalidReplay for frame 1, got {:?}",
+            other.map(|_| ())
+        ),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job that packs exactly into `6..=8` of eight four-processor
+/// nodes: each node's share is a task of weight 3 and one of weight 1,
+/// or four of weight 1, and the tasks are shuffled. Ring edges plus
+/// random chords.
+fn packed_job(seed: u64) -> TaskGraph {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut weights = Vec::new();
+    for _ in 0..rng.gen_range(6..=8u32) {
+        if rng.gen_bool(0.5) {
+            weights.extend([3.0, 1.0]);
+        } else {
+            weights.extend([1.0; 4]);
+        }
+    }
+    weights.shuffle(&mut rng);
+    let n = weights.len() as u32;
+    let mut msgs: Vec<(u32, u32, f64)> = (0..n)
+        .map(|i| (i, (i + 1) % n, 1.0 + f64::from(i % 3)))
+        .collect();
+    for _ in 0..n / 2 {
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if a != b {
+            msgs.push((a, b, rng.gen_range(1.0..4.0)));
+        }
+    }
+    TaskGraph::from_messages(n as usize, msgs, Some(weights))
+}
+
+/// Jobs that greedy can only just pack, under churn, durable: no
+/// install, repair or recovery panics (the supervisor keeps the live
+/// mapping when it cannot build its baseline), and recovery restores
+/// the live state bit-identically.
+#[test]
+fn tightly_packed_jobs_survive_churn_and_recovery() {
+    let (machine, alloc) = four_processor_nodes();
+    let (mut installed, mut refused) = (0, 0);
+    for seed in 0..100u64 {
+        let dir = fresh_dir("packed");
+        let service =
+            MappingService::new(machine.clone(), alloc.clone(), durable_cfg(&dir, 16, None));
+        let job = Arc::new(packed_job(seed));
+        let events = churn_sequence(&machine, &alloc, &ChurnSpec::new(60, seed));
+        let live = catch_unwind(AssertUnwindSafe(|| {
+            let fits = service.install_job(job).is_ok();
+            for ev in &events {
+                service.apply_churn(std::slice::from_ref(ev));
+            }
+            (fits, digest(&service))
+        }))
+        .unwrap_or_else(|_| panic!("seed {seed}: install or churn panicked"));
+        drop(service);
+        let (fits, live) = live;
+        if fits {
+            installed += 1;
+        } else {
+            refused += 1;
+        }
+        let recovered = catch_unwind(AssertUnwindSafe(|| {
+            MappingService::recover(machine.clone(), alloc.clone(), durable_cfg(&dir, 16, None))
+        }))
+        .unwrap_or_else(|_| panic!("seed {seed}: recover panicked"));
+        let (recovered, _) = recovered.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert_eq!(
+            digest(&recovered),
+            live,
+            "seed {seed}: recovered state differs"
+        );
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    eprintln!("packed jobs: {installed} installed, {refused} refused");
+    assert!(installed > 0);
 }
 
 /// Splits a journal file into its header and its frames `(seq, payload)`.

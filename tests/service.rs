@@ -22,13 +22,11 @@
 use std::sync::Arc;
 
 use umpa::core::greedy::weighted_hops;
-use umpa::core::{greedy_map_into, wh_refine_scratch, ChurnEvent, MapperKind, MapperScratch};
+use umpa::core::{greedy_map_into, wh_refine_scratch, ChurnEvent, MapperScratch};
 use umpa::graph::TaskGraph;
 use umpa::matgen::churn::{load_sequence, ChurnSpec, LoadEvent, LoadSpec};
 use umpa::service::clock::ServiceClock;
-use umpa::service::{
-    LadderRung, MapJob, MappingService, ServiceConfig, ServiceError, Submit, SupervisorPolicy,
-};
+use umpa::service::{LadderRung, MapJob, MappingService, ServiceConfig, ServiceError, Submit};
 use umpa::topology::{AllocSpec, Allocation, Machine, MachineConfig};
 
 /// Ring + chords with skewed weights — structure to lose, so drift
@@ -100,7 +98,6 @@ fn soak_500_events_sheds_survives_and_bounds_drift() {
         queue_capacity: 8,
         pressure_depth: 6,
         default_deadline_ns: 2_000_000_000, // 2 s: generous, so any miss means a stall
-        supervisor: SupervisorPolicy { check_every: 8 },
         ..ServiceConfig::default()
     };
     let queue_capacity = cfg.queue_capacity;
@@ -298,7 +295,6 @@ fn ladder_degrades_on_tight_deadlines_and_reports_the_rung() {
         .wait()
         .expect("served");
     assert_eq!(reply.rung, LadderRung::Projection);
-    assert_eq!(reply.served_with, MapperKind::Def);
 
     // A generous budget keeps the requested top rung.
     let reply = service
@@ -308,7 +304,6 @@ fn ladder_degrades_on_tight_deadlines_and_reports_the_rung() {
         .wait()
         .expect("served");
     assert_eq!(reply.rung, LadderRung::Full);
-    assert_eq!(reply.served_with, MapperKind::GreedyMc);
 
     let stats = service.shutdown();
     assert_eq!(stats.served_by_rung[LadderRung::Projection.index()], 1);
@@ -341,7 +336,7 @@ fn manual_clock_runs_are_deterministic() {
                         .expect("no contention, must admit")
                         .wait()
                         .expect("served");
-                    replies.push((reply.mapping, reply.served_with));
+                    replies.push((reply.mapping, reply.rung));
                 }
                 LoadEvent::Churn { event, .. } => {
                     service.apply_churn(std::slice::from_ref(event));
@@ -467,4 +462,62 @@ fn ring_with_heavy_task(heavy: f64) -> TaskGraph {
         (0..10u32).map(|i| (i, (i + 1) % 10, 1.0)),
         Some(weights),
     )
+}
+
+/// A ring of tasks with the given weights and skewed volumes.
+fn weighted_ring(weights: Vec<f64>) -> TaskGraph {
+    let n = weights.len() as u32;
+    TaskGraph::from_messages(
+        n as usize,
+        (0..n).map(|i| (i, (i + 1) % n, 1.0 + f64::from(i % 3))),
+        Some(weights),
+    )
+}
+
+#[test]
+fn unplaceable_job_is_refused_and_the_supervisor_keeps_the_live_mapping() {
+    let (machine, alloc) = four_processor_nodes();
+    let cfg = ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    };
+    let service = MappingService::new(machine, alloc, cfg);
+
+    // Ten tasks of weight 3 pass the job check (each fits a node, 30
+    // of 32 processors), but a node holds only one of them: install
+    // refuses the job and keeps no resident job.
+    let threes = Arc::new(weighted_ring(vec![3.0; 10]));
+    assert_eq!(
+        service.install_job(Arc::clone(&threes)),
+        Err(ServiceError::Panicked)
+    );
+    assert_eq!(service.live_mapping(), None);
+    // A map request for it is answered `Panicked` as well: the mapping
+    // entry points have no typed "cannot place" error yet.
+    let reply = service
+        .submit_map(MapJob::new(threes))
+        .accepted()
+        .expect("queue empty, must admit")
+        .wait();
+    assert!(matches!(reply, Err(ServiceError::Panicked)));
+
+    // Eight tasks of weight 3 and eight of weight 1, in a ring weighing
+    // 3, 3, 1, 1, …, fill the 32 processors exactly. Phase 1 cuts them
+    // into eight groups of weight 4, so install places the job; greedy
+    // on the ungrouped tasks, the supervisor's baseline, strands a task
+    // of weight 3. The forced check is skipped and the live mapping
+    // kept.
+    let weights = (0..16).map(|t| if t % 4 < 2 { 3.0 } else { 1.0 });
+    service
+        .install_job(Arc::new(weighted_ring(weights.collect())))
+        .expect("phase 1 packs four processors per group");
+    let live = service.live_mapping();
+    let report = service.polish_now();
+    assert!(report.fully_placed);
+    assert!(!report.drift_checked, "no baseline, so no check");
+    assert!(!report.polished && !report.adopted_baseline);
+    assert_eq!(service.live_mapping(), live);
+    let stats = service.shutdown();
+    assert_eq!(stats.drift_checks, 0);
+    assert_eq!(stats.panics, 1, "only the map request panicked");
 }
