@@ -18,7 +18,8 @@
 
 use crate::mapping::fits;
 use umpa_graph::TaskGraph;
-use umpa_partition::bisect::{multilevel_bisect, BisectConfig};
+use umpa_partition::bisect::multilevel_bisect;
+use umpa_partition::MlConfig;
 use umpa_topology::{Allocation, Machine};
 
 /// SMP-STYLE default placement: task `t` goes to the allocation slot
@@ -132,10 +133,10 @@ fn recurse(
     let sub = tg.symmetric().induced_subgraph(&tasks);
     let total_w = sub.total_vertex_weight();
     let target_left = total_w * cap1 / (cap1 + cap2);
-    let cfg = BisectConfig {
+    let cfg = MlConfig {
         epsilon: 0.02,
         seed: seed.wrapping_mul(0x9E37_79B9).wrapping_add(depth_id),
-        ..BisectConfig::default()
+        ..MlConfig::default()
     };
     let mut side = multilevel_bisect(&sub, target_left, &cfg);
     enforce_capacity(&sub, &mut side, cap1, cap2);

@@ -21,8 +21,8 @@
 //!
 //! 1. **Route caching.** Every routed endpoint is an allocated node, so
 //!    routes are served from the machine's [`RouteCache`] link-id
-//!    slices when enabled, and a per-edge *EdgeRoutes* slab inside
-//!    `CongState` stores each task-graph edge's **current** route. The
+//!    slices when enabled, and a per-edge *EdgeRoutes* slab among the
+//!    run's buffers stores each task-graph edge's **current** route. The
 //!    invariant: EdgeRoutes always reflects the *committed* mapping, so
 //!    "old route" removal in delta collection and `commTasks`
 //!    maintenance is a slice read. Each edge enters the slab once at init and once per
@@ -81,6 +81,13 @@ pub enum CongestionKind {
     /// Volume congestion: Σ volume / bandwidth (the `MC` metric).
     Volume,
     /// Message congestion: message count per link (the `MMC` metric).
+    ///
+    /// The refinement adds each edge's weight to its links as-is for
+    /// both kinds; the kind selects only the per-link cost (1/bandwidth
+    /// for volume, 1 for messages). MMC's message counts live in the
+    /// task graph the caller passes, not in a per-kind transform here:
+    /// [`TaskGraph::group_quotient`] with `count_weighted` builds coarse
+    /// edges whose weight is the number of messages they bundle.
     Messages,
 }
 
@@ -116,19 +123,6 @@ impl CongRefineConfig {
     }
 }
 
-/// The per-message weight entering the congestion accumulators: a
-/// documented **passthrough**. Both [`CongestionKind`]s use the edge
-/// weight as-is by design — MMC's "count messages, not words" semantics
-/// live in the task graph the caller hands in
-/// ([`TaskGraph::group_quotient`] with `count_weighted` builds coarse
-/// edges whose weight *is* the bundled message count), not in a
-/// per-kind transform here. The kind still selects the per-link cost
-/// normalization (`inv_cost`: 1/bandwidth for volume, 1 for messages).
-#[inline]
-fn message_weight(c: f64) -> f64 {
-    c
-}
-
 /// Per-link registry of the message edges routed across each link: an
 /// **amortized-O(1) insert/remove set with deferred sorting** per link.
 ///
@@ -144,9 +138,9 @@ fn message_weight(c: f64) -> f64 {
 /// not two) and removes multiplicity bookkeeping: a task stays listed
 /// exactly while ≥ 1 of its edges crosses the link.
 ///
-/// `reset` is O(links touched since the previous reset) — a
-/// generation-stamped touched-list — so a warm engine pays nothing for
-/// the untouched majority of a large machine's link space, and a warm
+/// `reset` is O(links touched since the previous reset) — an
+/// epoch-marked touched-list — so a warm engine pays nothing for the
+/// untouched majority of a large machine's link space, and a warm
 /// instance never touches the allocator (DESIGN.md §8, §13).
 #[derive(Default)]
 pub(crate) struct LinkTaskSets {
@@ -156,12 +150,10 @@ pub(crate) struct LinkTaskSets {
     removed: Vec<Vec<u32>>,
     /// Whether the link needs normalization before iteration.
     dirty: Vec<bool>,
-    /// Generation stamp per link; `gen[l] == cur` ⇔ `l` is in
-    /// `touched`.
-    gen: Vec<u32>,
-    cur: u32,
     /// Links with any activity since the last reset.
     touched: Vec<u32>,
+    /// Marks the links in `touched`.
+    touched_mark: EpochMarker,
 }
 
 impl LinkTaskSets {
@@ -175,26 +167,19 @@ impl LinkTaskSets {
             self.dirty[l] = false;
         }
         self.touched.clear();
-        self.cur = match self.cur.checked_add(1) {
-            Some(c) => c,
-            None => {
-                self.gen.iter_mut().for_each(|g| *g = 0);
-                1
-            }
-        };
+        self.touched_mark.reset();
         if n > self.items.len() {
             self.items.resize_with(n, Vec::new);
             self.removed.resize_with(n, Vec::new);
             self.dirty.resize(n, false);
-            self.gen.resize(n, 0);
+            self.touched_mark.ensure_len(n);
         }
     }
 
     /// Records `link` in the touched list (once per reset cycle).
     #[inline]
     fn touch(&mut self, link: usize) {
-        if self.gen[link] != self.cur {
-            self.gen[link] = self.cur;
+        if !self.touched_mark.mark(link) {
             self.touched.push(link as u32);
         }
     }
@@ -353,10 +338,32 @@ impl CongRunStats {
 /// Reusable buffers for one congestion-refinement run.
 #[derive(Default)]
 pub struct CongScratch {
-    heap: IndexedMaxHeap,
     /// All-ones cost vector for the message kind (the volume kind
-    /// borrows the machine's memoized `inv_bandwidths`).
+    /// borrows the machine's memoized `inv_bandwidths`). A run reads it
+    /// as its per-link cost for its whole length, so it sits beside the
+    /// buffers the run borrows mutably rather than among them.
     ones: Vec<f64>,
+    bufs: CongBuffers,
+}
+
+impl CongScratch {
+    /// Creates an empty scratch; buffers are sized on first run.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Counters of the most recent run through this scratch.
+    pub fn stats(&self) -> CongRunStats {
+        self.bufs.stats
+    }
+}
+
+/// The buffers a congestion-refinement run mutates; `CongState`
+/// borrows them whole.
+#[derive(Default)]
+struct CongBuffers {
+    /// Per-link congestion key (volume/bw or message count).
+    heap: IndexedMaxHeap,
     comm_tasks: LinkTaskSets,
     buckets: SlotBuckets,
     free: Vec<f64>,
@@ -413,18 +420,6 @@ pub struct CongScratch {
     stats: CongRunStats,
 }
 
-impl CongScratch {
-    /// Creates an empty scratch; buffers are sized on first run.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Counters of the most recent run through this scratch.
-    pub fn stats(&self) -> CongRunStats {
-        self.stats
-    }
-}
-
 /// Refines `mapping` in place; returns the final `(max, avg)`
 /// congestion in the chosen kind's units. Allocation-free once
 /// `scratch` is warm (including the machine's route-cache rows, which
@@ -445,7 +440,7 @@ pub fn congestion_refine_scratch(
     let mut state = CongState::new(tg, machine, alloc, mapping, cfg.kind, scratch);
     let mut moves = 0u32;
     'outer: while moves < cfg.max_moves {
-        let Some((emc, top_key)) = state.heap.peek() else {
+        let Some((emc, top_key)) = state.s.heap.peek() else {
             break;
         };
         if top_key <= 0.0 {
@@ -453,14 +448,11 @@ pub fn congestion_refine_scratch(
         }
         // Snapshot (try_improve_task edits the registry mid-scan); this
         // is the one read that triggers the deferred normalization.
-        state.comm_tasks.collect_members_into(
-            emc as usize,
-            state.edges,
-            state.nb_mark,
-            state.tasks,
-        );
-        for i in 0..state.tasks.len() {
-            let tmc = state.tasks[i];
+        let s = &mut *state.s;
+        s.comm_tasks
+            .collect_members_into(emc as usize, &s.edges, &mut s.nb_mark, &mut s.tasks);
+        for i in 0..state.s.tasks.len() {
+            let tmc = state.s.tasks[i];
             if state.try_improve_task(tmc, cfg.delta) {
                 moves += 1;
                 continue 'outer;
@@ -515,8 +507,8 @@ impl<'a> RouteSource<'a> {
     }
 }
 
-/// Incrementally maintained congestion state, borrowing all buffers
-/// from a [`CongScratch`].
+/// Incrementally maintained congestion state of one run: its inputs,
+/// the running sums, and the [`CongBuffers`] it borrows whole.
 struct CongState<'a> {
     tg: &'a TaskGraph,
     alloc: &'a Allocation,
@@ -528,42 +520,17 @@ struct CongState<'a> {
     /// Cache-or-analytic static routes.
     routes: RouteSource<'a>,
     mapping: &'a mut [u32],
-    /// Per-link congestion key (volume/bw or message count).
-    heap: &'a mut IndexedMaxHeap,
     /// 1/bw (volume kind, borrowed from the machine) or all-ones
     /// (message kind) per link.
     inv_cost: &'a [f64],
-    comm_tasks: &'a mut LinkTaskSets,
     sum_key: f64,
     used_links: usize,
-    buckets: &'a mut SlotBuckets,
-    free: &'a mut Vec<f64>,
-    bfs: &'a mut Bfs,
-    tasks: &'a mut Vec<u32>,
-    cand: &'a mut Vec<(f64, u32)>,
-    sources: &'a mut Vec<u32>,
-    edges: &'a mut Vec<EdgeRec>,
-    inc_off: &'a mut Vec<u32>,
-    inc_edge: &'a mut Vec<u32>,
-    inc_meta: &'a mut Vec<IncMeta>,
-    used_list: &'a mut Vec<u32>,
-    er_span: &'a mut Vec<(u32, u32)>,
-    er_pool: &'a mut Vec<u32>,
-    er_scratch: &'a mut Vec<u32>,
     /// Live (referenced) words in `er_pool`; the slab compacts when
     /// dead gaps exceed the live total.
     er_live: usize,
-    task_router: &'a mut Vec<u32>,
-    aff: &'a mut Vec<u32>,
-    t1_old: &'a mut Vec<(u32, f64)>,
     /// Whether `t1_old` holds the current pivot's prefix.
     t1_old_ready: bool,
-    route_buf: &'a mut Vec<u32>,
-    deltas: &'a mut Vec<(u32, f64)>,
-    link_state: &'a mut Vec<LinkSlot>,
-    link_epoch: &'a mut u32,
-    nb_mark: &'a mut EpochMarker,
-    stats: &'a mut CongRunStats,
+    s: &'a mut CongBuffers,
 }
 
 impl<'a> CongState<'a> {
@@ -575,69 +542,41 @@ impl<'a> CongState<'a> {
         kind: CongestionKind,
         scratch: &'a mut CongScratch,
     ) -> Self {
-        let CongScratch {
-            heap,
-            ones,
-            comm_tasks,
-            buckets,
-            free,
-            bfs,
-            tasks,
-            cand,
-            sources,
-            edges,
-            inc_off,
-            inc_edge,
-            inc_meta,
-            cursor_out,
-            cursor_in,
-            used_list,
-            er_span,
-            er_pool,
-            er_scratch,
-            task_router,
-            aff,
-            t1_old,
-            route_buf,
-            deltas,
-            link_state,
-            link_epoch,
-            nb_mark,
-            stats,
-        } = scratch;
         let nl = machine.num_links();
         let inv_cost: &'a [f64] = match kind {
             CongestionKind::Volume => machine.inv_bandwidths(),
             CongestionKind::Messages => {
-                if ones.len() < nl {
-                    ones.resize(nl, 1.0);
+                if scratch.ones.len() < nl {
+                    scratch.ones.resize(nl, 1.0);
                 }
-                &(*ones)[..nl]
+                &scratch.ones[..nl]
             }
         };
-        buckets.reset(alloc.num_nodes(), tg.num_tasks());
-        free.clear();
-        free.extend((0..alloc.num_nodes()).map(|s| f64::from(alloc.procs(s))));
+        let s = &mut scratch.bufs;
+        s.buckets.reset(alloc.num_nodes(), tg.num_tasks());
+        s.free.clear();
+        s.free
+            .extend((0..alloc.num_nodes()).map(|slot| f64::from(alloc.procs(slot))));
         for (t, &node) in mapping.iter().enumerate() {
             let slot = alloc.slot_of(node).expect("mapping must be feasible") as usize;
-            buckets.insert(slot, t as u32);
-            free[slot] -= tg.task_weight(t as u32);
+            s.buckets.insert(slot, t as u32);
+            s.free[slot] -= tg.task_weight(t as u32);
         }
         // Lazy traffic re-zeroing: every link that carried traffic in
         // the previous run is in that run's `used_list`; the rest are
         // already zero, so the O(num_links) clear becomes O(used).
-        if link_state.len() < nl {
-            link_state.clear();
-            link_state.resize(nl, LinkSlot::default());
+        if s.link_state.len() < nl {
+            s.link_state.clear();
+            s.link_state.resize(nl, LinkSlot::default());
         } else {
-            for i in 0..used_list.len() {
-                link_state[used_list[i] as usize].traffic = 0.0;
+            for i in 0..s.used_list.len() {
+                s.link_state[s.used_list[i] as usize].traffic = 0.0;
             }
         }
-        comm_tasks.reset(nl);
-        nb_mark.ensure_len(tg.num_tasks());
-        bfs.ensure(machine.num_routers());
-        *stats = CongRunStats::default();
+        s.comm_tasks.reset(nl);
+        s.nb_mark.ensure_len(tg.num_tasks());
+        s.bfs.ensure(machine.num_routers());
+        s.stats = CongRunStats::default();
         let routes = RouteSource {
             cache: machine.route_cache(),
             topo: machine.topology(),
@@ -657,63 +596,66 @@ impl<'a> CongState<'a> {
         // the same order the old engine walked `out_edges`/`in_edges`).
         let nt = tg.num_tasks();
         let m = tg.num_messages();
-        edges.clear();
-        inc_off.clear();
-        inc_off.push(0);
+        s.edges.clear();
+        s.inc_off.clear();
+        s.inc_off.push(0);
         for t in 0..nt as u32 {
             let deg = tg.send_messages(t) + tg.recv_messages(t);
-            inc_off.push(inc_off[t as usize] + deg);
+            s.inc_off.push(s.inc_off[t as usize] + deg);
         }
-        inc_edge.clear();
-        inc_edge.resize(2 * m, 0);
-        inc_meta.clear();
-        inc_meta.resize(2 * m, IncMeta::default());
-        cursor_out.clear();
-        cursor_out.extend_from_slice(&inc_off[..nt]);
-        cursor_in.clear();
-        cursor_in.extend((0..nt as u32).map(|t| inc_off[t as usize] + tg.send_messages(t)));
-        used_list.clear();
-        er_span.clear();
-        er_pool.clear();
-        task_router.clear();
-        task_router.extend(mapping.iter().map(|&n| machine.router_of(n)));
+        s.inc_edge.clear();
+        s.inc_edge.resize(2 * m, 0);
+        s.inc_meta.clear();
+        s.inc_meta.resize(2 * m, IncMeta::default());
+        s.cursor_out.clear();
+        s.cursor_out.extend_from_slice(&s.inc_off[..nt]);
+        s.cursor_in.clear();
+        s.cursor_in
+            .extend((0..nt as u32).map(|t| s.inc_off[t as usize] + tg.send_messages(t)));
+        s.used_list.clear();
+        s.er_span.clear();
+        s.er_pool.clear();
+        s.task_router.clear();
+        s.task_router
+            .extend(mapping.iter().map(|&n| machine.router_of(n)));
 
         // Initial routing of every message (INITCONG): each edge is
         // routed once, straight into the EdgeRoutes slab.
         let mut sum_key = 0.0;
         let mut used_links = 0usize;
         for (e, (src, dst, c)) in tg.messages().enumerate() {
-            let co = cursor_out[src as usize] as usize;
-            inc_edge[co] = e as u32;
-            inc_meta[co] = IncMeta { partner: dst, w: c };
-            cursor_out[src as usize] += 1;
-            let ci = cursor_in[dst as usize] as usize;
-            inc_edge[ci] = e as u32;
-            inc_meta[ci] = IncMeta { partner: src, w: c };
-            cursor_in[dst as usize] += 1;
-            let weight = message_weight(c);
-            let (ra, rb) = (task_router[src as usize], task_router[dst as usize]);
-            let start = er_pool.len();
-            er_pool.extend_from_slice(routes.route_slice(ra, rb, route_buf, stats));
-            edges.push(EdgeRec { src, dst, w: c });
-            er_span.push((start as u32, (er_pool.len() - start) as u32));
-            for &link in &er_pool[start..] {
+            let co = s.cursor_out[src as usize] as usize;
+            s.inc_edge[co] = e as u32;
+            s.inc_meta[co] = IncMeta { partner: dst, w: c };
+            s.cursor_out[src as usize] += 1;
+            let ci = s.cursor_in[dst as usize] as usize;
+            s.inc_edge[ci] = e as u32;
+            s.inc_meta[ci] = IncMeta { partner: src, w: c };
+            s.cursor_in[dst as usize] += 1;
+            let (ra, rb) = (s.task_router[src as usize], s.task_router[dst as usize]);
+            let start = s.er_pool.len();
+            let route = routes.route_slice(ra, rb, &mut s.route_buf, &mut s.stats);
+            s.er_pool.extend_from_slice(route);
+            s.edges.push(EdgeRec { src, dst, w: c });
+            s.er_span
+                .push((start as u32, (s.er_pool.len() - start) as u32));
+            for &link in &s.er_pool[start..] {
                 let l = link as usize;
-                if link_state[l].traffic == 0.0 {
+                if s.link_state[l].traffic == 0.0 {
                     used_links += 1;
-                    used_list.push(l as u32);
+                    s.used_list.push(l as u32);
                 }
-                link_state[l].traffic += weight;
-                sum_key += weight * inv_cost[l];
-                comm_tasks.insert(l, e as u32);
+                s.link_state[l].traffic += c;
+                sum_key += c * inv_cost[l];
+                s.comm_tasks.insert(l, e as u32);
             }
         }
-        let er_live = er_pool.len();
+        let er_live = s.er_pool.len();
         // Sparse congHeap: only links that carry traffic get entries
         // (O(used) bulk heapify); the zero-traffic majority stays
         // implicit and the peek accounts for it.
-        heap.rebuild_sparse(nl, used_list, |l| {
-            link_state[l as usize].traffic * inv_cost[l as usize]
+        s.heap.rebuild_sparse(nl, &s.used_list, |l| {
+            s.link_state[l as usize].traffic * inv_cost[l as usize]
         });
         Self {
             tg,
@@ -723,41 +665,17 @@ impl<'a> CongState<'a> {
             dist: HopDist::new(machine),
             routes,
             mapping,
-            heap,
             inv_cost,
-            comm_tasks,
             sum_key,
             used_links,
-            buckets,
-            free,
-            bfs,
-            tasks,
-            cand,
-            sources,
-            edges,
-            inc_off,
-            inc_edge,
-            inc_meta,
-            used_list,
-            er_span,
-            er_pool,
-            er_scratch,
             er_live,
-            task_router,
-            aff,
-            t1_old,
             t1_old_ready: false,
-            route_buf,
-            deltas,
-            link_state,
-            link_epoch,
-            nb_mark,
-            stats,
+            s,
         }
     }
 
     fn current_max(&self) -> f64 {
-        self.heap.peek().map_or(0.0, |(_, k)| k)
+        self.s.heap.peek().map_or(0.0, |(_, k)| k)
     }
 
     fn current_avg(&self) -> f64 {
@@ -777,42 +695,42 @@ impl<'a> CongState<'a> {
     /// the affected list itself — only a commit needs it
     /// ([`collect_affected`](Self::collect_affected)).
     fn collect_old_deltas(&mut self, t1: u32, t2: Option<u32>, epoch: u64) {
+        let s = &mut *self.s;
         let ti = t1 as usize;
-        let t1_inc = &self.inc_edge[self.inc_off[ti] as usize..self.inc_off[ti + 1] as usize];
+        let t1_inc = &s.inc_edge[s.inc_off[ti] as usize..s.inc_off[ti + 1] as usize];
         if self.t1_old_ready {
             // Replay the pivot's prefix: its accumulated (link, −w)
             // entries are the leading first-touch segment of every
             // probe of this task, so a copy plus restamp reproduces the
             // add-by-add accumulation bit for bit.
-            for (i, &(l, d)) in self.t1_old.iter().enumerate() {
-                self.link_state[l as usize].stamp = (epoch << 32) | i as u64;
-                self.deltas.push((l, d));
+            for (i, &(l, d)) in s.t1_old.iter().enumerate() {
+                s.link_state[l as usize].stamp = (epoch << 32) | i as u64;
+                s.deltas.push((l, d));
             }
         } else {
             for &e in t1_inc {
-                let (off, len) = self.er_span[e as usize];
-                let w = message_weight(self.edges[e as usize].w);
-                for &l in &self.er_pool[off as usize..(off + len) as usize] {
-                    Self::add_delta(self.deltas, self.link_state, epoch, l, -w);
+                let (off, len) = s.er_span[e as usize];
+                let w = s.edges[e as usize].w;
+                for &l in &s.er_pool[off as usize..(off + len) as usize] {
+                    Self::add_delta(&mut s.deltas, &mut s.link_state, epoch, l, -w);
                 }
             }
-            self.t1_old.clear();
-            self.t1_old.extend_from_slice(self.deltas);
+            s.t1_old.clear();
+            s.t1_old.extend_from_slice(&s.deltas);
             self.t1_old_ready = true;
         }
         if let Some(t2) = t2 {
             let ti = t2 as usize;
-            let (o, end) = (self.inc_off[ti] as usize, self.inc_off[ti + 1] as usize);
+            let (o, end) = (s.inc_off[ti] as usize, s.inc_off[ti + 1] as usize);
             for j in o..end {
-                let meta = self.inc_meta[j];
+                let meta = s.inc_meta[j];
                 if meta.partner == t1 {
                     continue; // t1↔t2 edge: already in t1's segment
                 }
-                let e = self.inc_edge[j];
-                let (off, len) = self.er_span[e as usize];
-                let w = message_weight(meta.w);
-                for &l in &self.er_pool[off as usize..(off + len) as usize] {
-                    Self::add_delta(self.deltas, self.link_state, epoch, l, -w);
+                let e = s.inc_edge[j];
+                let (off, len) = s.er_span[e as usize];
+                for &l in &s.er_pool[off as usize..(off + len) as usize] {
+                    Self::add_delta(&mut s.deltas, &mut s.link_state, epoch, l, -meta.w);
                 }
             }
         }
@@ -822,16 +740,16 @@ impl<'a> CongState<'a> {
     /// [`collect_old_deltas`](Self::collect_old_deltas) walked it) —
     /// called only by a committing probe.
     fn collect_affected(&mut self, t1: u32, t2: Option<u32>) {
-        self.aff.clear();
+        let s = &mut *self.s;
+        s.aff.clear();
         let ti = t1 as usize;
-        self.aff.extend_from_slice(
-            &self.inc_edge[self.inc_off[ti] as usize..self.inc_off[ti + 1] as usize],
-        );
+        s.aff
+            .extend_from_slice(&s.inc_edge[s.inc_off[ti] as usize..s.inc_off[ti + 1] as usize]);
         if let Some(t2) = t2 {
             let ti = t2 as usize;
-            for j in self.inc_off[ti] as usize..self.inc_off[ti + 1] as usize {
-                if self.inc_meta[j].partner != t1 {
-                    self.aff.push(self.inc_edge[j]);
+            for j in s.inc_off[ti] as usize..s.inc_off[ti + 1] as usize {
+                if s.inc_meta[j].partner != t1 {
+                    s.aff.push(s.inc_edge[j]);
                 }
             }
         }
@@ -841,14 +759,15 @@ impl<'a> CongState<'a> {
     /// stamp clear once per 2³² probes); returns it widened for
     /// [`add_delta`](Self::add_delta) comparisons.
     fn bump_link_epoch(&mut self) -> u64 {
-        *self.link_epoch = match self.link_epoch.checked_add(1) {
+        let s = &mut *self.s;
+        s.link_epoch = match s.link_epoch.checked_add(1) {
             Some(e) => e,
             None => {
-                self.link_state.iter_mut().for_each(|m| m.stamp = 0);
+                s.link_state.iter_mut().for_each(|m| m.stamp = 0);
                 1
             }
         };
-        u64::from(*self.link_epoch)
+        u64::from(s.link_epoch)
     }
 
     /// Accumulates into the delta of link `l`, locating it through the
@@ -877,7 +796,8 @@ impl<'a> CongState<'a> {
     /// candidate MC, matching the old engine's drop-zeros-then-apply
     /// bit for bit.
     fn collect_new_deltas(&mut self, t1: u32, t2: Option<u32>, r2: u32, epoch: u64) {
-        let r1 = self.task_router[t1 as usize];
+        let s = &mut *self.s;
+        let r1 = s.task_router[t1 as usize];
         // New routes under the virtual relocation — in the same
         // edge order the affected list holds (t1's out then in edges,
         // then t2's not-t1-connecting out then in edges), so the delta
@@ -888,90 +808,90 @@ impl<'a> CongState<'a> {
             // row view — a single memo consultation per sub-loop
             // instead of one per edge.
             let topo = self.routes.topo;
-            let o = self.inc_off[t1 as usize] as usize;
+            let o = s.inc_off[t1 as usize] as usize;
             let split = o + self.tg.send_messages(t1) as usize;
-            let end = self.inc_off[t1 as usize + 1] as usize;
+            let end = s.inc_off[t1 as usize + 1] as usize;
             // Queries are tallied in a register per sub-loop (every one
             // is a cache hit here) — no per-edge counter traffic.
             let mut queries = 0u64;
             let t2s = t2.unwrap_or(u32::MAX);
             let from_r2 = cache.row_from(topo, r2);
-            for meta in &self.inc_meta[o..split] {
+            for meta in &s.inc_meta[o..split] {
                 let rb = if meta.partner == t2s {
                     r1
                 } else {
-                    self.task_router[meta.partner as usize]
+                    s.task_router[meta.partner as usize]
                 };
                 if rb != r2 {
                     queries += 1;
-                    let w = message_weight(meta.w);
+                    let w = meta.w;
                     for &l in from_r2.route(rb) {
-                        Self::add_delta(self.deltas, self.link_state, epoch, l, w);
+                        Self::add_delta(&mut s.deltas, &mut s.link_state, epoch, l, w);
                     }
                 }
             }
             let to_r2 = cache.row_to(topo, r2);
-            for meta in &self.inc_meta[split..end] {
+            for meta in &s.inc_meta[split..end] {
                 let ra = if meta.partner == t2s {
                     r1
                 } else {
-                    self.task_router[meta.partner as usize]
+                    s.task_router[meta.partner as usize]
                 };
                 if ra != r2 {
                     queries += 1;
-                    let w = message_weight(meta.w);
+                    let w = meta.w;
                     for &l in to_r2.route(ra) {
-                        Self::add_delta(self.deltas, self.link_state, epoch, l, w);
+                        Self::add_delta(&mut s.deltas, &mut s.link_state, epoch, l, w);
                     }
                 }
             }
             if let Some(t2v) = t2 {
-                let o = self.inc_off[t2v as usize] as usize;
+                let o = s.inc_off[t2v as usize] as usize;
                 let split = o + self.tg.send_messages(t2v) as usize;
-                let end = self.inc_off[t2v as usize + 1] as usize;
+                let end = s.inc_off[t2v as usize + 1] as usize;
                 let from_r1 = cache.row_from(topo, r1);
-                for meta in &self.inc_meta[o..split] {
+                for meta in &s.inc_meta[o..split] {
                     if meta.partner == t1 {
                         continue; // t1↔t2 edge: handled in t1's loops
                     }
-                    let rb = self.task_router[meta.partner as usize];
+                    let rb = s.task_router[meta.partner as usize];
                     if rb != r1 {
                         queries += 1;
-                        let w = message_weight(meta.w);
+                        let w = meta.w;
                         for &l in from_r1.route(rb) {
-                            Self::add_delta(self.deltas, self.link_state, epoch, l, w);
+                            Self::add_delta(&mut s.deltas, &mut s.link_state, epoch, l, w);
                         }
                     }
                 }
                 let to_r1 = cache.row_to(topo, r1);
-                for meta in &self.inc_meta[split..end] {
+                for meta in &s.inc_meta[split..end] {
                     if meta.partner == t1 {
                         continue;
                     }
-                    let ra = self.task_router[meta.partner as usize];
+                    let ra = s.task_router[meta.partner as usize];
                     if ra != r1 {
                         queries += 1;
-                        let w = message_weight(meta.w);
+                        let w = meta.w;
                         for &l in to_r1.route(ra) {
-                            Self::add_delta(self.deltas, self.link_state, epoch, l, w);
+                            Self::add_delta(&mut s.deltas, &mut s.link_state, epoch, l, w);
                         }
                     }
                 }
             }
-            self.stats.route_queries += queries;
-            self.stats.route_cache_hits += queries;
+            s.stats.route_queries += queries;
+            s.stats.route_cache_hits += queries;
         } else {
             // Analytic fallback: same incidence walk (and therefore
             // the same delta order), routed per edge.
-            let o = self.inc_off[t1 as usize] as usize;
+            let o = s.inc_off[t1 as usize] as usize;
             let split = o + self.tg.send_messages(t1) as usize;
-            let end = self.inc_off[t1 as usize + 1] as usize;
+            let end = s.inc_off[t1 as usize + 1] as usize;
             for j in o..end {
-                let meta = self.inc_meta[j];
+                let meta = s.inc_meta[j];
                 let partner = if Some(meta.partner) == t2 {
                     r1
                 } else {
-                    self.task_router[meta.partner as usize]
+                    s.task_router[meta.partner as usize]
                 };
                 // Out-edges leave the relocated pivot; in-edges enter it.
                 let (ra, rb) = if j < split {
@@ -979,29 +899,33 @@ impl<'a> CongState<'a> {
                 } else {
                     (partner, r2)
                 };
-                let w = message_weight(meta.w);
-                for &l in self.routes.route_slice(ra, rb, self.route_buf, self.stats) {
-                    Self::add_delta(self.deltas, self.link_state, epoch, l, w);
+                for &l in self
+                    .routes
+                    .route_slice(ra, rb, &mut s.route_buf, &mut s.stats)
+                {
+                    Self::add_delta(&mut s.deltas, &mut s.link_state, epoch, l, meta.w);
                 }
             }
             if let Some(t2v) = t2 {
-                let o = self.inc_off[t2v as usize] as usize;
+                let o = s.inc_off[t2v as usize] as usize;
                 let split = o + self.tg.send_messages(t2v) as usize;
-                let end = self.inc_off[t2v as usize + 1] as usize;
+                let end = s.inc_off[t2v as usize + 1] as usize;
                 for j in o..end {
-                    let meta = self.inc_meta[j];
+                    let meta = s.inc_meta[j];
                     if meta.partner == t1 {
                         continue; // t1↔t2 edge: handled in t1's loop
                     }
-                    let partner = self.task_router[meta.partner as usize];
+                    let partner = s.task_router[meta.partner as usize];
                     let (ra, rb) = if j < split {
                         (r1, partner)
                     } else {
                         (partner, r1)
                     };
-                    let w = message_weight(meta.w);
-                    for &l in self.routes.route_slice(ra, rb, self.route_buf, self.stats) {
-                        Self::add_delta(self.deltas, self.link_state, epoch, l, w);
+                    for &l in self
+                        .routes
+                        .route_slice(ra, rb, &mut s.route_buf, &mut s.stats)
+                    {
+                        Self::add_delta(&mut s.deltas, &mut s.link_state, epoch, l, meta.w);
                     }
                 }
             }
@@ -1014,13 +938,14 @@ impl<'a> CongState<'a> {
     /// walk) and the untouched maximum comes from a read-only
     /// [`IndexedMaxHeap::max_excluding`] descent.
     fn peek_deltas(&self, mc: f64) -> (f64, f64) {
+        let s = &*self.s;
         let reject_above = mc + CONG_EPS;
         let mut sum = self.sum_key;
         let mut used = self.used_links;
         let mut touched_max = f64::NEG_INFINITY;
-        for &(l, d) in self.deltas.iter() {
+        for &(l, d) in s.deltas.iter() {
             let li = l as usize;
-            let before = self.link_state[li].traffic;
+            let before = s.link_state[li].traffic;
             let key = if d == 0.0 {
                 // Exact cancellation: state untouched, but the link is
                 // stamped (excluded from the descent), so its current
@@ -1057,22 +982,21 @@ impl<'a> CongState<'a> {
         // exceed the current maximum), so the returned pair feeds the
         // accept rule identically without the descent.
         let new_mc = if touched_max < mc - CONG_EPS {
-            let epoch = u64::from(*self.link_epoch);
-            let link_state = &*self.link_state;
-            let untouched = self
+            let epoch = u64::from(s.link_epoch);
+            let untouched = s
                 .heap
-                .max_excluding(|id| link_state[id as usize].stamp >> 32 == epoch)
+                .max_excluding(|id| s.link_state[id as usize].stamp >> 32 == epoch)
                 .map_or(f64::NEG_INFINITY, |(_, k)| k);
             // Links not in the sparse heap all carry key 0; the descent
             // cannot see them, so any *untouched* absent link
             // contributes a 0.0 candidate.
             let mut absent_touched = 0usize;
-            for &(l, _) in self.deltas.iter() {
-                if self.link_state[l as usize].traffic == 0.0 && !self.heap.contains(l) {
+            for &(l, _) in s.deltas.iter() {
+                if s.link_state[l as usize].traffic == 0.0 && !s.heap.contains(l) {
                     absent_touched += 1;
                 }
             }
-            let untouched = if self.nl - self.heap.len() > absent_touched {
+            let untouched = if self.nl - s.heap.len() > absent_touched {
                 untouched.max(0.0)
             } else {
                 untouched
@@ -1090,34 +1014,35 @@ impl<'a> CongState<'a> {
         (new_mc, ac)
     }
 
-    /// Applies `self.deltas` to heap/traffic/sums — the write half the
-    /// peek predicted, run only on commit. Same per-link float
+    /// Applies the probe's deltas to heap/traffic/sums — the write half
+    /// the peek predicted, run only on commit. Same per-link float
     /// expressions and order as the peek, so the committed state equals
     /// the accepted `(new_mc, new_ac)` exactly.
     fn commit_deltas(&mut self) {
-        for i in 0..self.deltas.len() {
-            let (l, d) = self.deltas[i];
+        let s = &mut *self.s;
+        for i in 0..s.deltas.len() {
+            let (l, d) = s.deltas[i];
             if d == 0.0 {
                 continue; // exact cancellation: nothing changes
             }
             let li = l as usize;
-            let before = self.link_state[li].traffic;
+            let before = s.link_state[li].traffic;
             let after = before + d;
             if before == 0.0 && after > 0.0 {
                 self.used_links += 1;
-                self.used_list.push(l);
+                s.used_list.push(l);
             } else if before > 0.0 && after <= CONG_EPS {
                 self.used_links -= 1;
             }
-            self.link_state[li].traffic = if after.abs() < CONG_EPS { 0.0 } else { after };
+            s.link_state[li].traffic = if after.abs() < CONG_EPS { 0.0 } else { after };
             self.sum_key += d * self.inv_cost[li];
             // A link gaining its first-ever traffic enters the sparse
             // heap here (and the used list, for the next run's lazy
             // traffic zeroing); zeroed links keep a 0-key entry
             // (harmless — the heap stays a superset of the
             // traffic-carrying set).
-            self.heap
-                .push_or_update(l, self.link_state[li].traffic * self.inv_cost[li]);
+            s.heap
+                .push_or_update(l, s.link_state[li].traffic * self.inv_cost[li]);
         }
     }
 
@@ -1125,14 +1050,15 @@ impl<'a> CongState<'a> {
     /// replacements exceed the live total (amortized O(1) per commit;
     /// allocation-free once both buffers are warm).
     fn compact_routes(&mut self) {
-        self.er_scratch.clear();
-        for span in self.er_span.iter_mut() {
+        let s = &mut *self.s;
+        s.er_scratch.clear();
+        for span in s.er_span.iter_mut() {
             let start = span.0 as usize;
-            span.0 = self.er_scratch.len() as u32;
-            self.er_scratch
-                .extend_from_slice(&self.er_pool[start..start + span.1 as usize]);
+            span.0 = s.er_scratch.len() as u32;
+            s.er_scratch
+                .extend_from_slice(&s.er_pool[start..start + span.1 as usize]);
         }
-        std::mem::swap(self.er_pool, self.er_scratch);
+        std::mem::swap(&mut s.er_pool, &mut s.er_scratch);
     }
 
     /// Probes the swap/move of `tmc` with `t2` on `node2`. A rejected
@@ -1151,8 +1077,8 @@ impl<'a> CongState<'a> {
         mc: f64,
         ac: f64,
     ) -> bool {
-        self.stats.probes += 1;
-        self.deltas.clear();
+        self.s.stats.probes += 1;
+        self.s.deltas.clear();
         let epoch = self.bump_link_epoch();
         self.collect_old_deltas(tmc, t2, epoch);
         self.collect_new_deltas(tmc, t2, r2, epoch);
@@ -1164,11 +1090,12 @@ impl<'a> CongState<'a> {
         }
         self.collect_affected(tmc, t2);
         // Old routes leave commTasks against the *pre-move* mapping.
-        for i in 0..self.aff.len() {
-            let e = self.aff[i];
-            let (off, len) = self.er_span[e as usize];
+        let s = &mut *self.s;
+        for i in 0..s.aff.len() {
+            let e = s.aff[i];
+            let (off, len) = s.er_span[e as usize];
             for j in off as usize..(off + len) as usize {
-                self.comm_tasks.remove(self.er_pool[j] as usize, e);
+                s.comm_tasks.remove(s.er_pool[j] as usize, e);
             }
         }
         self.commit_deltas();
@@ -1177,30 +1104,33 @@ impl<'a> CongState<'a> {
         // mapping (`task_router` is already updated), straight into the
         // slab — the "once per committed move" half of the EdgeRoutes
         // contract; probes themselves never route into the slab.
-        for i in 0..self.aff.len() {
-            let e = self.aff[i];
-            let rec = self.edges[e as usize];
+        let s = &mut *self.s;
+        for i in 0..s.aff.len() {
+            let e = s.aff[i];
+            let rec = s.edges[e as usize];
             let (ra, rb) = (
-                self.task_router[rec.src as usize],
-                self.task_router[rec.dst as usize],
+                s.task_router[rec.src as usize],
+                s.task_router[rec.dst as usize],
             );
-            let start = self.er_pool.len();
-            let route = self.routes.route_slice(ra, rb, self.route_buf, self.stats);
-            self.er_pool.extend_from_slice(route);
-            for j in start..self.er_pool.len() {
-                self.comm_tasks.insert(self.er_pool[j] as usize, e);
+            let start = s.er_pool.len();
+            let route = self
+                .routes
+                .route_slice(ra, rb, &mut s.route_buf, &mut s.stats);
+            s.er_pool.extend_from_slice(route);
+            for j in start..s.er_pool.len() {
+                s.comm_tasks.insert(s.er_pool[j] as usize, e);
             }
             // EdgeRoutes invariant: the slab now reflects the committed
             // mapping again.
-            let span = &mut self.er_span[e as usize];
+            let span = &mut s.er_span[e as usize];
             self.er_live -= span.1 as usize;
-            *span = (start as u32, (self.er_pool.len() - start) as u32);
+            *span = (start as u32, (s.er_pool.len() - start) as u32);
             self.er_live += span.1 as usize;
         }
-        if self.er_pool.len() > 2 * self.er_live.max(32) {
+        if s.er_pool.len() > 2 * self.er_live.max(32) {
             self.compact_routes();
         }
-        self.stats.moves += 1;
+        self.s.stats.moves += 1;
         true
     }
 
@@ -1211,20 +1141,21 @@ impl<'a> CongState<'a> {
         let w1 = self.tg.task_weight(tmc);
         // Loop-invariant: tmc stays on node1 until a probe commits.
         let slot1 = self.alloc.slot_of(node1).unwrap() as usize;
-        self.sources.clear();
-        self.nb_mark.reset();
+        let s = &mut *self.s;
+        s.sources.clear();
+        s.nb_mark.reset();
         for &nb in self.tg.symmetric().neighbors(tmc) {
-            self.sources.push(self.task_router[nb as usize]);
-            self.nb_mark.mark(nb as usize);
+            s.sources.push(s.task_router[nb as usize]);
+            s.nb_mark.mark(nb as usize);
         }
-        if self.sources.is_empty() {
+        if s.sources.is_empty() {
             return false;
         }
         let (mc, ac) = (self.current_max(), self.current_avg());
         self.t1_old_ready = false; // new pivot, new prefix
-        self.bfs.start(self.sources.iter().copied());
+        self.s.bfs.start(self.s.sources.iter().copied());
         let mut evaluated = 0usize;
-        while let Some(ev) = self.bfs.next(self.machine.router_graph()) {
+        while let Some(ev) = self.s.bfs.next(self.machine.router_graph()) {
             for node2 in self.machine.nodes_of_router(ev.vertex) {
                 if node2 == node1 {
                     continue;
@@ -1240,25 +1171,25 @@ impl<'a> CongState<'a> {
                 // incremental WH damage (oracle rows, mutation-free —
                 // the §11 tiebreak), so an accepted congestion swap is
                 // the least WH-damaging one this node offers.
-                self.cand.clear();
-                for t in self.buckets.iter(slot2) {
+                let s = &mut *self.s;
+                s.cand.clear();
+                for t in s.buckets.iter(slot2) {
                     let w2 = self.tg.task_weight(t);
-                    if !fits(self.free[slot2] + w2, w1) || !fits(self.free[slot1] + w1, w2) {
+                    if !fits(s.free[slot2] + w2, w1) || !fits(s.free[slot1] + w1, w2) {
                         continue;
                     }
-                    self.cand.push((0.0, t));
+                    s.cand.push((0.0, t));
                 }
                 // Damages for the whole panel in one pass: oracle rows
                 // hoisted once, the pivot's gain half shared by every
                 // non-neighbor partner.
-                let nb_mark = &*self.nb_mark;
                 self.dist.fill_swap_damages(
                     self.tg,
-                    self.task_router,
+                    &s.task_router,
                     tmc,
                     ev.vertex,
-                    |t| nb_mark.is_marked(t as usize),
-                    self.cand,
+                    |t| s.nb_mark.is_marked(t as usize),
+                    &mut s.cand,
                 );
                 // Only the first `delta - evaluated` candidates can be
                 // probed before the budget runs out, so a partial
@@ -1266,14 +1197,14 @@ impl<'a> CongState<'a> {
                 // probe sequence of a full sort (the comparator is a
                 // strict total order — ties break by task id) at a
                 // fraction of the comparisons.
-                let k = self.cand.len().min(delta - evaluated);
+                let k = s.cand.len().min(delta - evaluated);
                 let cmp = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
-                if k < self.cand.len() && k > 0 {
-                    self.cand.select_nth_unstable_by(k - 1, cmp);
+                if k < s.cand.len() && k > 0 {
+                    s.cand.select_nth_unstable_by(k - 1, cmp);
                 }
-                self.cand[..k].sort_unstable_by(cmp);
+                s.cand[..k].sort_unstable_by(cmp);
                 for i in 0..k {
-                    let t = self.cand[i].1;
+                    let t = self.s.cand[i].1;
                     if self.probe(tmc, Some(t), node1, node2, ev.vertex, mc, ac) {
                         return true;
                     }
@@ -1282,7 +1213,7 @@ impl<'a> CongState<'a> {
                         return false;
                     }
                 }
-                if fits(self.free[slot2], w1) {
+                if fits(self.s.free[slot2], w1) {
                     if self.probe(tmc, None, node1, node2, ev.vertex, mc, ac) {
                         return true;
                     }
@@ -1300,18 +1231,19 @@ impl<'a> CongState<'a> {
         let slot1 = self.alloc.slot_of(node1).unwrap() as usize;
         let slot2 = self.alloc.slot_of(node2).unwrap() as usize;
         let w1 = self.tg.task_weight(t1);
+        let s = &mut *self.s;
         self.mapping[t1 as usize] = node2;
-        self.task_router[t1 as usize] = self.machine.router_of(node2);
-        self.buckets.relocate(slot1, slot2, t1);
-        self.free[slot1] += w1;
-        self.free[slot2] -= w1;
+        s.task_router[t1 as usize] = self.machine.router_of(node2);
+        s.buckets.relocate(slot1, slot2, t1);
+        s.free[slot1] += w1;
+        s.free[slot2] -= w1;
         if let Some(t) = t2 {
             let w2 = self.tg.task_weight(t);
             self.mapping[t as usize] = node1;
-            self.task_router[t as usize] = self.machine.router_of(node1);
-            self.buckets.relocate(slot2, slot1, t);
-            self.free[slot2] += w2;
-            self.free[slot1] -= w2;
+            s.task_router[t as usize] = self.machine.router_of(node1);
+            s.buckets.relocate(slot2, slot1, t);
+            s.free[slot2] += w2;
+            s.free[slot1] -= w2;
         }
     }
 }

@@ -152,7 +152,9 @@ impl GreedyScratch {
     }
 }
 
-/// Weighted hops of a mapping. Distances come from the machine's
+/// Weighted hops of a mapping. A message with an unplaced endpoint
+/// (`u32::MAX`) adds 0.0, so on a partial mapping the sum covers the
+/// messages between placed tasks. Distances come from the machine's
 /// [`DistanceOracle`](umpa_topology::DistanceOracle) table when built
 /// and from the analytic backend otherwise (via `HopDist`, which
 /// hoists the oracle check out of the per-message loop); the sums are
@@ -160,7 +162,14 @@ impl GreedyScratch {
 pub fn weighted_hops(tg: &TaskGraph, machine: &Machine, mapping: &[u32]) -> f64 {
     let dist = HopDist::new(machine);
     tg.messages()
-        .map(|(s, t, c)| f64::from(dist.node_hops(mapping[s as usize], mapping[t as usize])) * c)
+        .map(|(s, t, c)| {
+            let (a, b) = (mapping[s as usize], mapping[t as usize]);
+            if a == u32::MAX || b == u32::MAX {
+                0.0
+            } else {
+                f64::from(dist.node_hops(a, b)) * c
+            }
+        })
         .sum()
 }
 
@@ -237,20 +246,19 @@ fn run_greedy(
         // tidy-allow: panic-freedom (unreachable: non-uniform capacities need at least two slots)
         let max_cap = f64::from(*caps.iter().max().unwrap());
         let threshold = heavy_first_fraction * max_cap;
-        state.heavy.clear();
-        state
-            .heavy
-            .extend((0..n as u32).filter(|&t| tg.task_weight(t) > threshold));
+        let heavy = &mut state.s.heavy;
+        heavy.clear();
+        heavy.extend((0..n as u32).filter(|&t| tg.task_weight(t) > threshold));
         // Unstable sort: in-place (keeps the warm-scratch path
         // allocation-free); the id tiebreak makes the order total, so
         // the result is identical to a stable sort.
-        state.heavy.sort_unstable_by(|&a, &b| {
+        heavy.sort_unstable_by(|&a, &b| {
             tg.task_weight(b)
                 .total_cmp(&tg.task_weight(a))
                 .then(a.cmp(&b))
         });
-        for i in 0..state.heavy.len() {
-            let t = state.heavy[i];
+        for i in 0..state.s.heavy.len() {
+            let t = state.s.heavy[i];
             let (node, slot) = state.best_node_for(t)?;
             state.place_prepared(t, node, slot);
         }
@@ -263,7 +271,7 @@ fn run_greedy(
     if !state.is_mapped(t0) {
         let w0 = tg.task_weight(t0);
         let first_slot = (0..alloc.num_nodes())
-            .filter(|&s| fits(state.free[s], w0))
+            .filter(|&s| fits(state.s.free[s], w0))
             .max_by_key(|&s| (alloc.procs(s), std::cmp::Reverse(s)))?;
         state.place_fresh(t0, alloc.node(first_slot), first_slot as u32);
     }
@@ -281,38 +289,14 @@ fn run_greedy(
     Some(state.final_wh())
 }
 
-/// Working state of one greedy run, borrowing all buffers from a
-/// [`GreedyScratch`].
+/// Working state of one greedy run: its inputs, the mapped count, and
+/// the [`GreedyScratch`] it borrows whole.
 struct State<'a> {
     tg: &'a TaskGraph,
     machine: &'a Machine,
     alloc: &'a Allocation,
     dist: HopDist<'a>,
-    mapping: &'a mut Vec<u32>,
-    task_slot: &'a mut Vec<u32>,
-    task_router: &'a mut Vec<u32>,
-    slot_router: &'a [u32],
-    free: &'a mut Vec<f64>,
-    nonempty_slots: &'a mut Vec<u32>,
-    slot_nonempty: &'a mut Vec<bool>,
-    conn: &'a mut IndexedMaxHeap,
-    bfs_tasks: &'a mut Bfs,
-    bfs_routers: &'a mut Bfs,
-    sources: &'a mut Vec<u32>,
-    heavy: &'a mut Vec<u32>,
-    nb_keys: &'a mut Vec<u32>,
-    nb_ws: &'a mut Vec<f64>,
-    unm_ids: &'a mut Vec<u32>,
-    unm_ws: &'a mut Vec<f64>,
-    cand_keys: &'a mut Vec<u32>,
-    cand_nodes: &'a mut Vec<u32>,
-    cand_slots: &'a mut Vec<u32>,
-    cand_costs: &'a mut Vec<f64>,
-    router_mark: &'a mut EpochMarker,
-    feas_mark: &'a mut EpochMarker,
-    panel: &'a [u16],
-    panel_stride: usize,
-    stats: &'a mut GreedyRunStats,
+    s: &'a mut GreedyScratch,
     mapped_count: usize,
 }
 
@@ -321,94 +305,43 @@ impl<'a> State<'a> {
         tg: &'a TaskGraph,
         machine: &'a Machine,
         alloc: &'a Allocation,
-        scratch: &'a mut GreedyScratch,
+        s: &'a mut GreedyScratch,
     ) -> Self {
-        let GreedyScratch {
-            mapping,
-            best: _,
-            free,
-            nonempty_slots,
-            slot_nonempty,
-            conn,
-            bfs_tasks,
-            bfs_routers,
-            sources,
-            heavy,
-            task_slot,
-            task_router,
-            slot_router,
-            panel,
-            panel_stride,
-            nb_keys,
-            nb_ws,
-            unm_ids,
-            unm_ws,
-            cand_keys,
-            cand_nodes,
-            cand_slots,
-            cand_costs,
-            router_mark,
-            feas_mark,
-            stats,
-        } = scratch;
         let n_tasks = tg.num_tasks();
         let n_slots = alloc.num_nodes();
-        mapping.clear();
-        mapping.resize(n_tasks, u32::MAX);
-        task_slot.clear();
-        task_slot.resize(n_tasks, u32::MAX);
-        task_router.clear();
-        task_router.resize(n_tasks, u32::MAX);
-        free.clear();
-        free.extend((0..n_slots).map(|s| f64::from(alloc.procs(s))));
-        nonempty_slots.clear();
-        nonempty_slots.reserve(n_slots);
-        slot_nonempty.clear();
-        slot_nonempty.resize(n_slots, false);
-        conn.reset(n_tasks);
-        bfs_tasks.ensure(n_tasks);
-        bfs_routers.ensure(machine.num_routers());
-        router_mark.ensure_len(machine.num_routers());
-        feas_mark.ensure_len(machine.num_routers());
-        sources.clear();
-        sources.reserve(n_tasks.max(machine.num_routers()));
+        s.mapping.clear();
+        s.mapping.resize(n_tasks, u32::MAX);
+        s.task_slot.clear();
+        s.task_slot.resize(n_tasks, u32::MAX);
+        s.task_router.clear();
+        s.task_router.resize(n_tasks, u32::MAX);
+        s.free.clear();
+        s.free
+            .extend((0..n_slots).map(|slot| f64::from(alloc.procs(slot))));
+        s.nonempty_slots.clear();
+        s.nonempty_slots.reserve(n_slots);
+        s.slot_nonempty.clear();
+        s.slot_nonempty.resize(n_slots, false);
+        s.conn.reset(n_tasks);
+        s.bfs_tasks.ensure(n_tasks);
+        s.bfs_routers.ensure(machine.num_routers());
+        s.router_mark.ensure_len(machine.num_routers());
+        s.feas_mark.ensure_len(machine.num_routers());
+        s.sources.clear();
+        s.sources.reserve(n_tasks.max(machine.num_routers()));
         Self {
             tg,
             machine,
             alloc,
             dist: HopDist::new(machine),
-            mapping,
-            task_slot,
-            task_router,
-            slot_router,
-            free,
-            nonempty_slots,
-            slot_nonempty,
-            conn,
-            bfs_tasks,
-            bfs_routers,
-            sources,
-            heavy,
-            nb_keys,
-            nb_ws,
-            unm_ids,
-            unm_ws,
-            cand_keys,
-            cand_nodes,
-            cand_slots,
-            cand_costs,
-            router_mark,
-            feas_mark,
-            panel: &panel[..],
-            panel_stride: *panel_stride,
-            stats,
+            s,
             mapped_count: 0,
         }
     }
 
     #[inline]
     fn is_mapped(&self, t: u32) -> bool {
-        self.mapping[t as usize] != u32::MAX
+        self.s.mapping[t as usize] != u32::MAX
     }
 
     /// The commit common to both placement forms: the mapping and the
@@ -417,14 +350,15 @@ impl<'a> State<'a> {
     fn commit(&mut self, t: u32, node: u32, slot: u32) {
         debug_assert!(!self.is_mapped(t));
         debug_assert_eq!(self.alloc.slot_of(node), Some(slot));
-        debug_assert!(fits(self.free[slot as usize], self.tg.task_weight(t)));
-        self.mapping[t as usize] = node;
-        self.task_slot[t as usize] = slot;
-        self.task_router[t as usize] = self.slot_router[slot as usize];
-        self.free[slot as usize] -= self.tg.task_weight(t);
-        if !self.slot_nonempty[slot as usize] {
-            self.slot_nonempty[slot as usize] = true;
-            self.nonempty_slots.push(slot);
+        let s = &mut *self.s;
+        debug_assert!(fits(s.free[slot as usize], self.tg.task_weight(t)));
+        s.mapping[t as usize] = node;
+        s.task_slot[t as usize] = slot;
+        s.task_router[t as usize] = s.slot_router[slot as usize];
+        s.free[slot as usize] -= self.tg.task_weight(t);
+        if !s.slot_nonempty[slot as usize] {
+            s.slot_nonempty[slot as usize] = true;
+            s.nonempty_slots.push(slot);
         }
         self.mapped_count += 1;
     }
@@ -435,9 +369,10 @@ impl<'a> State<'a> {
     /// collected — same tasks, same order, no second edge scan.
     fn place_prepared(&mut self, t: u32, node: u32, slot: u32) {
         self.commit(t, node, slot);
-        self.conn.remove(t);
-        for i in 0..self.unm_ids.len() {
-            self.conn.add_to_key(self.unm_ids[i], self.unm_ws[i]);
+        let s = &mut *self.s;
+        s.conn.remove(t);
+        for i in 0..s.unm_ids.len() {
+            s.conn.add_to_key(s.unm_ids[i], s.unm_ws[i]);
         }
     }
 
@@ -445,10 +380,10 @@ impl<'a> State<'a> {
     /// `t_MSRV` seed): scans the edges for the heap updates.
     fn place_fresh(&mut self, t: u32, node: u32, slot: u32) {
         self.commit(t, node, slot);
-        self.conn.remove(t);
+        self.s.conn.remove(t);
         for (n, c) in self.tg.symmetric().edges(t) {
             if !self.is_mapped(n) {
-                self.conn.add_to_key(n, c);
+                self.s.conn.add_to_key(n, c);
             }
         }
     }
@@ -457,7 +392,7 @@ impl<'a> State<'a> {
     /// falls back to the max-SRV unmapped task when the heap is empty
     /// (disconnected task graphs).
     fn most_connected_task(&mut self) -> u32 {
-        if let Some((t, _)) = self.conn.pop() {
+        if let Some((t, _)) = self.s.conn.pop() {
             return t;
         }
         self.max_srv_unmapped()
@@ -476,15 +411,16 @@ impl<'a> State<'a> {
     /// in unreached components are "infinitely far": the max-SRV one of
     /// those wins outright (the paper's disconnected rule).
     fn farthest_unmapped_task(&mut self) -> u32 {
-        self.sources.clear();
+        let s = &mut *self.s;
+        s.sources.clear();
         for t in 0..self.tg.num_tasks() as u32 {
-            if self.mapping[t as usize] != u32::MAX {
-                self.sources.push(t);
+            if s.mapping[t as usize] != u32::MAX {
+                s.sources.push(t);
             }
         }
-        self.bfs_tasks.start(self.sources.iter().copied());
+        s.bfs_tasks.start(s.sources.iter().copied());
         let mut best: Option<(u32, u32)> = None; // (level, task)
-        while let Some(ev) = self.bfs_tasks.next(self.tg.symmetric()) {
+        while let Some(ev) = self.s.bfs_tasks.next(self.tg.symmetric()) {
             if self.is_mapped(ev.vertex) {
                 continue;
             }
@@ -507,7 +443,7 @@ impl<'a> State<'a> {
         }
         // Unreached (disconnected) tasks take precedence.
         let unreached = (0..self.tg.num_tasks() as u32)
-            .filter(|&t| !self.is_mapped(t) && !self.bfs_tasks.was_visited(t))
+            .filter(|&t| !self.is_mapped(t) && !self.s.bfs_tasks.was_visited(t))
             .max_by(|&a, &b| self.tg.srv(a).total_cmp(&self.tg.srv(b)).then(b.cmp(&a)));
         unreached
             .or(best.map(|(_, t)| t))
@@ -526,41 +462,42 @@ impl<'a> State<'a> {
         // lazily in [`Self::pick_best_candidate`]: with a mostly-full
         // allocation the typical placement has exactly one candidate,
         // whose cost is never needed.
-        self.sources.clear();
-        self.unm_ids.clear();
-        self.unm_ws.clear();
+        let s = &mut *self.s;
+        s.sources.clear();
+        s.unm_ids.clear();
+        s.unm_ws.clear();
         for (n, c) in self.tg.symmetric().edges(t) {
-            if self.task_slot[n as usize] == u32::MAX {
+            if s.task_slot[n as usize] == u32::MAX {
                 // A self-loop is skipped in both lists: the reference
                 // sees `t` unmapped at gather time and mapped by heap
                 // update time.
                 if n != t {
-                    self.unm_ids.push(n);
-                    self.unm_ws.push(c);
+                    s.unm_ids.push(n);
+                    s.unm_ws.push(c);
                 }
                 continue;
             }
-            self.sources.push(self.task_router[n as usize]);
+            s.sources.push(s.task_router[n as usize]);
         }
-        if self.sources.is_empty() {
+        if s.sources.is_empty() {
             return self.farthest_free_node(w);
         }
         // Level-0 fast path: the BFS would pop the deduped sources
         // first, in insertion order, and stop at level 0 if any hosts a
         // feasible node — the common case once the mapping has grown.
         // Scan them directly and skip the traversal machinery.
-        self.cand_keys.clear();
-        self.cand_nodes.clear();
-        self.cand_slots.clear();
-        self.router_mark.reset();
-        for i in 0..self.sources.len() {
-            let r = self.sources[i];
-            if self.router_mark.mark(r as usize) {
+        s.cand_keys.clear();
+        s.cand_nodes.clear();
+        s.cand_slots.clear();
+        s.router_mark.reset();
+        for i in 0..self.s.sources.len() {
+            let r = self.s.sources[i];
+            if self.s.router_mark.mark(r as usize) {
                 continue; // duplicate source; BFS keeps the first too
             }
             self.push_candidate(r, w);
         }
-        if self.cand_keys.is_empty() {
+        if self.s.cand_keys.is_empty() {
             // Full early-exiting BFS. Level-0 pops rescan the (known
             // infeasible) sources; once the hit level is found, the
             // capped stepper stops expanding — its children would sit
@@ -569,18 +506,20 @@ impl<'a> State<'a> {
             // infeasible pop costs one epoch check instead of a node
             // scan — the traversal crosses many empty routers when the
             // far-seeded front grows away from the main one.
-            self.feas_mark.reset();
-            for s in 0..self.alloc.num_nodes() {
-                if fits(self.free[s], w) {
-                    self.feas_mark.mark(self.slot_router[s] as usize);
+            let s = &mut *self.s;
+            s.feas_mark.reset();
+            for slot in 0..self.alloc.num_nodes() {
+                if fits(s.free[slot], w) {
+                    s.feas_mark.mark(s.slot_router[slot] as usize);
                 }
             }
-            self.bfs_routers.start(self.sources.iter().copied());
+            s.bfs_routers.start(s.sources.iter().copied());
+            let routers = self.machine.router_graph();
             let mut hit_level: Option<u32> = None;
             loop {
                 let ev = match hit_level {
-                    None => self.bfs_routers.next(self.machine.router_graph()),
-                    Some(l) => self.bfs_routers.next_capped(self.machine.router_graph(), l),
+                    None => self.s.bfs_routers.next(routers),
+                    Some(l) => self.s.bfs_routers.next_capped(routers, l),
                 };
                 let Some(ev) = ev else { break };
                 if let Some(l) = hit_level {
@@ -588,7 +527,7 @@ impl<'a> State<'a> {
                         break;
                     }
                 }
-                if self.feas_mark.is_marked(ev.vertex as usize) {
+                if self.s.feas_mark.is_marked(ev.vertex as usize) {
                     self.push_candidate(ev.vertex, w);
                     hit_level = Some(ev.level);
                 }
@@ -605,17 +544,17 @@ impl<'a> State<'a> {
     /// engine also evaluates can never win.
     #[inline]
     fn push_candidate(&mut self, r: u32, w: f64) {
+        let s = &mut *self.s;
         for node in self.machine.nodes_of_router(r) {
             let Some(slot) = self.alloc.slot_of(node) else {
                 continue;
             };
-            if !fits(self.free[slot as usize], w) {
+            if !fits(s.free[slot as usize], w) {
                 continue;
             }
-            self.cand_keys
-                .push(if self.panel_stride > 0 { slot } else { r });
-            self.cand_nodes.push(node);
-            self.cand_slots.push(slot);
+            s.cand_keys.push(if s.panel_stride > 0 { slot } else { r });
+            s.cand_nodes.push(node);
+            s.cand_slots.push(slot);
             return;
         }
     }
@@ -627,57 +566,54 @@ impl<'a> State<'a> {
     /// short-circuits: its cost cannot affect the argmin, so the
     /// neighbor panel is never even gathered.
     fn pick_best_candidate(&mut self, t: u32) -> Option<(u32, u32)> {
-        if self.cand_keys.is_empty() {
+        let s = &mut *self.s;
+        if s.cand_keys.is_empty() {
             return None;
         }
-        self.stats.probes += self.cand_keys.len() as u64;
-        if self.cand_keys.len() == 1 {
-            return Some((self.cand_nodes[0], self.cand_slots[0]));
+        s.stats.probes += s.cand_keys.len() as u64;
+        if s.cand_keys.len() == 1 {
+            return Some((s.cand_nodes[0], s.cand_slots[0]));
         }
         // Lazily gather the kernel's neighbor panel: position (slot in
         // panel mode, router in fallback mode) and weight per mapped
         // neighbor of `t`, in adjacency order — the order the cost
         // terms accumulate in.
-        let panel_mode = self.panel_stride > 0;
-        self.nb_keys.clear();
-        self.nb_ws.clear();
+        let panel_mode = s.panel_stride > 0;
+        s.nb_keys.clear();
+        s.nb_ws.clear();
         for (n, c) in self.tg.symmetric().edges(t) {
-            let slot = self.task_slot[n as usize];
+            let slot = s.task_slot[n as usize];
             if slot == u32::MAX {
                 continue;
             }
-            self.nb_keys.push(if panel_mode {
+            s.nb_keys.push(if panel_mode {
                 slot
             } else {
-                self.task_router[n as usize]
+                s.task_router[n as usize]
             });
-            self.nb_ws.push(c);
+            s.nb_ws.push(c);
         }
         if panel_mode {
             fill_place_costs(
-                self.panel,
-                self.panel_stride,
-                self.nb_keys,
-                self.nb_ws,
-                self.cand_keys,
-                self.cand_costs,
+                &s.panel,
+                s.panel_stride,
+                &s.nb_keys,
+                &s.nb_ws,
+                &s.cand_keys,
+                &mut s.cand_costs,
             );
-            self.stats.row_hits += (self.cand_keys.len() * self.nb_keys.len()) as u64;
+            s.stats.row_hits += (s.cand_keys.len() * s.nb_keys.len()) as u64;
         } else {
-            self.dist.fill_place_costs_hops(
-                self.nb_keys,
-                self.nb_ws,
-                self.cand_keys,
-                self.cand_costs,
-            );
+            self.dist
+                .fill_place_costs_hops(&s.nb_keys, &s.nb_ws, &s.cand_keys, &mut s.cand_costs);
         }
         let mut best = 0;
-        for i in 1..self.cand_costs.len() {
-            if self.cand_costs[i] < self.cand_costs[best] {
+        for i in 1..s.cand_costs.len() {
+            if s.cand_costs[i] < s.cand_costs[best] {
                 best = i;
             }
         }
-        Some((self.cand_nodes[best], self.cand_slots[best]))
+        Some((s.cand_nodes[best], s.cand_slots[best]))
     }
 
     /// For tasks with no mapped neighbor: one of the farthest free
@@ -685,9 +621,10 @@ impl<'a> State<'a> {
     /// router graph). The first feasible node of the deepest feasible
     /// level is returned; `None` when no reachable node has room.
     fn farthest_free_node(&mut self, w: f64) -> Option<(u32, u32)> {
-        if self.nonempty_slots.is_empty() {
+        let s = &mut *self.s;
+        if s.nonempty_slots.is_empty() {
             // No placement context at all: first feasible slot.
-            let slot = (0..self.alloc.num_nodes()).find(|&s| fits(self.free[s], w))?;
+            let slot = (0..self.alloc.num_nodes()).find(|&slot| fits(s.free[slot], w))?;
             return Some((self.alloc.node(slot), slot as u32));
         }
         // Mark the routers that still host a feasible slot, so the BFS
@@ -695,22 +632,22 @@ impl<'a> State<'a> {
         // — and can stop once every feasible router has been seen:
         // later events are all infeasible and the deepest-first winner
         // is already fixed.
-        self.router_mark.reset();
+        s.router_mark.reset();
         let mut remaining = 0u32;
-        for s in 0..self.alloc.num_nodes() {
-            if fits(self.free[s], w) && !self.router_mark.mark(self.slot_router[s] as usize) {
+        for slot in 0..self.alloc.num_nodes() {
+            if fits(s.free[slot], w) && !s.router_mark.mark(s.slot_router[slot] as usize) {
                 remaining += 1;
             }
         }
-        self.sources.clear();
-        for i in 0..self.nonempty_slots.len() {
-            let s = self.nonempty_slots[i];
-            self.sources.push(self.slot_router[s as usize]);
+        s.sources.clear();
+        for i in 0..s.nonempty_slots.len() {
+            let slot = s.nonempty_slots[i];
+            s.sources.push(s.slot_router[slot as usize]);
         }
-        self.bfs_routers.start(self.sources.iter().copied());
+        s.bfs_routers.start(s.sources.iter().copied());
         let mut best: Option<(u32, u32, u32)> = None; // (level, node, slot)
-        while let Some(ev) = self.bfs_routers.next(self.machine.router_graph()) {
-            if !self.router_mark.is_marked(ev.vertex as usize) {
+        while let Some(ev) = s.bfs_routers.next(self.machine.router_graph()) {
+            if !s.router_mark.is_marked(ev.vertex as usize) {
                 continue;
             }
             // Keep only the first candidate of the deepest level: its
@@ -721,7 +658,7 @@ impl<'a> State<'a> {
                     .nodes_of_router(ev.vertex)
                     .find_map(|n| {
                         let slot = self.alloc.slot_of(n)?;
-                        fits(self.free[slot as usize], w).then_some((n, slot))
+                        fits(s.free[slot as usize], w).then_some((n, slot))
                     })
                     // tidy-allow: panic-freedom (unreachable: the pre-mark pass only marks routers holding a feasible slot)
                     .expect("marked router has a feasible slot");
@@ -742,18 +679,19 @@ impl<'a> State<'a> {
     /// order, same exact integer distances as the per-lookup
     /// [`weighted_hops`], hence bit-identical.
     fn final_wh(&mut self) -> f64 {
-        if self.panel_stride == 0 {
-            return weighted_hops(self.tg, self.machine, self.mapping);
+        let s = &mut *self.s;
+        if s.panel_stride == 0 {
+            return weighted_hops(self.tg, self.machine, &s.mapping);
         }
-        let stride = self.panel_stride;
+        let stride = s.panel_stride;
         let mut wh = 0.0;
-        for s in 0..self.tg.num_tasks() as u32 {
-            let row = &self.panel[self.task_slot[s as usize] as usize * stride..][..stride];
-            for (t, c) in self.tg.out_edges(s) {
-                wh += f64::from(row[self.task_slot[t as usize] as usize]) * c;
+        for src in 0..self.tg.num_tasks() as u32 {
+            let row = &s.panel[s.task_slot[src as usize] as usize * stride..][..stride];
+            for (t, c) in self.tg.out_edges(src) {
+                wh += f64::from(row[s.task_slot[t as usize] as usize]) * c;
             }
         }
-        self.stats.row_hits += self.tg.num_messages() as u64;
+        s.stats.row_hits += self.tg.num_messages() as u64;
         wh
     }
 }
@@ -811,6 +749,29 @@ mod tests {
         nodes.sort_unstable();
         nodes.dedup();
         assert_eq!(nodes.len(), 4);
+    }
+
+    #[test]
+    fn weighted_hops_skips_messages_with_an_unplaced_endpoint() {
+        // The 4×4 torus has its oracle table, whose row index an
+        // unplaced endpoint would run past.
+        let m = machine();
+        assert!(m.oracle().is_some());
+        let tg = TaskGraph::from_messages(
+            4,
+            [
+                (0, 1, 10.0),
+                (1, 2, 10.0),
+                (2, 3, 10.0),
+                (0, 2, 3.0),
+                (2, 0, 5.0),
+            ],
+            None,
+        );
+        // Tasks 1 and 3 unplaced: only the messages between 0 and 2 count.
+        let mapping = [0, u32::MAX, 5, u32::MAX];
+        let expected = (3.0 + 5.0) * f64::from(m.hops(0, 5));
+        assert_eq!(weighted_hops(&tg, &m, &mapping), expected);
     }
 
     #[test]

@@ -244,7 +244,7 @@ pub fn remap_incremental(
     // — see RemapStats::wh_before). One read-only O(E) sweep; edges
     // with a displaced endpoint have no placement to measure.
     let dist = HopDist::new(machine);
-    let wh_before = placed_weighted_hops(tg, &dist, mapping);
+    let wh_before = weighted_hops(tg, machine, mapping);
 
     // Free capacity of the surviving placement. Surviving slots kept
     // their processor counts, so survivors still fit.
@@ -349,24 +349,6 @@ pub fn remap_incremental(
         wh_before,
         wh_after,
     })
-}
-
-/// Weighted hops over the *placed* tasks of a possibly partial mapping:
-/// edges with an unplaced (`u32::MAX`) endpoint contribute nothing.
-/// The drift-observability sibling of
-/// [`weighted_hops`](crate::greedy::weighted_hops), which requires a
-/// fully placed mapping.
-fn placed_weighted_hops(tg: &TaskGraph, dist: &HopDist<'_>, mapping: &[u32]) -> f64 {
-    tg.messages()
-        .map(|(s, t, c)| {
-            let (a, b) = (mapping[s as usize], mapping[t as usize]);
-            if a == u32::MAX || b == u32::MAX {
-                0.0
-            } else {
-                f64::from(dist.node_hops(a, b)) * c
-            }
-        })
-        .sum()
 }
 
 /// `GETBESTNODE` for one displaced task: early-exiting BFS over the

@@ -58,7 +58,9 @@ impl Default for WhRefineConfig {
 /// Reusable buffers for one refinement run.
 #[derive(Default)]
 pub struct WhScratch {
+    /// Tasks hosted by each allocation slot (flat registry).
     buckets: SlotBuckets,
+    /// Free capacity per slot.
     free: Vec<f64>,
     heap: IndexedMaxHeap,
     bfs: Bfs,
@@ -143,6 +145,8 @@ fn refine(
     wh
 }
 
+/// Working state of one refinement run: its inputs, the mapping it
+/// refines, and the [`WhScratch`] it borrows whole.
 struct Refiner<'a> {
     tg: &'a TaskGraph,
     machine: &'a Machine,
@@ -150,13 +154,7 @@ struct Refiner<'a> {
     /// Oracle-or-analytic distances and the incremental gain kernel.
     dist: HopDist<'a>,
     mapping: &'a mut [u32],
-    /// Tasks hosted by each allocation slot (flat registry).
-    buckets: &'a mut SlotBuckets,
-    /// Free capacity per slot.
-    free: &'a mut Vec<f64>,
-    heap: &'a mut IndexedMaxHeap,
-    bfs: &'a mut Bfs,
-    sources: &'a mut Vec<u32>,
+    s: &'a mut WhScratch,
 }
 
 impl<'a> Refiner<'a> {
@@ -165,36 +163,26 @@ impl<'a> Refiner<'a> {
         machine: &'a Machine,
         alloc: &'a Allocation,
         mapping: &'a mut [u32],
-        scratch: &'a mut WhScratch,
+        s: &'a mut WhScratch,
     ) -> Self {
-        let WhScratch {
-            buckets,
-            free,
-            heap,
-            bfs,
-            sources,
-        } = scratch;
-        buckets.reset(alloc.num_nodes(), tg.num_tasks());
-        free.clear();
-        free.extend((0..alloc.num_nodes()).map(|s| f64::from(alloc.procs(s))));
+        s.buckets.reset(alloc.num_nodes(), tg.num_tasks());
+        s.free.clear();
+        s.free
+            .extend((0..alloc.num_nodes()).map(|slot| f64::from(alloc.procs(slot))));
         for (t, &node) in mapping.iter().enumerate() {
             let slot = alloc.slot_of(node).expect("mapping must be feasible") as usize;
-            buckets.insert(slot, t as u32);
-            free[slot] -= tg.task_weight(t as u32);
+            s.buckets.insert(slot, t as u32);
+            s.free[slot] -= tg.task_weight(t as u32);
         }
-        heap.reset(tg.num_tasks());
-        bfs.ensure(machine.num_routers());
+        s.heap.reset(tg.num_tasks());
+        s.bfs.ensure(machine.num_routers());
         Self {
             tg,
             machine,
             alloc,
             dist: HopDist::new(machine),
             mapping,
-            buckets,
-            free,
-            heap,
-            bfs,
-            sources,
+            s,
         }
     }
 
@@ -219,23 +207,24 @@ impl<'a> Refiner<'a> {
         let slot2 = self.alloc.slot_of(node2).unwrap() as usize;
         let w1 = self.tg.task_weight(t1);
         self.mapping[t1 as usize] = node2;
-        self.buckets.relocate(slot1, slot2, t1);
-        self.free[slot1] += w1;
-        self.free[slot2] -= w1;
+        let s = &mut *self.s;
+        s.buckets.relocate(slot1, slot2, t1);
+        s.free[slot1] += w1;
+        s.free[slot2] -= w1;
         if let Some(t) = t2 {
             let w2 = self.tg.task_weight(t);
             self.mapping[t as usize] = node1;
-            self.buckets.relocate(slot2, slot1, t);
-            self.free[slot2] += w2;
-            self.free[slot1] -= w2;
+            s.buckets.relocate(slot2, slot1, t);
+            s.free[slot2] += w2;
+            s.free[slot1] -= w2;
         }
     }
 
     /// Refreshes `task`'s heap key if still enqueued.
     fn refresh(&mut self, task: u32) {
-        if self.heap.contains(task) {
+        if self.s.heap.contains(task) {
             let key = self.task_wh(task);
-            self.heap.change_key(task, key);
+            self.s.heap.change_key(task, key);
         }
     }
 
@@ -248,17 +237,17 @@ impl<'a> Refiner<'a> {
     /// improving swap.
     fn run_pass(&mut self, delta: usize, frontier: Option<&[u32]>) -> f64 {
         let n = self.tg.num_tasks();
-        self.heap.reset(n);
+        self.s.heap.reset(n);
         let mut seed = |t: u32| {
             let key = self.task_wh(t);
-            self.heap.push(t, key);
+            self.s.heap.push(t, key);
         };
         match frontier {
             Some(tasks) => tasks.iter().copied().for_each(&mut seed),
             None => (0..n as u32).for_each(&mut seed),
         }
         let mut pass_gain = 0.0;
-        while let Some((twh, key)) = self.heap.pop() {
+        while let Some((twh, key)) = self.s.heap.pop() {
             if key <= 0.0 {
                 // Remaining tasks incur no WH; nothing to gain.
                 break;
@@ -290,18 +279,19 @@ impl<'a> Refiner<'a> {
         let w1 = self.tg.task_weight(twh);
         // Loop-invariant: twh stays on node1 for the whole scan.
         let slot1 = self.alloc.slot_of(node1).unwrap() as usize;
-        self.sources.clear();
+        let s = &mut *self.s;
+        s.sources.clear();
         for &nb in self.tg.symmetric().neighbors(twh) {
-            self.sources
+            s.sources
                 .push(self.machine.router_of(self.mapping[nb as usize]));
         }
-        if self.sources.is_empty() {
+        if s.sources.is_empty() {
             return None; // no neighbors → its WH is 0 anyway
         }
-        self.bfs.start(self.sources.iter().copied());
+        s.bfs.start(s.sources.iter().copied());
         let mut evaluated = 0usize;
         loop {
-            let ev = self.bfs.next(self.machine.router_graph())?;
+            let ev = self.s.bfs.next(self.machine.router_graph())?;
             for node2 in self.machine.nodes_of_router(ev.vertex) {
                 if node2 == node1 {
                     continue;
@@ -315,10 +305,10 @@ impl<'a> Refiner<'a> {
                 // this scan mutates the registry (gains are
                 // mutation-free), so residents are iterated in place —
                 // no scratch copy.
-                for t2 in self.buckets.iter(slot2) {
+                for t2 in self.s.buckets.iter(slot2) {
                     // Capacity check for the exchange.
                     let w2 = self.tg.task_weight(t2);
-                    if !fits(self.free[slot2] + w2, w1) || !fits(self.free[slot1] + w1, w2) {
+                    if !fits(self.s.free[slot2] + w2, w1) || !fits(self.s.free[slot1] + w1, w2) {
                         continue;
                     }
                     let gain = self.swap_gain(twh, Some(t2), node2);
@@ -330,7 +320,7 @@ impl<'a> Refiner<'a> {
                         return None;
                     }
                 }
-                if fits(self.free[slot2], w1) {
+                if fits(self.s.free[slot2], w1) {
                     let gain = self.swap_gain(twh, None, node2);
                     evaluated += 1;
                     if gain > GAIN_EPS {

@@ -41,16 +41,6 @@ impl FixedBitSet {
         prev
     }
 
-    /// Clears bit `i`; returns the previous value.
-    #[inline]
-    pub fn unset(&mut self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        let (w, b) = (i / 64, i % 64);
-        let prev = self.words[w] >> b & 1 == 1;
-        self.words[w] &= !(1 << b);
-        prev
-    }
-
     /// Reads bit `i`.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -107,7 +97,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn set_get_unset_roundtrip() {
+    fn set_get_roundtrip() {
         let mut bs = FixedBitSet::new(130);
         assert!(!bs.set(0));
         assert!(!bs.set(63));
@@ -116,9 +106,7 @@ mod tests {
         assert!(bs.set(64));
         assert!(bs.get(129));
         assert!(!bs.get(128));
-        assert!(bs.unset(63));
-        assert!(!bs.get(63));
-        assert_eq!(bs.count_ones(), 3);
+        assert_eq!(bs.count_ones(), 4);
     }
 
     #[test]

@@ -141,19 +141,6 @@ impl SlotBuckets {
             at: self.head[slot],
         }
     }
-
-    /// Copies `slot`'s items into `out` (cleared first) — for scans that
-    /// mutate the registry mid-iteration. Allocation-free once `out` is
-    /// warm.
-    pub fn collect_into(&self, slot: usize, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(self.iter(slot));
-    }
-
-    /// Number of items in `slot` (O(k)).
-    pub fn len_of(&self, slot: usize) -> usize {
-        self.iter(slot).count()
-    }
 }
 
 /// Iterator over one bucket's items.
@@ -188,7 +175,6 @@ mod tests {
         }
         assert_eq!(b.iter(1).collect::<Vec<_>>(), vec![5, 0, 3]);
         assert_eq!(b.iter(0).count(), 0);
-        assert_eq!(b.len_of(1), 3);
     }
 
     #[test]
@@ -229,17 +215,6 @@ mod tests {
         assert_eq!(b.slot_of(2), None);
         b.insert(3, 7);
         assert_eq!(b.iter(3).collect::<Vec<_>>(), vec![7]);
-    }
-
-    #[test]
-    fn collect_into_reuses_buffer() {
-        let mut b = SlotBuckets::new();
-        b.reset(1, 3);
-        b.insert(0, 1);
-        b.insert(0, 2);
-        let mut buf = vec![9, 9, 9, 9];
-        b.collect_into(0, &mut buf);
-        assert_eq!(buf, vec![1, 2]);
     }
 
     #[test]

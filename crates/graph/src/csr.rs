@@ -16,21 +16,6 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Builds directly from CSR arrays. `xadj.len() == vwgt.len() + 1`,
-    /// `adj.len() == ewgt.len() == xadj[last]`.
-    pub fn from_csr(xadj: Vec<usize>, adj: Vec<u32>, ewgt: Vec<f64>, vwgt: Vec<f64>) -> Self {
-        assert_eq!(xadj.len(), vwgt.len() + 1, "xadj/vwgt length mismatch");
-        assert_eq!(adj.len(), ewgt.len(), "adj/ewgt length mismatch");
-        assert_eq!(*xadj.last().unwrap(), adj.len(), "xadj end mismatch");
-        debug_assert!(xadj.windows(2).all(|w| w[0] <= w[1]), "xadj not sorted");
-        Self {
-            xadj,
-            adj,
-            ewgt,
-            vwgt,
-        }
-    }
-
     /// A graph with `n` isolated unit-weight vertices.
     pub fn empty(n: usize) -> Self {
         Self {
@@ -194,9 +179,8 @@ impl Graph {
 ///
 /// The builder is **reusable**: [`reset`](Self::reset) clears it for a
 /// new graph while keeping every internal buffer, and the
-/// [`build_directed_into`](Self::build_directed_into) /
-/// [`build_symmetric_into`](Self::build_symmetric_into) forms rebuild
-/// an existing [`Graph`] in place. A warm builder/graph pair therefore
+/// [`build_directed_into`](Self::build_directed_into) form rebuilds an
+/// existing [`Graph`] in place. A warm builder/graph pair therefore
 /// performs zero steady-state allocations — the contract the multilevel
 /// coarsening hierarchy (DESIGN.md §12) is built on. Construction is
 /// O(V + E + Σ deg·log deg) via a counting scatter with per-row
@@ -284,12 +268,6 @@ impl GraphBuilder {
     /// reusing its CSR buffers (allocation-free once warm).
     pub fn build_directed_into(&mut self, g: &mut Graph) {
         self.build_into(g, false);
-    }
-
-    /// [`build_symmetric`](Self::build_symmetric) into an existing
-    /// graph, reusing its CSR buffers (allocation-free once warm).
-    pub fn build_symmetric_into(&mut self, g: &mut Graph) {
-        self.build_into(g, true);
     }
 
     /// Transposes `g` into `out` (edge `(u, v, w)` becomes `(v, u, w)`),

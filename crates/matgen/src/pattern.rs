@@ -45,23 +45,6 @@ impl SparsePattern {
         }
     }
 
-    /// Builds directly from CSR arrays (must be sorted and deduplicated
-    /// within each row).
-    pub fn from_csr(nrows: usize, ncols: usize, rowptr: Vec<usize>, colidx: Vec<u32>) -> Self {
-        assert_eq!(rowptr.len(), nrows + 1);
-        assert_eq!(*rowptr.last().unwrap(), colidx.len());
-        debug_assert!((0..nrows).all(|r| {
-            let row = &colidx[rowptr[r]..rowptr[r + 1]];
-            row.windows(2).all(|w| w[0] < w[1]) && row.iter().all(|&c| (c as usize) < ncols)
-        }));
-        Self {
-            nrows,
-            ncols,
-            rowptr,
-            colidx,
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {

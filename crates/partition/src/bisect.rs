@@ -8,33 +8,7 @@ use umpa_ds::IndexedMaxHeap;
 use umpa_graph::Graph;
 
 use crate::coarsen::coarsen_until;
-
-/// Parameters of a (multilevel) bisection.
-#[derive(Clone, Copy, Debug)]
-pub struct BisectConfig {
-    /// Allowed relative overload of either side, e.g. `0.05`.
-    pub epsilon: f64,
-    /// Greedy-graph-growing restarts at the coarsest level.
-    pub init_trials: u32,
-    /// Maximum FM passes per level.
-    pub fm_passes: u32,
-    /// Coarsen until this many vertices remain.
-    pub coarsen_to: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for BisectConfig {
-    fn default() -> Self {
-        Self {
-            epsilon: 0.05,
-            init_trials: 4,
-            fm_passes: 4,
-            coarsen_to: 96,
-            seed: 1,
-        }
-    }
-}
+use crate::recursive::MlConfig;
 
 /// Side weights of a bisection.
 fn side_weights(g: &Graph, side: &[u8]) -> (f64, f64) {
@@ -244,8 +218,10 @@ pub fn fm_refine(
 
 /// Multilevel bisection: coarsen, grow, refine while uncoarsening.
 ///
-/// `target_left` is the desired total vertex weight of side 0.
-pub fn multilevel_bisect(g: &Graph, target_left: f64, cfg: &BisectConfig) -> Vec<u8> {
+/// `target_left` is the desired total vertex weight of side 0; `cfg`
+/// bounds the overload of either side and seeds the coarsening and the
+/// growing trials.
+pub fn multilevel_bisect(g: &Graph, target_left: f64, cfg: &MlConfig) -> Vec<u8> {
     let total = g.total_vertex_weight();
     let target_right = total - target_left;
     let levels = coarsen_until(g, cfg.coarsen_to, cfg.seed);
@@ -338,9 +314,9 @@ mod tests {
     fn multilevel_finds_near_optimal_grid_cut() {
         // An 16x8 grid split in half has an optimal cut of 8.
         let g = grid(16, 8);
-        let cfg = BisectConfig {
+        let cfg = MlConfig {
             seed: 3,
-            ..BisectConfig::default()
+            ..MlConfig::default()
         };
         let side = multilevel_bisect(&g, 64.0, &cfg);
         let cut = bisection_cut(&g, &side);
@@ -352,7 +328,7 @@ mod tests {
     #[test]
     fn asymmetric_targets_respected() {
         let g = grid(10, 10);
-        let cfg = BisectConfig::default();
+        let cfg = MlConfig::default();
         let side = multilevel_bisect(&g, 25.0, &cfg);
         let (wl, _) = side_weights(&g, &side);
         assert!(
@@ -371,7 +347,7 @@ mod tests {
             b.add_edge(u + 16, v + 16, w);
         }
         let g = b.build_directed();
-        let side = multilevel_bisect(&g, 16.0, &BisectConfig::default());
+        let side = multilevel_bisect(&g, 16.0, &MlConfig::default());
         let (wl, wr) = side_weights(&g, &side);
         assert!((wl - 16.0).abs() <= 2.0, "wl={wl} wr={wr}");
     }

@@ -8,12 +8,15 @@
 
 use umpa_graph::Graph;
 
-use crate::bisect::{multilevel_bisect, BisectConfig};
+use crate::bisect::multilevel_bisect;
 
-/// Multilevel configuration for recursive bisection.
+/// Multilevel partitioner settings. [`recursive_bisection`] takes them
+/// whole and runs each split's [`multilevel_bisect`] on a copy whose
+/// seed is derived from `seed` and the split's place in the recursion.
 #[derive(Clone, Copy, Debug)]
 pub struct MlConfig {
-    /// Allowed relative overload per part.
+    /// Allowed relative overload per part (of either side, in one
+    /// bisection).
     pub epsilon: f64,
     /// Greedy-graph-growing restarts at the coarsest level.
     pub init_trials: u32,
@@ -33,18 +36,6 @@ impl Default for MlConfig {
             fm_passes: 4,
             coarsen_to: 96,
             seed: 1,
-        }
-    }
-}
-
-impl MlConfig {
-    fn bisect_cfg(&self, depth_seed: u64) -> BisectConfig {
-        BisectConfig {
-            epsilon: self.epsilon,
-            init_trials: self.init_trials,
-            fm_passes: self.fm_passes,
-            coarsen_to: self.coarsen_to,
-            seed: self.seed.wrapping_mul(0x9E37_79B9).wrapping_add(depth_seed),
         }
     }
 }
@@ -97,7 +88,11 @@ fn split(
     // imbalance must not compound downstream.
     let frac = target_left / targets.iter().sum::<f64>();
     let local_target_left = sub.total_vertex_weight() * frac;
-    let side = multilevel_bisect(&sub, local_target_left, &cfg.bisect_cfg(node_id));
+    let split_cfg = MlConfig {
+        seed: cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(node_id),
+        ..*cfg
+    };
+    let side = multilevel_bisect(&sub, local_target_left, &split_cfg);
     let mut left = Vec::new();
     let mut right = Vec::new();
     for (i, &v) in vertices.iter().enumerate() {
